@@ -5,6 +5,19 @@
 // bounds for the query processor, and pulls query-initiated refreshes when
 // a precision constraint demands exact values.
 //
+// # Layout
+//
+// Everything the cache knows per object lives in the object's row of the
+// cached relation (relation.Table): the interval bounds the query
+// processor reads, the promise V ± W·f(T−Tr) they were evaluated from, the
+// sequence number of the refresh that carried the promise, and the name
+// of the owning source. The cache keeps no per-object map of its own. A
+// row is attached to a source exactly when it holds a promise; the source
+// itself is found from the row's SourceID through one small per-cache
+// name → source map. A clock tick is therefore one linear pass over each
+// shard's row arrays, evaluating each row's promise into the interval
+// beside it.
+//
 // # Concurrency
 //
 // The cached relation is a sharded store (relation.Store): tuples are
@@ -12,12 +25,15 @@
 // with a strict acquisition order (the shard's state mutex before the
 // shard's table lock, never the reverse):
 //
-//   - the state mutex guards the shard's slice of the cache's own state:
-//     the per-object source, bound-function and sequence maps, plus the
-//     shard's Sync bookkeeping;
-//   - the store's shard RWMutex guards the shard's table contents. The
-//     query processor shares it (via Store) so that aggregation scans
-//     take shard read locks while refresh installation takes the owning
+//   - the state mutex guards the shard's Sync bookkeeping and serializes
+//     the cache's own writers of the shard — every refresh install,
+//     subscribe, re-handshake and drop holds it across its sequence
+//     check, table write and log append, so the log's per-shard order is
+//     the table's;
+//   - the store's shard RWMutex guards the shard's rows: intervals,
+//     promises, sequence numbers, membership and order. The query
+//     processor shares it (via Store) so that aggregation scans take
+//     shard read locks while refresh installation takes the owning
 //     shard's write lock; queries scan all shards in parallel, and a
 //     source push blocks only scans of the one shard owning the pushed
 //     key.
@@ -29,7 +45,8 @@
 // locks), and no shard lock is ever held while calling
 // into a source, so sources can push value-initiated refreshes from their
 // own goroutines without deadlock: a push simply queues behind in-flight
-// scans of its one shard.
+// scans of its one shard. The source-name map has its own lock, which is
+// never held together with any other.
 package cache
 
 import (
@@ -39,7 +56,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"trapp/internal/boundfn"
 	"trapp/internal/interval"
 	"trapp/internal/netsim"
 	"trapp/internal/obs"
@@ -79,16 +95,14 @@ type Event struct {
 }
 
 // cacheShard is one shard's slice of the cache's own state, guarded by
-// its mu. The shard's table contents live in the store's matching shard.
+// its mu. The shard's rows — intervals, promises, sequence numbers — live
+// in the store's matching shard.
 type cacheShard struct {
-	mu      sync.Mutex
-	sources map[int64]*source.Source
-	bounds  map[int64][]boundfn.Bound // per bounded column, schema order
-	lastSeq map[int64]int64           // newest applied Refresh.Seq per key
+	mu sync.Mutex
 	// Sync fast-path bookkeeping: the shard's materialized intervals are
-	// exactly bounds[*].At(syncedAt) except for the keys in dirtyKeys
-	// (query-initiated point collapses since that Sync). A Sync at the
-	// same clock tick skips a shard with no dirty keys entirely, and
+	// exactly each row's promise at syncedAt except for the keys in
+	// dirtyKeys (query-initiated point collapses since that Sync). A Sync
+	// at the same clock tick skips a shard with no dirty keys entirely, and
 	// re-materializes only the dirty keys otherwise — never the whole
 	// shard. Tracking dirtiness per key instead of per shard is what
 	// keeps Zipfian query-refresh traffic from amplifying: one paid
@@ -114,6 +128,12 @@ type Cache struct {
 
 	store  *relation.Store
 	shards []cacheShard // aligned with store shards
+
+	// sources resolves a row's SourceID to the source a Subscribe or
+	// Rehandshake named; one entry per source, not per object. smu is a
+	// leaf lock: nothing else is acquired while it is held.
+	smu     sync.RWMutex
+	sources map[string]*source.Source
 
 	// metrics, when set (by the System façade), receives refresh batch
 	// size observations; atomic so the refresh path never locks for it.
@@ -154,24 +174,24 @@ func New(id string, clock *netsim.Clock, schema *relation.Schema) *Cache {
 
 // NewSharded is New with an explicit shard count (rounded up to a power
 // of two; ≤ 0 selects relation.DefaultShards). A single shard degrades
-// to the flat store layout — one tuple slice, one key index, one lock —
+// to the flat store layout — one set of row arrays, one lock —
 // which the differential tests use as the reference.
 func NewSharded(id string, clock *netsim.Clock, schema *relation.Schema, nshards int) *Cache {
-	st := relation.NewStore(schema, nshards)
+	return newCache(id, clock, relation.NewStore(schema, nshards), nil)
+}
+
+// newCache wraps a store (empty, or recovered from disk with its log).
+func newCache(id string, clock *netsim.Clock, st *relation.Store, wal *relation.WAL) *Cache {
 	c := &Cache{
-		id:     id,
-		clock:  clock,
-		store:  st,
-		shards: make([]cacheShard, st.NumShards()),
+		id:      id,
+		clock:   clock,
+		store:   st,
+		shards:  make([]cacheShard, st.NumShards()),
+		sources: make(map[string]*source.Source),
+		wal:     wal,
 	}
 	for i := range c.shards {
-		c.shards[i] = cacheShard{
-			sources:   make(map[int64]*source.Source),
-			bounds:    make(map[int64][]boundfn.Bound),
-			lastSeq:   make(map[int64]int64),
-			syncedAt:  -1,
-			dirtyKeys: make(map[int64]struct{}),
-		}
+		c.shards[i] = cacheShard{syncedAt: -1, dirtyKeys: make(map[int64]struct{})}
 	}
 	return c
 }
@@ -218,14 +238,47 @@ func (c *Cache) notify(ev Event) {
 	}
 }
 
+// attach records src under its name, so rows carrying that SourceID
+// resolve to it. A cache knows one source per name.
+func (c *Cache) attach(src *source.Source) error {
+	c.smu.RLock()
+	known := c.sources[src.ID()]
+	c.smu.RUnlock()
+	if known == nil {
+		c.smu.Lock()
+		if known = c.sources[src.ID()]; known == nil {
+			c.sources[src.ID()] = src
+			known = src
+		}
+		c.smu.Unlock()
+	}
+	if known != src {
+		return fmt.Errorf("cache %s: another source named %q is already attached", c.id, src.ID())
+	}
+	return nil
+}
+
+// sourceOf returns the source the keyed object is attached to: the one
+// named by its row, if the row holds a promise. Nil for an uncached key
+// and for a recovered row not yet re-attached.
+func (c *Cache) sourceOf(key int64) *source.Source {
+	var id string
+	attached := false
+	c.store.View(key, func(t *relation.Table, i int) {
+		id, attached = t.At(i).SourceID, t.HasPromise(i)
+	})
+	if !attached {
+		return nil
+	}
+	c.smu.RLock()
+	defer c.smu.RUnlock()
+	return c.sources[id]
+}
+
 // ObserveDemand forwards shared-refresh demand for a cached object to
 // its source's width policy (see source.ObserveDemand).
 func (c *Cache) ObserveDemand(key int64, subscribers int) {
-	sh, _ := c.shardFor(key)
-	sh.mu.Lock()
-	src := sh.sources[key]
-	sh.mu.Unlock()
-	if src != nil {
+	if src := c.sourceOf(key); src != nil {
 		src.ObserveDemand(key, subscribers)
 	}
 }
@@ -251,6 +304,9 @@ func (c *Cache) Subscribe(src *source.Source, key int64, exactVals []float64) er
 // commit; it returns with no cache lock held.
 func (c *Cache) subscribe(src *source.Source, key int64, exactVals []float64) (int, relation.Ticket, error) {
 	var tk relation.Ticket
+	if err := c.attach(src); err != nil {
+		return 0, tk, err
+	}
 	r, err := src.Subscribe(key, c)
 	if err != nil {
 		return 0, tk, err
@@ -291,9 +347,7 @@ func (c *Cache) subscribe(src *source.Source, key int64, exactVals []float64) (i
 		return 0, tk, err
 	}
 	tk = c.logInsert(&tu)
-	sh.sources[key] = src
-	sh.bounds[key] = r.Bounds
-	sh.lastSeq[key] = r.Seq
+	c.store.Update(key, func(t *relation.Table, i int) { t.SetPromise(i, r.Bounds, r.Seq) })
 	// The tuple was materialized at now, which may postdate the shard's
 	// last Sync; mark just this key so the next same-tick Sync settles it
 	// without rewriting the shard.
@@ -326,20 +380,25 @@ func (c *Cache) apply(r source.Refresh) bool {
 	return installed
 }
 
-// applyLocked records the refreshed bounds and rematerializes the
-// object's table intervals. Refreshes delivered out of order (a batch
-// reply applied after a newer value-initiated push raced past it) are
-// dropped via the per-object sequence number, so the table never moves
+// applyLocked writes the refreshed promise into the object's row and
+// rematerializes the row's intervals. Refreshes delivered out of order (a
+// batch reply applied after a newer value-initiated push raced past it)
+// are dropped via the row's sequence number, so the table never moves
 // backwards to stale bounds. Query-initiated refreshes install the
 // exact values as point bounds — the cache-side half of the refresh
 // step, done here so it is atomic with respect to concurrent pushes.
-// Caller holds sh.mu; the shard's table write lock is taken here.
-// Reports whether the refresh was installed, plus the log ticket to
-// commit once the shard mutex is released.
+// Caller holds sh.mu, which every writer of the row's sequence number
+// holds, so the check below stays true until the write; the shard's
+// table locks are taken here. Reports whether the refresh was installed,
+// plus the log ticket to commit once the shard mutex is released.
 func (c *Cache) applyLocked(sh *cacheShard, r source.Refresh) (bool, relation.Ticket) {
 	var tk relation.Ticket
-	if r.Seq != 0 && r.Seq <= sh.lastSeq[r.Key] {
-		return false, tk // a newer refresh for this object was already applied
+	if r.Seq != 0 {
+		stale := false
+		c.store.View(r.Key, func(t *relation.Table, i int) { stale = r.Seq <= t.Seq(i) })
+		if stale {
+			return false, tk // a newer refresh for this object was already applied
+		}
 	}
 	now := c.clock.Now()
 	var pushed []interval.Interval
@@ -364,6 +423,7 @@ func (c *Cache) applyLocked(sh *cacheShard, r source.Refresh) (bool, relation.Ti
 				}
 			}
 		}
+		t.SetPromise(i, r.Bounds, r.Seq)
 	})
 	if !installed {
 		return false, tk // object was deleted; stale refresh
@@ -373,15 +433,13 @@ func (c *Cache) applyLocked(sh *cacheShard, r source.Refresh) (bool, relation.Ti
 	} else {
 		tk = c.logPush(r.Key, pushed)
 	}
-	sh.bounds[r.Key] = r.Bounds
-	sh.lastSeq[r.Key] = r.Seq
-	// A value-initiated apply wrote exactly bounds.At(now), so a shard
+	// A value-initiated apply wrote exactly the promise at now, so a shard
 	// synced at the current tick is still fully materialized — it stays
 	// clean and the next Sync skips it. This is what keeps scans cheap
 	// under heavy push load: a push never forces queries to re-Sync the
 	// shard, let alone the table. Only the query-initiated point
-	// collapse (table bound ≠ bound function at now) must dirty its
-	// key so the next Sync restores the time-varying bound.
+	// collapse (table bound ≠ promise at now) must dirty its key so the
+	// next Sync restores the time-varying bound.
 	if r.Kind == source.QueryInitiated {
 		sh.dirtyKeys[r.Key] = struct{}{}
 	} else {
@@ -413,8 +471,8 @@ const parallelSyncMin = 4096
 // under skewed query traffic one hot refresh costs one bound rewrite, not
 // a rewrite of every tuple sharing the hot key's shard. When the clock
 // HAS advanced the full per-shard rewrite is unavoidable (the bounds grow
-// with time), so it walks the shard's tuple slice sequentially — one
-// bounds-map lookup per tuple, bounds written in place — and, for large
+// with time), so it walks the shard's row arrays sequentially — each
+// row's promise evaluated into the intervals beside it — and, for large
 // tables, runs the stale shards on parallel goroutines, each holding only
 // its own shard's locks (the lock-order rule in the package comment).
 func (c *Cache) Sync() {
@@ -468,16 +526,13 @@ func (c *Cache) syncShard(si int) {
 		c.store.UpdateShard(si, func(t *relation.Table) {
 			bcols := t.Schema().BoundedColumns()
 			for key := range sh.dirtyKeys {
-				bs, ok := sh.bounds[key]
-				if !ok {
-					continue // dropped since the collapse
-				}
 				i := t.ByKey(key)
-				if i < 0 {
+				if i < 0 || !t.HasPromise(i) {
 					continue
 				}
+				ps := t.Promise(i)
 				for j, col := range bcols {
-					_ = t.SetBound(i, col, bs[j].At(now))
+					_ = t.SetBound(i, col, ps[j].At(now))
 				}
 			}
 		})
@@ -487,16 +542,15 @@ func (c *Cache) syncShard(si int) {
 	c.store.UpdateShard(si, func(t *relation.Table) {
 		bcols := t.Schema().BoundedColumns()
 		for i, n := 0, t.Len(); i < n; i++ {
-			tu := t.At(i)
-			bs, ok := sh.bounds[tu.Key]
-			if !ok {
-				continue // not owned by this cache's bound map
+			if !t.HasPromise(i) {
+				continue // no source has promised anything for this row
 			}
 			// In-place write; bound functions evaluate to non-empty
 			// intervals and bcols are bounded columns, so SetBound's
 			// validation is vacuous here and skipped.
+			ps, bs := t.Promise(i), t.At(i).Bounds
 			for j, col := range bcols {
-				tu.Bounds[col] = bs[j].At(now)
+				bs[col] = ps[j].At(now)
 			}
 		}
 	})
@@ -508,10 +562,7 @@ func (c *Cache) syncShard(si int) {
 // refresh for the object from its source, installs the new bounds, and
 // returns the exact values.
 func (c *Cache) Master(key int64) ([]float64, bool) {
-	sh, _ := c.shardFor(key)
-	sh.mu.Lock()
-	src := sh.sources[key]
-	sh.mu.Unlock()
+	src := c.sourceOf(key)
 	if src == nil {
 		return nil, false
 	}
@@ -524,9 +575,9 @@ func (c *Cache) Master(key int64) ([]float64, bool) {
 }
 
 // MasterBatch implements the query-processor BatchOracle: the refresh set
-// is grouped first by owning shard (one state-lock acquisition per shard
-// to resolve sources) and then by owning source, and fanned out as one
-// batched request per source, each on its own goroutine — the parallel
+// is grouped first by owning shard (one read-lock acquisition per shard
+// to read the rows' source names) and then by owning source, and fanned
+// out as one batched request per source, each on its own goroutine — the parallel
 // refresh phase of the concurrent engine. The refreshed bounds (point
 // intervals for the paid exact values, plus any piggybacked extras riding
 // along on a reply) are installed into the cached table here, atomically
@@ -559,19 +610,27 @@ func (c *Cache) MasterBatchCtx(ctx context.Context, keys []int64) (map[int64][]f
 		si := c.store.ShardOf(key)
 		byShard[si] = append(byShard[si], key)
 	}
-	bySrc := make(map[*source.Source][]int64)
+	byID := make(map[string][]int64)
 	for si, ks := range byShard {
-		sh := &c.shards[si]
-		sh.mu.Lock()
-		for _, key := range ks {
-			src := sh.sources[key]
-			if src == nil {
-				continue // dropped since the plan was computed
+		c.store.ViewShard(si, func(t *relation.Table) {
+			for _, key := range ks {
+				// Dropped since the plan was computed, or never attached:
+				// no source to ask.
+				if i := t.ByKey(key); i >= 0 && t.HasPromise(i) {
+					id := t.At(i).SourceID
+					byID[id] = append(byID[id], key)
+				}
 			}
-			bySrc[src] = append(bySrc[src], key)
-		}
-		sh.mu.Unlock()
+		})
 	}
+	bySrc := make(map[*source.Source][]int64, len(byID))
+	c.smu.RLock()
+	for id, ks := range byID {
+		if src := c.sources[id]; src != nil {
+			bySrc[src] = ks
+		}
+	}
+	c.smu.RUnlock()
 
 	vals := make(map[int64][]float64, len(keys))
 	metrics := c.metrics.Load()
@@ -653,9 +712,6 @@ func (c *Cache) MasterBatchCtx(ctx context.Context, keys []int64) (map[int64][]f
 func (c *Cache) Drop(key int64) bool {
 	sh, si := c.shardFor(key)
 	sh.mu.Lock()
-	delete(sh.sources, key)
-	delete(sh.bounds, key)
-	delete(sh.lastSeq, key)
 	delete(sh.dirtyKeys, key)
 	deleted := c.store.Delete(key)
 	var tk relation.Ticket

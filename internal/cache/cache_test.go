@@ -391,4 +391,13 @@ func TestSubscribeErrors(t *testing.T) {
 	if err := c.Subscribe(src, 3, []float64{0, 0}); err == nil {
 		t.Error("duplicate subscription accepted")
 	}
+	// Rows name their source; a second source under a taken name would
+	// capture the first one's rows.
+	twin := source.New("s1", clock, net, nil)
+	if err := twin.AddObject(4, []float64{1, 2, 3}, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Subscribe(twin, 4, []float64{0, 0}); err == nil {
+		t.Error("second source named s1 accepted")
+	}
 }

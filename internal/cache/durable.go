@@ -2,8 +2,8 @@ package cache
 
 import (
 	"fmt"
+	"slices"
 
-	"trapp/internal/boundfn"
 	"trapp/internal/interval"
 	"trapp/internal/netsim"
 	"trapp/internal/relation"
@@ -54,22 +54,7 @@ func OpenDurableSharded(id string, clock *netsim.Clock, schema *relation.Schema,
 	if err != nil {
 		return nil, Recovery{}, err
 	}
-	c := &Cache{
-		id:     id,
-		clock:  clock,
-		store:  st,
-		shards: make([]cacheShard, st.NumShards()),
-		wal:    w,
-	}
-	for i := range c.shards {
-		c.shards[i] = cacheShard{
-			sources:   make(map[int64]*source.Source),
-			bounds:    make(map[int64][]boundfn.Bound),
-			lastSeq:   make(map[int64]int64),
-			syncedAt:  -1,
-			dirtyKeys: make(map[int64]struct{}),
-		}
-	}
+	c := newCache(id, clock, st, w)
 	rec := Recovery{RecoverInfo: ri, Rewidened: c.rewidenRecovered()}
 	c.rewidened = rec.Rewidened
 	return c, rec, nil
@@ -106,6 +91,9 @@ func (c *Cache) rewidenRecovered() int {
 // recovered values — they are the durable replica being re-covered, not
 // re-fetched. Returns an error if the key is not cached.
 func (c *Cache) Rehandshake(src *source.Source, key int64) error {
+	if err := c.attach(src); err != nil {
+		return err
+	}
 	r, err := src.Subscribe(key, c)
 	if err != nil {
 		return err
@@ -127,6 +115,7 @@ func (c *Cache) Rehandshake(src *source.Source, key int64) error {
 		for j, col := range bcols {
 			tu.Bounds[col] = r.Bounds[j].At(now)
 		}
+		t.SetPromise(i, r.Bounds, r.Seq)
 		logged = tu.Clone()
 	})
 	if !ok {
@@ -134,9 +123,6 @@ func (c *Cache) Rehandshake(src *source.Source, key int64) error {
 		return fmt.Errorf("cache %s: rehandshake for uncached key %d", c.id, key)
 	}
 	tk := c.logInsert(&logged)
-	sh.sources[key] = src
-	sh.bounds[key] = r.Bounds
-	sh.lastSeq[key] = r.Seq
 	sh.dirtyKeys[key] = struct{}{}
 	sh.mu.Unlock()
 	if err := c.commitWAL(tk); err != nil {
@@ -151,15 +137,16 @@ func (c *Cache) Rehandshake(src *source.Source, key int64) error {
 // conservative floor awaiting Rehandshake.
 func (c *Cache) Unattached() []int64 {
 	var out []int64
-	for _, key := range c.store.SortedKeys() {
-		sh, _ := c.shardFor(key)
-		sh.mu.Lock()
-		_, attached := sh.sources[key]
-		sh.mu.Unlock()
-		if !attached {
-			out = append(out, key)
-		}
+	for si := 0; si < c.store.NumShards(); si++ {
+		c.store.ViewShard(si, func(t *relation.Table) {
+			for i := 0; i < t.Len(); i++ {
+				if !t.HasPromise(i) {
+					out = append(out, t.At(i).Key)
+				}
+			}
+		})
 	}
+	slices.Sort(out)
 	return out
 }
 

@@ -509,15 +509,16 @@ func (e *Engine) processTableLocked(ts *tableState, ds *dirtySet) {
 					v.applyTuple(t.At(i))
 				}
 			}
-			if len(keys) == 0 {
+			if len(keys) == 0 || len(rebuilding) == len(ts.views) {
 				return
 			}
-			for _, v := range ts.views {
-				if ds.time || !v.built {
-					continue // rebuilt above from the full shard scan
-				}
-				for key := range keys {
-					v.updateKey(t, key)
+			for key := range keys {
+				i := t.ByKey(key)
+				for _, v := range ts.views {
+					if !v.built {
+						continue // rebuilt above from the full shard scan
+					}
+					v.updateKey(t, key, i)
 				}
 			}
 		})
@@ -670,9 +671,10 @@ func (e *Engine) repairLocked(ts *tableState, st *relation.Store) {
 	}
 	for si, ks := range byShard {
 		st.ViewShard(si, func(t *relation.Table) {
-			for _, v := range ts.views {
-				for _, key := range ks {
-					v.updateKey(t, key)
+			for _, key := range ks {
+				i := t.ByKey(key)
+				for _, v := range ts.views {
+					v.updateKey(t, key, i)
 				}
 			}
 		})

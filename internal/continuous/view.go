@@ -145,11 +145,11 @@ func (v *view) finishRebuild() {
 	v.built = true
 }
 
-// updateKey refreshes one object's contribution from its shard table
-// (removing it if the object is gone). The caller holds the shard's read
-// lock; the table must be the shard owning the key.
-func (v *view) updateKey(t *relation.Table, key int64) {
-	i := t.ByKey(key)
+// updateKey refreshes one object's contribution from row i of its shard
+// table, where i is t.ByKey(key): negative when the object is gone, and
+// its contribution is removed. The caller holds the shard's read lock
+// and looks the key up once for all views.
+func (v *view) updateKey(t *relation.Table, key int64, i int) {
 	if i < 0 {
 		v.removeKey(key)
 		return

@@ -19,7 +19,7 @@ const fibMult = 0x9E3779B97F4A7C15
 
 // Store is a sharded cached relation: tuples are partitioned across a
 // fixed power-of-two number of shards by a hash of their key, and each
-// shard owns its tuple slice, its key index, and its own RWMutex. Readers
+// shard owns its row arrays (see Table) and its own RWMutex. Readers
 // of disjoint shards never contend, and a writer (a source push, a
 // refresh install, a membership change) blocks only scans of the one
 // shard owning the key — the storage layer half of the engine's per-shard
@@ -44,7 +44,7 @@ type Store struct {
 	version atomic.Uint64
 }
 
-// storeShard is one shard: a flat Table plus its lock.
+// storeShard is one shard: a canonically ordered Table plus its lock.
 type storeShard struct {
 	mu  sync.RWMutex
 	tab *Table
@@ -63,7 +63,7 @@ func NewStore(schema *Schema, nshards int) *Store {
 	}
 	s := &Store{schema: schema, shift: shift, shards: make([]storeShard, n)}
 	for i := range s.shards {
-		s.shards[i].tab = NewTable(schema)
+		s.shards[i].tab = newSortedTable(schema)
 	}
 	return s
 }
@@ -231,20 +231,13 @@ func (s *Store) Get(key int64) (Tuple, bool) {
 // hashes to the same shard. Each shard's tuples are kept in canonical
 // order (CanonicalLess) — the store invariant that lets scans emit
 // canonically ordered inputs by concatenating shard runs instead of
-// sorting (mutations pay the O(shard) splice; scans are the hot path).
+// sorting (mutations pay the O(shard) shift; scans are the hot path).
 func (s *Store) Insert(tu Tuple) error {
 	sh := &s.shards[s.ShardOf(tu.Key)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	t := sh.tab
-	if err := t.Insert(tu); err != nil {
+	if err := sh.tab.Insert(tu); err != nil {
 		return err
-	}
-	// Table.Insert appends; rotate the new tuple back to its sorted slot.
-	for i := len(t.tuples) - 1; i > 0 && CanonicalLess(tu.Key, t.tuples[i-1].Key); i-- {
-		t.tuples[i], t.tuples[i-1] = t.tuples[i-1], t.tuples[i]
-		t.byKey[t.tuples[i].Key] = i
-		t.byKey[t.tuples[i-1].Key] = i - 1
 	}
 	s.length.Add(1)
 	s.version.Add(1)
@@ -259,23 +252,14 @@ func (s *Store) MustInsert(tu Tuple) {
 }
 
 // Delete removes the tuple with the given key, locking only its shard
-// and preserving the shard's canonical order (Table.Delete's swap-remove
-// would break it).
+// and preserving the shard's canonical order.
 func (s *Store) Delete(key int64) bool {
 	sh := &s.shards[s.ShardOf(key)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	t := sh.tab
-	i, ok := t.byKey[key]
-	if !ok {
+	if !sh.tab.Delete(key) {
 		return false
 	}
-	copy(t.tuples[i:], t.tuples[i+1:])
-	t.tuples = t.tuples[:len(t.tuples)-1]
-	for j := i; j < len(t.tuples); j++ {
-		t.byKey[t.tuples[j].Key] = j
-	}
-	delete(t.byKey, key)
 	s.length.Add(-1)
 	s.version.Add(1)
 	return true

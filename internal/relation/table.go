@@ -2,8 +2,10 @@ package relation
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 
+	"trapp/internal/boundfn"
 	"trapp/internal/interval"
 )
 
@@ -21,6 +23,10 @@ type Tuple struct {
 	SourceID string
 }
 
+// setHeader copies everything of src but its Bounds into t, whose Bounds
+// keep naming t's own arena row.
+func (t *Tuple) setHeader(src *Tuple) { t.Key, t.Cost, t.SourceID = src.Key, src.Cost, src.SourceID }
+
 // Clone returns a deep copy of the tuple.
 func (t Tuple) Clone() Tuple {
 	b := make([]interval.Interval, len(t.Bounds))
@@ -29,17 +35,52 @@ func (t Tuple) Clone() Tuple {
 	return t
 }
 
+// NoPromise is the Seq of a row holding no source promise: a row inserted
+// directly, or recovered from disk and not yet re-attached to its source.
+// Every sequence number a source stamps is larger.
+const NoPromise int64 = math.MinInt64
+
 // Table is a cached relation: an ordered collection of tuples sharing a
-// schema. A Table performs no locking of its own: as a shard of a Store
-// it is guarded by that shard's RWMutex (see Store), which the query
-// processor shares — scans hold it for reading, refresh installation and
-// source pushes for writing. Standalone tables (tests, direct Processor
+// schema, and the single owner of everything stored per row. The rows
+// live in four parallel arrays that always hold the same number of rows
+// in the same order:
+//
+//   - tuples: key, cost and owner of row i, and the Bounds slice header;
+//   - arena: the interval bounds, row-major — tuples[i].Bounds is always
+//     exactly arena[i*nc : (i+1)*nc], so a scan walks one contiguous
+//     array in row order;
+//   - promises: the bound functions V ± W·f(T−Tr) the row's source last
+//     promised, one per bounded column, row-major (paper §3.2) — the
+//     intervals in the arena are these evaluated at the last Sync;
+//   - seqs: the newest applied Refresh.Seq per row, NoPromise while the
+//     row holds no promise.
+//
+// Insert and Delete move a row's entries in all four arrays together. All
+// four grow together by a bounded slack (see grow): capacity never
+// exceeds the most rows the table has held by more than an eighth (16
+// rows for a small table).
+//
+// A Table performs no locking of its own: as a shard of a Store it is
+// guarded by that shard's RWMutex (see Store), which the query processor
+// shares — scans hold it for reading, refresh installation and source
+// pushes for writing. Standalone tables (tests, direct Processor
 // registration) get a private lock from the processor, or may be used
 // unlocked single-threaded.
 type Table struct {
 	schema *Schema
-	tuples []Tuple
-	byKey  map[int64]int
+	nc     int   // columns per row
+	bcols  []int // bounded columns, schema order
+
+	tuples   []Tuple
+	arena    []interval.Interval
+	promises []boundfn.Bound
+	seqs     []int64
+
+	// byKey indexes a flat table, whose rows stay in insertion order
+	// (Delete swap-removes). A store shard keeps its rows in canonical
+	// order instead and finds keys by binary search: byKey is nil.
+	byKey map[int64]int
+
 	// version counts completed mutations (Insert/Delete/Refresh/SetBound).
 	// Every mutating method bumps it after the write, so a reader that
 	// observes an unchanged version across two scans saw the same table
@@ -51,7 +92,15 @@ type Table struct {
 
 // NewTable returns an empty table with the given schema.
 func NewTable(schema *Schema) *Table {
-	return &Table{schema: schema, byKey: make(map[int64]int)}
+	t := newSortedTable(schema)
+	t.byKey = make(map[int64]int)
+	return t
+}
+
+// newSortedTable returns an empty store shard: rows in canonical order,
+// no key map.
+func newSortedTable(schema *Schema) *Table {
+	return &Table{schema: schema, nc: schema.NumColumns(), bcols: schema.BoundedColumns()}
 }
 
 // Schema returns the table's schema.
@@ -63,24 +112,91 @@ func (t *Table) Schema() *Schema { return t.schema }
 func (t *Table) Len() int { return len(t.tuples) }
 
 // At returns a pointer to the i'th tuple for in-place refresh. The pointer
-// is invalidated by Insert/Delete.
+// and the tuple's Bounds slice point into the table's row arrays: they
+// are valid only while the caller holds the lock guarding the table, and
+// after an Insert or Delete they name whichever row now sits at that
+// position. Copy values out (Tuple.Clone, aggregate.Input) to keep them.
 func (t *Table) At(i int) *Tuple { return &t.tuples[i] }
 
 // ByKey returns the index of the tuple with the given key, or -1.
 func (t *Table) ByKey(key int64) int {
-	if i, ok := t.byKey[key]; ok {
+	if i, ok := t.find(key); ok {
 		return i
 	}
 	return -1
 }
 
-// Insert appends a tuple. It returns an error if the bound count does not
-// match the schema, an exact column holds a non-point bound, or the key is
-// already present (keys identify master objects uniquely).
+// find returns the key's row and true, or the position a new row for the
+// key belongs at and false: the key map answers for a flat table, a
+// binary search over the canonical row order for a store shard.
+func (t *Table) find(key int64) (int, bool) {
+	if t.byKey != nil {
+		if i, ok := t.byKey[key]; ok {
+			return i, true
+		}
+		return len(t.tuples), false
+	}
+	lo, hi := 0, len(t.tuples)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if CanonicalLess(t.tuples[m].Key, key) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(t.tuples) && t.tuples[lo].Key == key
+}
+
+// Promise returns row i's promised bound functions, one per bounded
+// column in schema order — a window into the row arrays, valid like At's
+// pointer. It is meaningful only when HasPromise(i).
+func (t *Table) Promise(i int) []boundfn.Bound {
+	nb := len(t.bcols)
+	return t.promises[i*nb : (i+1)*nb : (i+1)*nb]
+}
+
+// Seq returns the newest Refresh.Seq applied to row i, or NoPromise.
+func (t *Table) Seq(i int) int64 { return t.seqs[i] }
+
+// HasPromise reports whether a source promise was installed on row i
+// since the row was inserted.
+func (t *Table) HasPromise(i int) bool { return t.seqs[i] != NoPromise }
+
+// SetPromise copies the bound functions (one per bounded column) and the
+// sequence number of the refresh that carried them into row i. It does
+// not touch the row's intervals and does not bump the version: the
+// caller writes the intervals the promise evaluates to.
+func (t *Table) SetPromise(i int, bounds []boundfn.Bound, seq int64) {
+	copy(t.Promise(i), bounds)
+	t.seqs[i] = seq
+}
+
+// Insert adds a tuple: at the end of a flat table, at its canonical
+// position (binary search, one shift of the row arrays) in a store shard.
+// It returns an error if the bound count does not match the schema, an
+// exact column holds a non-point bound, or the key is already present
+// (keys identify master objects uniquely).
 func (t *Table) Insert(tu Tuple) error {
-	if len(tu.Bounds) != t.schema.NumColumns() {
+	if err := t.validate(&tu); err != nil {
+		return err
+	}
+	i, dup := t.find(tu.Key)
+	if dup {
+		return fmt.Errorf("relation: duplicate key %d", tu.Key)
+	}
+	if t.byKey != nil {
+		t.byKey[tu.Key] = i
+	}
+	t.insertAt(i, &tu)
+	return nil
+}
+
+// validate checks a tuple against the schema.
+func (t *Table) validate(tu *Tuple) error {
+	if len(tu.Bounds) != t.nc {
 		return fmt.Errorf("relation: tuple has %d bounds, schema has %d columns",
-			len(tu.Bounds), t.schema.NumColumns())
+			len(tu.Bounds), t.nc)
 	}
 	for i, b := range tu.Bounds {
 		if b.IsEmpty() {
@@ -94,13 +210,94 @@ func (t *Table) Insert(tu Tuple) error {
 	if tu.Cost < 0 {
 		return fmt.Errorf("relation: negative refresh cost %g", tu.Cost)
 	}
-	if _, dup := t.byKey[tu.Key]; dup {
-		return fmt.Errorf("relation: duplicate key %d", tu.Key)
-	}
-	t.byKey[tu.Key] = len(t.tuples)
-	t.tuples = append(t.tuples, tu.Clone())
-	t.version.Add(1)
 	return nil
+}
+
+// grow makes room for one more row in every row array. Capacity grows by
+// an eighth (at least 16 rows) rather than by append's doubling: the row
+// arrays are most of a cache's heap, and a table that sits up to 100%
+// above its size costs more than the ~8 copies per row that filling a
+// table this way costs (bulk loads — population, recovery — pay them).
+// All slots up to capacity keep their Bounds header pointed at their
+// arena row, so moving rows never rewrites headers.
+func (t *Table) grow() {
+	n := len(t.tuples)
+	if n < cap(t.tuples) {
+		return
+	}
+	rows, nb := n+max(n/8, 16), len(t.bcols)
+	tuples := make([]Tuple, n, rows)
+	arena := make([]interval.Interval, n*t.nc, rows*t.nc)
+	promises := make([]boundfn.Bound, n*nb, rows*nb)
+	seqs := make([]int64, n, rows)
+	copy(tuples, t.tuples)
+	copy(arena, t.arena)
+	copy(promises, t.promises)
+	copy(seqs, t.seqs)
+	all := tuples[:rows]
+	for i := range all {
+		all[i].Bounds = arena[i*t.nc : (i+1)*t.nc : (i+1)*t.nc]
+	}
+	t.tuples, t.arena, t.promises, t.seqs = tuples, arena, promises, seqs
+}
+
+// setLen sets the number of rows every row array holds; n is at most the
+// capacity grow established.
+func (t *Table) setLen(n int) {
+	nb := len(t.bcols)
+	t.tuples = t.tuples[:n]
+	t.arena = t.arena[:n*t.nc]
+	t.promises = t.promises[:n*nb]
+	t.seqs = t.seqs[:n]
+}
+
+// moveRow copies row src's entries in every row array over row dst.
+func (t *Table) moveRow(dst, src int) {
+	nb := len(t.bcols)
+	t.tuples[dst].setHeader(&t.tuples[src])
+	copy(t.tuples[dst].Bounds, t.tuples[src].Bounds)
+	copy(t.promises[dst*nb:(dst+1)*nb], t.promises[src*nb:(src+1)*nb])
+	t.seqs[dst] = t.seqs[src]
+}
+
+// insertAt opens position i (shifting rows i.. up by one) and stores the
+// validated tuple there with no promise.
+func (t *Table) insertAt(i int, tu *Tuple) {
+	n, nc, nb := len(t.tuples), t.nc, len(t.bcols)
+	t.grow()
+	t.setLen(n + 1)
+	copy(t.arena[(i+1)*nc:], t.arena[i*nc:n*nc])
+	copy(t.promises[(i+1)*nb:], t.promises[i*nb:n*nb])
+	copy(t.seqs[i+1:], t.seqs[i:n])
+	for j := n; j > i; j-- {
+		t.tuples[j].setHeader(&t.tuples[j-1])
+	}
+	t.tuples[i].setHeader(tu)
+	copy(t.tuples[i].Bounds, tu.Bounds)
+	clear(t.Promise(i))
+	t.seqs[i] = NoPromise
+	t.version.Add(1)
+}
+
+// removeAt closes position i, shifting rows i+1.. down by one.
+func (t *Table) removeAt(i int) {
+	n, nc, nb := len(t.tuples), t.nc, len(t.bcols)
+	copy(t.arena[i*nc:], t.arena[(i+1)*nc:])
+	copy(t.promises[i*nb:], t.promises[(i+1)*nb:])
+	copy(t.seqs[i:], t.seqs[i+1:])
+	for j := i; j < n-1; j++ {
+		t.tuples[j].setHeader(&t.tuples[j+1])
+	}
+	t.dropLast()
+}
+
+// dropLast releases the last row, clearing the references it held.
+func (t *Table) dropLast() {
+	last := len(t.tuples) - 1
+	t.tuples[last].SourceID = ""
+	clear(t.Promise(last))
+	t.setLen(last)
+	t.version.Add(1)
 }
 
 // MustInsert inserts the tuple and panics on error; for fixtures and tests.
@@ -111,20 +308,24 @@ func (t *Table) MustInsert(tu Tuple) {
 }
 
 // Delete removes the tuple with the given key, modelling an immediately
-// propagated master deletion. It reports whether the key was present.
+// propagated master deletion. A flat table moves its last row into the
+// freed position; a store shard shifts the rows above it down, keeping
+// canonical order. It reports whether the key was present.
 func (t *Table) Delete(key int64) bool {
-	i, ok := t.byKey[key]
+	i, ok := t.find(key)
 	if !ok {
 		return false
 	}
-	last := len(t.tuples) - 1
-	if i != last {
-		t.tuples[i] = t.tuples[last]
+	if t.byKey == nil {
+		t.removeAt(i)
+		return true
+	}
+	if last := len(t.tuples) - 1; i != last {
+		t.moveRow(i, last)
 		t.byKey[t.tuples[i].Key] = i
 	}
-	t.tuples = t.tuples[:last]
 	delete(t.byKey, key)
-	t.version.Add(1)
+	t.dropLast()
 	return true
 }
 
@@ -132,13 +333,12 @@ func (t *Table) Delete(key int64) bool {
 // master values (one per bounded column, in schema order), collapsing their
 // bounds to points — the cache-side effect of a query-initiated refresh.
 func (t *Table) Refresh(i int, exact []float64) error {
-	bcols := t.schema.BoundedColumns()
-	if len(exact) != len(bcols) {
+	if len(exact) != len(t.bcols) {
 		return fmt.Errorf("relation: refresh got %d values, table has %d bounded columns",
-			len(exact), len(bcols))
+			len(exact), len(t.bcols))
 	}
 	tu := &t.tuples[i]
-	for j, c := range bcols {
+	for j, c := range t.bcols {
 		tu.Bounds[c] = interval.Point(exact[j])
 	}
 	t.version.Add(1)
@@ -168,9 +368,10 @@ func (t *Table) Version() uint64 { return t.version.Load() }
 // evaluate refresh plans without mutating the live cache.
 func (t *Table) Clone() *Table {
 	c := NewTable(t.schema)
-	for _, tu := range t.tuples {
-		c.byKey[tu.Key] = len(c.tuples)
-		c.tuples = append(c.tuples, tu.Clone())
+	for i := range t.tuples {
+		c.byKey[t.tuples[i].Key] = i
+		c.insertAt(i, &t.tuples[i])
+		c.SetPromise(i, t.Promise(i), t.seqs[i])
 	}
 	return c
 }

@@ -248,7 +248,18 @@ func TestFramedLatencyCoversEveryFrame(t *testing.T) {
 	if _, resp, ferr := DecodeResponse(payload); ferr != nil || resp.Error == nil || resp.Error.Code != CodeInvalid {
 		t.Fatalf("want invalid-error frame, got ferr=%v resp=%+v", ferr, resp)
 	}
-	if got := srv.SnapshotMetrics().FramedLatency.Count; got != 2 {
-		t.Fatalf("framed latency observed %d frames, want 2 (good + undecodable)", got)
+	// The serve loop observes a frame after flushing its response (flush
+	// time belongs to the frame), so the reply can reach this goroutine
+	// before the observation lands: wait for the count, don't snapshot it.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		got := srv.SnapshotMetrics().FramedLatency.Count
+		if got == 2 {
+			break
+		}
+		if got > 2 || time.Now().After(deadline) {
+			t.Fatalf("framed latency observed %d frames, want 2 (good + undecodable)", got)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

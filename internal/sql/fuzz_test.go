@@ -101,6 +101,8 @@ var corpus = []string{
 	// Case-insensitive keywords; keyword-named exact column.
 	"select sum(v) within 5 from t where v < 10 group by g",
 	"SELECT MAX(latency) FROM links WHERE from = 3",
+	"SELECT MAX(latency) FROM links WHERE from < 3",
+	"SELECT MAX(latency) FROM links WHERE links.from = 1",
 	// Error shapes: each should fail with a positioned error.
 	"",
 	"SELECT",
@@ -111,7 +113,8 @@ var corpus = []string{
 	"SELECT SUM(v) WITHIN x FROM t",
 	"SELECT SUM(v) FROM t WHERE",
 	"SELECT SUM(v) FROM t WHERE v <",
-	"SELECT SUM(v) FROM t GROUP BY v", // bounded grouping column
+	"SELECT SUM(v) FROM t WHERE AND > 1", // keyword that is no column
+	"SELECT SUM(v) FROM t GROUP BY v",    // bounded grouping column
 	"SELECT SUM(v) FROM t trailing",
 	"SELECT SUM(v), FROM t",
 	"SELECT SUM(v) FROM t; SELECT MIN(v) FROM t", // ';' is the server's job

@@ -439,15 +439,16 @@ func (p *parser) parseOperand() (predicate.Operand, error) {
 		}
 		name, pos = colTok.text, colTok.pos
 	}
-	// Reject keyword-looking identifiers in operand position to catch
-	// malformed predicates early.
-	for _, kw := range []string{"AND", "OR", "NOT", "WHERE", "FROM", "SELECT", "WITHIN", "GROUP"} {
-		if strings.EqualFold(name, kw) {
-			return predicate.Operand{}, errAt(pos, "unexpected keyword %q", name)
-		}
-	}
 	col, ok := p.schema.Lookup(name)
 	if !ok {
+		// A keyword where a column belongs is a malformed predicate; say
+		// so rather than "unknown column". A schema may name a column like
+		// a keyword (the links schema's "from"), and then it is a column.
+		for _, kw := range []string{"AND", "OR", "NOT", "WHERE", "FROM", "SELECT", "WITHIN", "GROUP"} {
+			if strings.EqualFold(name, kw) {
+				return predicate.Operand{}, errAt(pos, "unexpected keyword %q", name)
+			}
+		}
 		return predicate.Operand{}, errAt(pos, "unknown column %q in table %q", name, p.table)
 	}
 	return predicate.Column(col, name), nil

@@ -66,6 +66,27 @@ func TestParseWhereComparison(t *testing.T) {
 	}
 }
 
+// TestParseKeywordNamedColumn: an operand spelled like a keyword is a
+// column when the schema has one (the links schema's own "from"), and a
+// malformed predicate otherwise.
+func TestParseKeywordNamedColumn(t *testing.T) {
+	for _, tc := range []struct{ where, want string }{
+		{"from < 3", "from < 3"},
+		{"links.from = 1", "from = 1"},
+		{"latency > 5 AND from <> to", "(latency > 5 AND from <> to)"},
+	} {
+		q := mustParse(t, "SELECT MAX(latency) FROM links WHERE "+tc.where)
+		if got := q.Where.String(); got != tc.want {
+			t.Errorf("WHERE %s parsed to %q, want %q", tc.where, got, tc.want)
+		}
+	}
+	for _, where := range []string{"AND > 1", "FROM < 3", "links.where = 1"} {
+		if _, err := Parse("SELECT MAX(latency) FROM links WHERE "+where, cat()); err == nil {
+			t.Errorf("WHERE %s accepted", where)
+		}
+	}
+}
+
 func TestParseWhereBoolean(t *testing.T) {
 	q := mustParse(t, `SELECT MIN(traffic) WITHIN 10 FROM links
 		WHERE (bandwidth > 50) AND (latency < 10)`)
