@@ -38,15 +38,16 @@
 //     source push blocks only scans of the one shard owning the pushed
 //     key.
 //
-// A goroutine holding one shard's locks never acquires another shard's
-// (multi-shard walks hold at most one shard's locks at a time: Keys
-// visits shards sequentially, and a stale Sync over a large table fans
-// out one goroutine per stale shard, each owning a single shard's
-// locks), and no shard lock is ever held while calling
-// into a source, so sources can push value-initiated refreshes from their
-// own goroutines without deadlock: a push simply queues behind in-flight
-// scans of its one shard. The source-name map has its own lock, which is
-// never held together with any other.
+// A refresh round is batch passes, not per-key transactions: a source's
+// reply is installed shard by shard, each shard's pair of locks taken once
+// for all of its rows (install), and a pushed refresh is the same row
+// install on a batch of one. A goroutine holding one shard's locks never
+// acquires another shard's (Keys, install and a stale Sync visit shards
+// one at a time, or one goroutine per shard), and no shard lock is ever
+// held while calling into a source, so sources can push value-initiated
+// refreshes from their own goroutines without deadlock: a push simply
+// queues behind in-flight scans of its one shard. The source-name map has
+// its own lock, which is never held together with any other.
 package cache
 
 import (
@@ -100,21 +101,24 @@ type Event struct {
 type cacheShard struct {
 	mu sync.Mutex
 	// Sync fast-path bookkeeping: the shard's materialized intervals are
-	// exactly each row's promise at syncedAt except for the keys in
-	// dirtyKeys (query-initiated point collapses since that Sync). A Sync
-	// at the same clock tick skips a shard with no dirty keys entirely, and
+	// exactly each row's promise at syncedAt except for the keys listed in
+	// dirty (query-initiated point collapses since that Sync). A Sync at
+	// the same clock tick skips a shard with no dirty keys entirely, and
 	// re-materializes only the dirty keys otherwise — never the whole
 	// shard. Tracking dirtiness per key instead of per shard is what
 	// keeps Zipfian query-refresh traffic from amplifying: one paid
 	// refresh on a hot key costs one re-materialization at the next
 	// Sync, not a rewrite of the ~n/nshards tuples sharing its shard.
-	syncedAt  int64
-	dirtyKeys map[int64]struct{}
+	// A list, not a set: re-materializing a row is idempotent, so a key
+	// listed twice, or since settled by a push or dropped, is harmless.
+	syncedAt int64
+	dirty    []int64
+	pushed   []interval.Interval // scratch: the row a durable cache logs for a push
 }
 
 // Cache is one data cache holding a single cached (sharded) table. It
 // implements source.Subscriber (receiving value-initiated refreshes) and
-// the query processor's Oracle and BatchOracle (serving query-initiated
+// the query processor's Oracle and Refresher (serving query-initiated
 // refreshes, fanned out per source). All methods are safe for concurrent
 // use.
 type Cache struct {
@@ -191,7 +195,7 @@ func newCache(id string, clock *netsim.Clock, st *relation.Store, wal *relation.
 		wal:     wal,
 	}
 	for i := range c.shards {
-		c.shards[i] = cacheShard{syncedAt: -1, dirtyKeys: make(map[int64]struct{})}
+		c.shards[i].syncedAt = -1
 	}
 	return c
 }
@@ -351,7 +355,7 @@ func (c *Cache) subscribe(src *source.Source, key int64, exactVals []float64) (i
 	// The tuple was materialized at now, which may postdate the shard's
 	// last Sync; mark just this key so the next same-tick Sync settles it
 	// without rewriting the shard.
-	sh.dirtyKeys[key] = struct{}{}
+	sh.dirty = append(sh.dirty, key)
 	return si, tk, nil
 }
 
@@ -361,15 +365,25 @@ func (c *Cache) ApplyRefresh(r source.Refresh) {
 	c.apply(r)
 }
 
-// apply installs the refresh and reports whether it reached the table
+// apply installs one refresh — a batch of one through the same row
+// install as a whole reply — and reports whether it reached the table
 // (false when the object is gone or a newer refresh was already applied).
-// Installed refreshes are reported to the change listener outside the
-// cache locks. Only the key's owning shard is locked, so a push contends
-// only with scans and writers of that one shard.
+// Only the key's owning shard is locked, once, so a push contends only
+// with scans and writers of that one shard. The change listener hears of
+// an installed refresh outside the cache locks.
 func (c *Cache) apply(r source.Refresh) bool {
 	sh, si := c.shardFor(r.Key)
+	var tk relation.Ticket
+	installed := false
 	sh.mu.Lock()
-	installed, tk := c.applyLocked(sh, r)
+	now := c.clock.Now()
+	c.store.UpdateShard(si, func(t *relation.Table) bool {
+		installed = c.installRow(sh, t, r, now)
+		return installed
+	})
+	if installed {
+		tk = c.logInstall(sh, r, now)
+	}
 	sh.mu.Unlock()
 	if installed {
 		if err := c.commitWAL(tk); err != nil {
@@ -380,74 +394,121 @@ func (c *Cache) apply(r source.Refresh) bool {
 	return installed
 }
 
-// applyLocked writes the refreshed promise into the object's row and
-// rematerializes the row's intervals. Refreshes delivered out of order (a
-// batch reply applied after a newer value-initiated push raced past it)
-// are dropped via the row's sequence number, so the table never moves
-// backwards to stale bounds. Query-initiated refreshes install the
-// exact values as point bounds — the cache-side half of the refresh
-// step, done here so it is atomic with respect to concurrent pushes.
-// Caller holds sh.mu, which every writer of the row's sequence number
-// holds, so the check below stays true until the write; the shard's
-// table locks are taken here. Reports whether the refresh was installed,
-// plus the log ticket to commit once the shard mutex is released.
-func (c *Cache) applyLocked(sh *cacheShard, r source.Refresh) (bool, relation.Ticket) {
-	var tk relation.Ticket
-	if r.Seq != 0 {
-		stale := false
-		c.store.View(r.Key, func(t *relation.Table, i int) { stale = r.Seq <= t.Seq(i) })
-		if stale {
-			return false, tk // a newer refresh for this object was already applied
+// install writes a whole reply into the cached relation in one pass per
+// shard: each shard that owns any of the rows takes its state mutex and
+// its table write lock once, installs its rows in reply order and bumps
+// the store version once; its log records are committed and its listener
+// events delivered after the unlock. The returned slice is aligned with
+// the reply's rows: true where the row reached the table.
+func (c *Cache) install(b *source.Batch) []bool {
+	installed := make([]bool, len(b.Keys))
+	order, ends := c.shardOrder(b.Keys)
+	lo := int32(0)
+	for si, hi := range ends {
+		rows := order[lo:hi]
+		lo = hi
+		if len(rows) == 0 {
+			continue
 		}
-	}
-	now := c.clock.Now()
-	var pushed []interval.Interval
-	installed := c.store.Update(r.Key, func(t *relation.Table, i int) {
-		bcols := t.Schema().BoundedColumns()
-		if r.Kind != source.QueryInitiated && c.wal != nil {
-			pushed = make([]interval.Interval, len(bcols))
-		}
-		for j, col := range bcols {
-			// Best effort: bounds from a source are never empty and exact
-			// columns are not refreshed, so SetBound cannot fail here.
-			if r.Kind == source.QueryInitiated {
-				// The query paid for the exact value: collapse the cached
-				// bound to a point until the next Sync re-materializes the
-				// time-varying bound.
-				_ = t.SetBound(i, col, interval.Point(r.Values[j]))
-			} else {
-				iv := r.Bounds[j].At(now)
-				_ = t.SetBound(i, col, iv)
-				if pushed != nil {
-					pushed[j] = iv
+		sh := &c.shards[si]
+		var last relation.Ticket
+		sh.mu.Lock()
+		now := c.clock.Now()
+		c.store.UpdateShard(si, func(t *relation.Table) bool {
+			wrote := false
+			for _, r := range rows {
+				installed[r] = c.installRow(sh, t, b.Refresh(int(r)), now)
+				wrote = wrote || installed[r]
+			}
+			return wrote
+		})
+		if c.wal != nil {
+			for _, r := range rows {
+				if installed[r] {
+					// One log per shard: committing its newest record commits them all.
+					last = c.logInstall(sh, b.Refresh(int(r)), now)
 				}
 			}
 		}
-		t.SetPromise(i, r.Bounds, r.Seq)
-	})
-	if !installed {
-		return false, tk // object was deleted; stale refresh
+		sh.mu.Unlock()
+		if err := c.commitWAL(last); err != nil {
+			c.latchWALError(err)
+		}
+		for _, r := range rows {
+			if installed[r] {
+				c.notify(Event{Kind: RefreshApplied, Key: b.Keys[r], Shard: si, Refresh: b.Kind(int(r))})
+			}
+		}
 	}
-	if r.Kind == source.QueryInitiated {
-		tk = c.logRefresh(r.Key, r.Values)
-	} else {
-		tk = c.logPush(r.Key, pushed)
+	return installed
+}
+
+// shardOrder counting-sorts positions 0..len(keys) by the shard owning
+// keys[position], stably: shard si's positions are
+// order[ends[si-1]:ends[si]], from 0 for the first shard.
+func (c *Cache) shardOrder(keys []int64) (order, ends []int32) {
+	ends = make([]int32, len(c.shards))
+	for _, key := range keys {
+		ends[c.store.ShardOf(key)]++
 	}
-	// A value-initiated apply wrote exactly the promise at now, so a shard
-	// synced at the current tick is still fully materialized — it stays
-	// clean and the next Sync skips it. This is what keeps scans cheap
-	// under heavy push load: a push never forces queries to re-Sync the
-	// shard, let alone the table. Only the query-initiated point
-	// collapse (table bound ≠ promise at now) must dirty its key so the
-	// next Sync restores the time-varying bound.
-	if r.Kind == source.QueryInitiated {
-		sh.dirtyKeys[r.Key] = struct{}{}
-	} else {
-		// The push re-materialized the key at now; a pending point
-		// collapse for it is settled.
-		delete(sh.dirtyKeys, r.Key)
+	sum := int32(0)
+	for si, n := range ends {
+		ends[si] = sum // start of the shard's run, advanced to its end below
+		sum += n
 	}
-	return true, tk
+	order = make([]int32, len(keys))
+	for i, key := range keys {
+		si := c.store.ShardOf(key)
+		order[ends[si]] = int32(i)
+		ends[si]++
+	}
+	return order, ends
+}
+
+// installRow is the one routine that writes a refresh into the cached
+// relation: it finds the object's row and writes the refreshed promise
+// and the intervals it stands for. Refreshes delivered out of order (a
+// batch reply applied after a newer value-initiated push raced past it)
+// are dropped via the row's sequence number, so the table never moves
+// backwards to stale bounds. Caller holds sh.mu — as every writer of the
+// row's sequence number does — and the shard's table write lock, and logs
+// an installed refresh (logInstall) before releasing sh.mu.
+func (c *Cache) installRow(sh *cacheShard, t *relation.Table, r source.Refresh, now int64) bool {
+	i := t.ByKey(r.Key)
+	if i < 0 {
+		return false // object was deleted; stale refresh
+	}
+	if r.Seq != 0 && r.Seq <= t.Seq(i) {
+		return false // a newer refresh for this object was already applied
+	}
+	if nb := len(t.Schema().BoundedColumns()); len(r.Values) != nb || len(r.Bounds) != nb {
+		return false // not a refresh of this relation's objects
+	}
+	// A value-initiated install writes exactly the promise at now, so a
+	// shard synced at the current tick stays clean and the next Sync skips
+	// it: a push never forces queries to re-Sync the shard, let alone the
+	// table. A query-initiated one collapses the row to the paid exact
+	// values (table bound ≠ promise at now) until the next Sync.
+	exact := r.Kind == source.QueryInitiated
+	t.Install(i, r.Seq, r.Values, r.Bounds, exact, now)
+	if exact {
+		sh.dirty = append(sh.dirty, r.Key)
+	}
+	return true
+}
+
+// logInstall appends the log record of a refresh installRow installed at
+// now: the exact values, or the intervals a value-initiated promise
+// stands for. Caller holds sh.mu, so the shard's log order is its table's.
+func (c *Cache) logInstall(sh *cacheShard, r source.Refresh, now int64) relation.Ticket {
+	if c.wal == nil || r.Kind == source.QueryInitiated {
+		return c.logRefresh(r.Key, r.Values)
+	}
+	sh.pushed = sh.pushed[:0]
+	for _, b := range r.Bounds {
+		sh.pushed = append(sh.pushed, b.At(now))
+	}
+	return c.logPush(r.Key, sh.pushed)
 }
 
 // parallelSyncMin is the cached-table size at which Sync fans stale-shard
@@ -482,7 +543,7 @@ func (c *Cache) Sync() {
 	for si := range c.shards {
 		sh := &c.shards[si]
 		sh.mu.Lock()
-		clean := sh.syncedAt == c.clock.Now() && len(sh.dirtyKeys) == 0
+		clean := sh.syncedAt == c.clock.Now() && len(sh.dirty) == 0
 		sh.mu.Unlock()
 		if !clean {
 			stale = append(stale, si)
@@ -518,14 +579,14 @@ func (c *Cache) syncShard(si int) {
 	defer sh.mu.Unlock()
 	now := c.clock.Now()
 	if sh.syncedAt == now {
-		if len(sh.dirtyKeys) == 0 {
+		if len(sh.dirty) == 0 {
 			return // a concurrent Sync settled the shard after the probe
 		}
 		// Same tick: the shard is materialized at now except for the
 		// point-collapsed keys; restore just those.
-		c.store.UpdateShard(si, func(t *relation.Table) {
+		c.store.UpdateShard(si, func(t *relation.Table) bool {
 			bcols := t.Schema().BoundedColumns()
-			for key := range sh.dirtyKeys {
+			for _, key := range sh.dirty {
 				i := t.ByKey(key)
 				if i < 0 || !t.HasPromise(i) {
 					continue
@@ -535,11 +596,12 @@ func (c *Cache) syncShard(si int) {
 					_ = t.SetBound(i, col, ps[j].At(now))
 				}
 			}
+			return true
 		})
-		clear(sh.dirtyKeys)
+		sh.dirty = sh.dirty[:0]
 		return
 	}
-	c.store.UpdateShard(si, func(t *relation.Table) {
+	c.store.UpdateShard(si, func(t *relation.Table) bool {
 		bcols := t.Schema().BoundedColumns()
 		for i, n := 0, t.Len(); i < n; i++ {
 			if !t.HasPromise(i) {
@@ -553,158 +615,165 @@ func (c *Cache) syncShard(si int) {
 				bs[col] = ps[j].At(now)
 			}
 		}
+		return true
 	})
 	sh.syncedAt = now
-	clear(sh.dirtyKeys)
+	sh.dirty = sh.dirty[:0]
 }
 
-// Master implements the query-processor Oracle: it pulls a query-initiated
-// refresh for the object from its source, installs the new bounds, and
-// returns the exact values.
+// Master implements the query-processor Oracle: a refresh round of one
+// key. It returns the exact values when the refresh reached the table.
 func (c *Cache) Master(key int64) ([]float64, bool) {
-	src := c.sourceOf(key)
-	if src == nil {
+	set, err := c.Refresh(context.Background(), []int64{key})
+	if err != nil || !set.Installed[0] {
 		return nil, false
 	}
-	r, err := src.QueryRefresh(key, c)
-	if err != nil {
-		return nil, false
-	}
-	c.ApplyRefresh(r)
-	return r.Values, true
+	return set.Row(0), true
 }
 
-// MasterBatch implements the query-processor BatchOracle: the refresh set
-// is grouped first by owning shard (one read-lock acquisition per shard
-// to read the rows' source names) and then by owning source, and fanned
-// out as one batched request per source, each on its own goroutine — the parallel
-// refresh phase of the concurrent engine. The refreshed bounds (point
-// intervals for the paid exact values, plus any piggybacked extras riding
-// along on a reply) are installed into the cached table here, atomically
-// with respect to concurrent source pushes and write-locking only each
-// key's owning shard, so the processor must not install them again. The
-// returned map holds exactly the keys whose refresh reached the table:
-// keys dropped since the plan was computed (they no longer contribute to
-// any aggregate) and replies that lost the race to an even newer
-// value-initiated push are absent.
-func (c *Cache) MasterBatch(keys []int64) (map[int64][]float64, error) {
-	return c.MasterBatchCtx(context.Background(), keys)
+// sourceBatch is one source's share of a refresh round: the keys to
+// request from it and, aligned with them, their positions in the round.
+type sourceBatch struct {
+	id   string
+	src  *source.Source
+	n    int // len(keys), counted before the key lists are cut
+	keys []int64
+	pos  []int32
 }
 
-// MasterBatchCtx is MasterBatch honoring a context at the refresh
-// fan-out: each per-source batch checks the context before transmitting
-// (and the simulated wire wait itself is interruptible), so a deadline
-// expiring mid-fan-out stops further batches. Batches that completed
-// before the cutoff are installed and reported normally — the returned
-// map then holds the partial refresh set alongside the context error, so
-// the query processor can fold the partial progress into a best-effort
-// answer instead of discarding paid refreshes. Cache state stays
-// consistent at every cutoff point: installation is per-key atomic and a
-// batch is either fully charged and applied or not sent at all.
-func (c *Cache) MasterBatchCtx(ctx context.Context, keys []int64) (map[int64][]float64, error) {
-	if len(keys) == 0 {
-		return nil, nil
-	}
-	byShard := make(map[int][]int64)
-	for _, key := range keys {
-		si := c.store.ShardOf(key)
-		byShard[si] = append(byShard[si], key)
-	}
-	byID := make(map[string][]int64)
-	for si, ks := range byShard {
-		c.store.ViewShard(si, func(t *relation.Table) {
-			for _, key := range ks {
-				// Dropped since the plan was computed, or never attached:
-				// no source to ask.
-				if i := t.ByKey(key); i >= 0 && t.HasPromise(i) {
-					id := t.At(i).SourceID
-					byID[id] = append(byID[id], key)
+// bySource splits a round's keys into one batch per owning source, each
+// batch's keys in request order. The rows are read for their source's
+// name shard by shard, one read-lock acquisition per shard. Keys dropped
+// since the request was planned, or never attached, have no source to ask
+// and are in no batch.
+func (c *Cache) bySource(keys []int64) []sourceBatch {
+	var batches []sourceBatch
+	group := make([]int32, len(keys)) // batch index per key, -1 for none
+	order, ends := c.shardOrder(keys)
+	lo := int32(0)
+	for si, hi := range ends {
+		if rows := order[lo:hi]; len(rows) > 0 {
+			c.store.ViewShard(si, func(t *relation.Table) {
+				g := 0
+				for _, r := range rows {
+					group[r] = -1
+					i := t.ByKey(keys[r])
+					if i < 0 || !t.HasPromise(i) {
+						continue
+					}
+					// Runs of one source are the rule; otherwise search
+					// the handful of batches.
+					if id := t.At(i).SourceID; g == len(batches) || batches[g].id != id {
+						for g = 0; g < len(batches) && batches[g].id != id; g++ {
+						}
+						if g == len(batches) {
+							batches = append(batches, sourceBatch{id: id})
+						}
+					}
+					batches[g].n++
+					group[r] = int32(g)
 				}
-			}
-		})
-	}
-	bySrc := make(map[*source.Source][]int64, len(byID))
-	c.smu.RLock()
-	for id, ks := range byID {
-		if src := c.sources[id]; src != nil {
-			bySrc[src] = ks
+			})
 		}
+		lo = hi
+	}
+	// The batches' lists are cut from one array each, then filled in
+	// request order.
+	allKeys, allPos, off := make([]int64, len(keys)), make([]int32, len(keys)), 0
+	c.smu.RLock()
+	for g := range batches {
+		b := &batches[g]
+		b.src = c.sources[b.id]
+		b.keys, b.pos = allKeys[off:off:off+b.n], allPos[off:off:off+b.n]
+		off += b.n
 	}
 	c.smu.RUnlock()
+	for i, g := range group {
+		if g >= 0 {
+			b := &batches[g]
+			b.keys, b.pos = append(b.keys, keys[i]), append(b.pos, int32(i))
+		}
+	}
+	return batches
+}
 
-	vals := make(map[int64][]float64, len(keys))
+// Refresh implements the query processor's Refresher: one refresh round
+// for the requested keys, as three batch passes. The request is split by
+// owning source (bySource) and fanned out as one batched request per
+// source, each on its own goroutine; each source answers with one
+// columnar reply; and each reply — point intervals for the paid exact
+// values, plus any piggybacked extras — is installed here in one locked
+// pass per shard (install), atomically with respect to concurrent source
+// pushes, so the processor must not install anything again. The returned
+// set is aligned with keys: an entry is installed, and holds the exact
+// values, when the key's refresh reached the table — not for keys dropped
+// since the plan was computed, nor for replies that lost the race to an
+// even newer push.
+//
+// Each per-source batch checks the context before transmitting (the
+// simulated wire wait is interruptible), so a deadline expiring
+// mid-fan-out stops further batches. Whatever the error — a cutoff, or
+// one source failing its batch — a batch is either fully charged and
+// installed or not sent at all, and the set reports the installed ones
+// alongside the error, so the caller accounts for every paid refresh.
+func (c *Cache) Refresh(ctx context.Context, keys []int64) (relation.RefreshSet, error) {
+	if len(keys) == 0 {
+		return relation.RefreshSet{}, nil
+	}
+	set := relation.NewRefreshSet(len(keys), len(c.store.Schema().BoundedColumns()))
+	batches := c.bySource(keys)
 	metrics := c.metrics.Load()
 	parent := obs.SpanFromContext(ctx)
-	// runBatch sends one per-source batch and applies every reply; only
-	// refreshes that actually reached the table are reported back (a
-	// reply can lose to a concurrent newer push or to a mid-flight drop,
-	// in which case its value was never installed). When the request is
-	// traced, the batch gets its own child span carrying the keys whose
+	// run sends one per-source batch and installs the reply. A traced
+	// request gives the batch its own child span carrying the keys whose
 	// refresh was installed — the per-source cost attribution.
-	runBatch := func(src *source.Source, ks []int64, record func(key int64, v []float64)) error {
+	run := func(sb *sourceBatch) error {
 		if metrics != nil {
-			metrics.RefreshBatch.Observe(uint64(len(ks)))
+			metrics.RefreshBatch.Observe(uint64(len(sb.keys)))
 		}
 		var sp *obs.Span
 		bctx := ctx
 		if parent != nil {
-			sp = parent.StartSpan("source:" + src.ID())
+			sp = parent.StartSpan("source:" + sb.id)
 			bctx = obs.ContextWithSpan(ctx, sp)
 		}
-		rs, err := src.QueryRefreshBatchCtx(bctx, ks, c)
+		reply, err := sb.src.QueryRefreshBatchCtx(bctx, sb.keys, c)
 		if err != nil {
 			sp.End()
 			return err
 		}
+		// The reply's leading rows are the requested keys in request
+		// order, so row j answers entry pos[j]; extras follow, installed
+		// by the same pass and reported to nobody.
+		reached := c.install(&reply)
 		var installed []int64
-		for _, r := range rs {
-			if c.apply(r) && r.Kind == source.QueryInitiated {
-				record(r.Key, r.Values)
-				if sp != nil {
-					installed = append(installed, r.Key)
-				}
+		for j, p := range sb.pos {
+			if !reached[j] {
+				continue
+			}
+			set.Installed[p] = true
+			copy(set.Row(int(p)), reply.Refresh(j).Values)
+			if sp != nil {
+				installed = append(installed, sb.keys[j])
 			}
 		}
 		if sp != nil {
 			sp.RecordKeys(installed)
-			sp.SetDetail("requested=%d installed=%d", len(ks), len(installed))
+			sp.SetDetail("requested=%d installed=%d", len(sb.keys), len(installed))
 			sp.End()
 		}
 		return nil
 	}
-	if len(bySrc) == 1 {
+	if len(batches) == 1 {
 		// Single source: no fan-out needed, stay on this goroutine.
-		for src, ks := range bySrc {
-			if err := runBatch(src, ks, func(key int64, v []float64) { vals[key] = v }); err != nil {
-				if parallel.IsContextError(err) {
-					return vals, err
-				}
-				return nil, err
-			}
-		}
-		return vals, nil
+		return set, run(&batches[0])
 	}
-	var vmu sync.Mutex
 	g := parallel.NewGroup(0)
-	for src, ks := range bySrc {
-		src, ks := src, ks
-		g.Go(func() error {
-			return runBatch(src, ks, func(key int64, v []float64) {
-				vmu.Lock()
-				vals[key] = v
-				vmu.Unlock()
-			})
-		})
+	for i := range batches {
+		sb := &batches[i]
+		g.Go(func() error { return run(sb) })
 	}
-	if err := g.Wait(); err != nil {
-		if parallel.IsContextError(err) {
-			// Batches that beat the cutoff are installed; report them so
-			// the caller can finish with a best-effort answer.
-			return vals, err
-		}
-		return nil, err
-	}
-	return vals, nil
+	return set, g.Wait()
 }
 
 // Drop removes a cached object, modelling a propagated deletion. Only the
@@ -712,7 +781,6 @@ func (c *Cache) MasterBatchCtx(ctx context.Context, keys []int64) (map[int64][]f
 func (c *Cache) Drop(key int64) bool {
 	sh, si := c.shardFor(key)
 	sh.mu.Lock()
-	delete(sh.dirtyKeys, key)
 	deleted := c.store.Delete(key)
 	var tk relation.Ticket
 	if deleted {

@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"context"
+	"slices"
 	"sort"
 	"testing"
 
@@ -28,6 +30,17 @@ func newPair(t *testing.T) (*Cache, *source.Source, *netsim.Clock) {
 		}
 	}
 	return c, src, clock
+}
+
+// pullRefresh asks the source for one object's query-initiated refresh
+// without applying the reply.
+func pullRefresh(t *testing.T, src *source.Source, key int64, c *Cache) source.Refresh {
+	t.Helper()
+	b, err := src.QueryRefreshBatchCtx(context.Background(), []int64{key}, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b.Refresh(0)
 }
 
 // tupleOf fetches a copy of the keyed tuple for assertions.
@@ -204,10 +217,10 @@ func TestInvariantMasterAlwaysInsideBound(t *testing.T) {
 	}
 }
 
-// TestMasterBatchFansOutPerSource subscribes one cache to objects on
-// three sources and checks that a batched pull refreshes every requested
+// TestRefreshFansOutPerSource subscribes one cache to objects on three
+// sources and checks that one refresh round refreshes every requested
 // object, charges each source, and collapses the cached bounds.
-func TestMasterBatchFansOutPerSource(t *testing.T) {
+func TestRefreshFansOutPerSource(t *testing.T) {
 	clock := netsim.NewClock()
 	net := netsim.NewNetwork()
 	c := New("c1", clock, workload.LinkSchema())
@@ -229,16 +242,17 @@ func TestMasterBatchFansOutPerSource(t *testing.T) {
 	clock.Advance(50)
 	c.Sync()
 	net.Reset()
-	vals, err := c.MasterBatch(keys)
+	ctx := context.Background()
+	set, err := c.Refresh(ctx, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(vals) != len(keys) {
-		t.Fatalf("batch returned %d values, want %d", len(vals), len(keys))
+	if len(set.Installed) != len(keys) || slices.Contains(set.Installed, false) {
+		t.Fatalf("round installed %v, want all %d entries", set.Installed, len(keys))
 	}
-	for _, key := range keys {
-		if vals[key][0] != float64(key) {
-			t.Errorf("key %d values = %v", key, vals[key])
+	for i, key := range keys {
+		if v := set.Row(i); v[0] != float64(key) || v[2] != float64(key)+2 {
+			t.Errorf("key %d values = %v", key, v)
 		}
 	}
 	st := net.Stats()
@@ -255,16 +269,16 @@ func TestMasterBatchFansOutPerSource(t *testing.T) {
 		}
 	}
 	// Keys the cache no longer tracks (dropped mid-plan) are skipped,
-	// not errors: the batch serves the rest and omits them from the map.
-	vals, err = c.MasterBatch([]int64{keys[0], 999})
+	// not errors: the round serves the rest and leaves their entries unset.
+	set, err = c.Refresh(ctx, []int64{999, keys[0]})
 	if err != nil {
-		t.Errorf("batch with dropped key: %v", err)
+		t.Errorf("round with dropped key: %v", err)
 	}
-	if _, has := vals[999]; has || len(vals) != 1 {
-		t.Errorf("batch with dropped key = %v", vals)
+	if len(set.Installed) != 2 || set.Installed[0] || !set.Installed[1] || set.Row(1)[0] != float64(keys[0]) {
+		t.Errorf("round with dropped key = %+v", set)
 	}
-	if vals, err := c.MasterBatch(nil); err != nil || vals != nil {
-		t.Errorf("empty batch = %v, %v", vals, err)
+	if set, err := c.Refresh(ctx, nil); err != nil || len(set.Installed) != 0 {
+		t.Errorf("empty round = %+v, %v", set, err)
 	}
 }
 
@@ -276,10 +290,7 @@ func TestApplyRefreshDropsStaleSeq(t *testing.T) {
 	lat := c.Schema().MustLookup(workload.ColLatency)
 	clock.Advance(1)
 	// Pull a refresh without applying it, then let a newer push land.
-	r1, err := src.QueryRefresh(1, c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r1 := pullRefresh(t, src, 1, c)
 	if err := src.SetValue(1, []float64{500, 61, 98}); err != nil { // escapes → push applies newer refresh
 		t.Fatal(err)
 	}

@@ -70,7 +70,7 @@ func (c *Cache) rewidenRecovered() int {
 	}
 	n := 0
 	for si := 0; si < c.store.NumShards(); si++ {
-		c.store.UpdateShard(si, func(t *relation.Table) {
+		c.store.UpdateShard(si, func(t *relation.Table) bool {
 			for i := 0; i < t.Len(); i++ {
 				tu := t.At(i)
 				for _, col := range bcols {
@@ -78,6 +78,7 @@ func (c *Cache) rewidenRecovered() int {
 				}
 				n++
 			}
+			return true
 		})
 	}
 	return n
@@ -123,7 +124,7 @@ func (c *Cache) Rehandshake(src *source.Source, key int64) error {
 		return fmt.Errorf("cache %s: rehandshake for uncached key %d", c.id, key)
 	}
 	tk := c.logInsert(&logged)
-	sh.dirtyKeys[key] = struct{}{}
+	sh.dirty = append(sh.dirty, key)
 	sh.mu.Unlock()
 	if err := c.commitWAL(tk); err != nil {
 		return err

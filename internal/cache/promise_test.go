@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"context"
 	"math/rand"
 	"slices"
 	"sync"
@@ -79,7 +80,7 @@ func TestTableBoundsArePromisesAtNow(t *testing.T) {
 			}
 		}
 		// Every refresh that reaches the table is reported here, on the
-		// applying goroutine (one per source in a MasterBatch fan-out),
+		// applying goroutine (one per source in a Refresh fan-out),
 		// while master values and clock are still those the source built
 		// the refresh from.
 		c.SetListener(func(ev Event) {
@@ -179,7 +180,7 @@ func TestTableBoundsArePromisesAtNow(t *testing.T) {
 			move(key, o) // pushes when the value escapes its promise
 		case op < 65:
 			// Query-initiated: one key through Master, several through
-			// MasterBatch; exactly the attached ones are refreshed, and
+			// Refresh; exactly the attached ones are refreshed, and
 			// until the next Sync their bounds are the exact values.
 			keys := []int64{key}
 			for n := rng.Intn(4); n > 0; n-- {
@@ -193,9 +194,14 @@ func TestTableBoundsArePromisesAtNow(t *testing.T) {
 					got[key] = vals
 				}
 			} else {
-				var err error
-				if got, err = c.MasterBatch(keys); err != nil {
+				set, err := c.Refresh(context.Background(), keys)
+				if err != nil {
 					t.Fatal(err)
+				}
+				for i, k := range keys {
+					if set.Installed[i] {
+						got[k] = set.Row(i)
+					}
 				}
 			}
 			for _, k := range keys {
@@ -222,10 +228,7 @@ func TestTableBoundsArePromisesAtNow(t *testing.T) {
 			if o.promise == nil {
 				break
 			}
-			late, err := srcs[o.src].QueryRefresh(key, c)
-			if err != nil {
-				t.Fatal(err)
-			}
+			late := pullRefresh(t, srcs[o.src], key, c)
 			before := accepted
 			move(key, o)
 			if accepted != before+1 {

@@ -36,7 +36,7 @@
 // strictest effective constraint among that view's subscribers, scaled
 // by Config.RefreshMargin so the repaired answer has headroom to grow
 // before violating again — and then dedupes the union of all plans into
-// one batched refresh per table (Cache.MasterBatch, which fans out per
+// one batched refresh per table (Cache.Refresh, which fans out per
 // source in parallel). One paid refresh of a hot object satisfies every
 // subscription that needed it; the demand count is fed back to the
 // object's Appendix-A width policy (boundfn.DemandObserver) so bound
@@ -636,26 +636,34 @@ func (e *Engine) repairLocked(ts *tableState, st *relation.Store) {
 			ts.c.ObserveDemand(key, n)
 		}
 	}
-	// One deduped batch per table; the cache fans it out per source and
-	// installs the results (dropping races with newer pushes).
-	vals, err := ts.c.MasterBatch(keys)
+	// One deduped round per table; the cache fans it out per source and
+	// installs the results (dropping races with newer pushes). Even beside
+	// an error the set marks every refresh that was paid: account those.
+	set, err := ts.c.Refresh(context.Background(), keys)
 	if err != nil {
 		roundErr = err
-		return
 	}
+	refreshed := make(map[int64]bool, len(keys))
+	byShard := make(map[int][]int64)
 	var paid float64
-	for key := range vals {
+	for i, key := range keys {
+		if !set.Installed[i] {
+			continue
+		}
+		refreshed[key] = true
+		si := st.ShardOf(key)
+		byShard[si] = append(byShard[si], key)
 		paid += union[key]
 		if demand[key] > 1 {
 			e.m.SharedRefreshes++
 		}
 	}
 	e.m.RefreshBatches++
-	e.m.RefreshedObjects += int64(len(vals))
+	e.m.RefreshedObjects += int64(len(refreshed))
 	e.m.RefreshCost += paid
 	for _, vp := range plans {
 		for i, key := range vp.plan.Keys {
-			if _, ok := vals[key]; ok {
+			if refreshed[key] {
 				vp.v.attributedCost += vp.plan.Costs[i]
 				vp.v.attributedRefreshes++
 			}
@@ -665,10 +673,6 @@ func (e *Engine) repairLocked(ts *tableState, st *relation.Store) {
 	// Re-read the refreshed keys and re-fold, so this round's
 	// notifications already reflect the repaired answers. Keys are
 	// grouped by owning shard, one read lock per touched shard.
-	byShard := make(map[int][]int64)
-	for key := range vals {
-		byShard[st.ShardOf(key)] = append(byShard[st.ShardOf(key)], key)
-	}
 	for si, ks := range byShard {
 		st.ViewShard(si, func(t *relation.Table) {
 			for _, key := range ks {

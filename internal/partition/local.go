@@ -157,7 +157,8 @@ func (n *LocalNode) Inputs(ctx context.Context, shape string) ([]aggregate.Input
 // coordinator's plan assigned to this partition, then refold. A context
 // cutoff mid-fan-out keeps the refreshes that beat it (installed and
 // reported in Installed) and sets Cut; the coordinator charges exactly
-// the installed keys, in plan order.
+// the installed keys, in plan order. A hard error is returned, but
+// alongside an outcome that still reports what was installed before it.
 func (n *LocalNode) Refresh(ctx context.Context, shape string, keys []int64) (RefreshOutcome, error) {
 	var out RefreshOutcome
 	if err := ctx.Err(); err != nil {
@@ -168,22 +169,19 @@ func (n *LocalNode) Refresh(ctx context.Context, shape string, keys []int64) (Re
 		return out, err
 	}
 	c.Sync()
-	vals, err := c.MasterBatchCtx(ctx, keys)
-	if err != nil {
-		if !parallel.IsContextError(err) {
-			return out, err
-		}
-		out.Cut = true
+	set, err := c.Refresh(ctx, keys)
+	if parallel.IsContextError(err) {
+		out.Cut, err = true, nil
 	}
-	for _, key := range keys {
-		if _, ok := vals[key]; ok {
+	for i, key := range keys {
+		if set.Installed[i] {
 			out.Installed = append(out.Installed, key)
 		}
 	}
 	ver := store.Version()
 	out.State = aggregate.CollectState(store, col, q.Agg, q.Where)
 	n.storeState(shape, ver, out.State)
-	return out, nil
+	return out, err
 }
 
 // Subscribe implements Node: register a standing query for the shape

@@ -85,7 +85,7 @@ func (p *Processor) ExecuteBatch(ctx context.Context, qs []Query, opts ...ExecOp
 func (p *Processor) ExecuteBatchConfig(ctx context.Context, qs []Query, cfg ExecConfig) ([]Result, error) {
 	results, perQuery, err := p.ExecuteBatchDetailed(ctx, qs, cfg)
 	if err != nil {
-		return nil, err
+		return results, err
 	}
 	return results, JoinBatchErrors(perQuery)
 }
@@ -105,10 +105,11 @@ func JoinBatchErrors(perQuery []error) error {
 // ExecuteBatchDetailed is the batch executor with per-query outcomes
 // kept separate: results and perQuery align index-for-index with qs
 // (perQuery entries are nil, ErrBudgetExhausted, or ErrPrecisionUnmet),
-// and err reports whole-batch failures (validation, hard oracle
-// errors). The System façade uses it to post-process individual
-// results — e.g. the §8.3 slack-COUNT widening — without losing the
-// typed per-query errors' field consistency.
+// and err reports whole-batch failures (validation, hard oracle errors —
+// after which the results still report every refresh that was paid
+// before the failure). The System façade uses it to post-process
+// individual results — e.g. the §8.3 slack-COUNT widening — without
+// losing the typed per-query errors' field consistency.
 func (p *Processor) ExecuteBatchDetailed(ctx context.Context, qs []Query, cfg ExecConfig) ([]Result, []error, error) {
 	if len(qs) == 0 {
 		return nil, nil, nil
@@ -209,11 +210,6 @@ func (p *Processor) ExecuteBatchDetailed(ctx context.Context, qs []Query, cfg Ex
 	// them. The fan-out boundary honors the context; a cutoff leaves
 	// later tables unfetched and their queries fall back to cached-bound
 	// answers plus whatever partial refreshes beat the deadline.
-	type tableUnion struct {
-		e    *tableEntry
-		keys []int64
-		seen map[int64]bool
-	}
 	unions := make(map[*tableEntry]*tableUnion)
 	var order []*tableUnion
 	for i := range items {
@@ -223,54 +219,58 @@ func (p *Processor) ExecuteBatchDetailed(ctx context.Context, qs []Query, cfg Ex
 		}
 		u := unions[it.e]
 		if u == nil {
-			u = &tableUnion{e: it.e, seen: make(map[int64]bool)}
+			u = &tableUnion{e: it.e, index: make(map[int64]int)}
 			unions[it.e] = u
 			order = append(order, u)
 		}
 		for _, key := range it.plan.Keys {
-			if !u.seen[key] {
-				u.seen[key] = true
+			if _, seen := u.index[key]; !seen {
+				u.index[key] = len(u.keys)
 				u.keys = append(u.keys, key)
 			}
 		}
 	}
-	refreshedVals := make(map[*tableEntry]map[int64][]float64, len(order))
-	var ctxErr error
+	var ctxErr, hardErr error
 	for _, u := range order {
-		if err := ctx.Err(); err != nil {
-			ctxErr = err
+		if ctxErr = ctx.Err(); ctxErr != nil {
 			break
 		}
-		vals, cErr, hardErr := fetchKeys(ctx, u.e, u.keys)
-		if vals != nil {
-			refreshedVals[u.e] = vals
-		}
-		if hardErr != nil {
-			return nil, nil, hardErr
-		}
-		if cErr != nil {
-			ctxErr = cErr
+		u.set, ctxErr, hardErr = fetchKeys(ctx, u.e, u.keys)
+		if ctxErr != nil || hardErr != nil {
 			break
 		}
 	}
 
-	// Step 3: answer each query from its own plan's refreshed tuples.
+	// Step 3: answer each query from its own plan's refreshed tuples. A
+	// hard error still fails the batch, but only after every query is
+	// charged for the refreshes installed ahead of it.
 	perQuery := make([]error, len(qs))
 	results := make([]Result, len(qs))
 	for i := range items {
 		it := &items[i]
-		finalizeBatchItem(it, refreshedVals[it.e], ctxErr, budgetDual, cfg.Budget)
+		finalizeBatchItem(it, unions[it.e], ctxErr, budgetDual, cfg.Budget)
 		perQuery[i] = it.err
 		results[i] = it.res
 	}
-	return results, perQuery, nil
+	return results, perQuery, hardErr
+}
+
+// tableUnion is one table's deduped refresh round: the union of its
+// queries' plan keys in first-seen order, each key's position in it, and
+// the round's outcome aligned with keys (empty if the round never ran).
+type tableUnion struct {
+	e     *tableEntry
+	keys  []int64
+	index map[int64]int
+	set   relation.RefreshSet
 }
 
 // finalizeBatchItem computes one query's final answer from its snapshot
 // patched with the refreshed tuples of its own plan, and shapes its
 // per-query error (budget exhaustion, deadline cutoff) exactly as the
-// standalone execution path would.
-func finalizeBatchItem(it *batchItem, vals map[int64][]float64, ctxErr error, budgetDual bool, budget float64) {
+// standalone execution path would. u is the refresh round of the query's
+// table (nil when no query planned a refresh there).
+func finalizeBatchItem(it *batchItem, u *tableUnion, ctxErr error, budgetDual bool, budget float64) {
 	if it.plan.Len() == 0 {
 		// Answered from cache alone (or the budget bought nothing).
 		if budgetDual && !it.res.Met && !math.IsInf(it.q.Within, 1) && ctxErr == nil {
@@ -280,16 +280,12 @@ func finalizeBatchItem(it *batchItem, vals map[int64][]float64, ctxErr error, bu
 		}
 		return
 	}
-	costOf := make(map[int64]float64, it.plan.Len())
-	for j, k := range it.plan.Keys {
-		costOf[k] = it.plan.Costs[j]
-	}
 	mine := make(map[int64]bool, it.plan.Len())
-	for _, key := range it.plan.Keys {
-		if _, ok := vals[key]; ok {
+	for j, key := range it.plan.Keys {
+		if len(u.set.Installed) > 0 && u.set.Installed[u.index[key]] {
 			mine[key] = true
 			it.res.Refreshed++
-			it.res.RefreshCost += costOf[key]
+			it.res.RefreshCost += it.plan.Costs[j]
 		}
 	}
 	patched := it.snap.inputs

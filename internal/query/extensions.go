@@ -242,28 +242,14 @@ func (proc *Processor) ExecuteIterative(q Query) (Result, error) {
 		if e.oracle == nil {
 			return res, fmt.Errorf("%w: %q", ErrNoOracle, q.Table)
 		}
-		if b, ok := e.oracle.(BatchOracle); ok {
-			// The batch oracle installs the refreshed bound itself; an
-			// empty reply means the key vanished mid-round — replan.
-			vals, err := b.MasterBatch([]int64{key})
-			if err != nil {
-				return res, err
-			}
-			if len(vals) == 0 {
-				continue
-			}
-		} else {
-			vals, ok := e.oracle.Master(key)
-			if !ok {
-				return res, fmt.Errorf("query: oracle has no master values for key %d", key)
-			}
-			installed, err := e.install(key, vals)
-			if err != nil {
-				return res, err
-			}
-			if !installed {
-				continue // key vanished mid-round; nothing was refreshed
-			}
+		// One round of one key; nothing installed means the key vanished
+		// mid-round — replan.
+		set, _, err := fetchKeys(context.Background(), e, []int64{key})
+		if err != nil {
+			return res, err
+		}
+		if !set.Installed[0] {
+			continue
 		}
 		res.Refreshed++
 		res.RefreshCost += bestCost

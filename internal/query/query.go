@@ -25,8 +25,8 @@
 // only scans of the shard owning the pushed key), while installing
 // refreshed values write-locks only the shards owning keys in the plan.
 // Refresh fetches themselves run outside all locks so that slow sources
-// never block scans; when the oracle implements BatchOracle the whole
-// refresh set is fetched as parallel per-source batches.
+// never block scans; when the oracle is a Refresher the whole refresh set
+// is one round of parallel per-source batches, installed by the oracle.
 package query
 
 import (
@@ -105,36 +105,30 @@ type Oracle interface {
 	Master(key int64) (vals []float64, ok bool)
 }
 
-// BatchOracle is an Oracle that can serve a whole refresh set at once.
+// Refresher is an Oracle that serves a whole refresh set in one round.
 // Implementations are expected to group the keys by owning source and
 // fetch the groups in parallel (one batched request per source), which
 // is how the cache-backed oracle turns a refresh plan into concurrent
 // network rounds instead of a sequential per-object loop.
 //
-// A BatchOracle additionally owns installation: it writes the refreshed
+// A Refresher additionally owns installation: it writes the refreshed
 // bounds into the registered table itself, atomically with respect to
 // any concurrent mutators it coordinates with (the cache applies them
 // under its table lock, dropping replies that an even newer push has
 // overtaken). The processor therefore never installs values fetched
-// from a BatchOracle — doing so could resurrect a stale value.
-type BatchOracle interface {
+// from a Refresher — doing so could resurrect a stale value.
+type Refresher interface {
 	Oracle
-	// MasterBatch refreshes every requested key and returns the precise
-	// bounded-column values it fetched. Keys that have disappeared since
-	// the plan was computed are skipped, not errors.
-	MasterBatch(keys []int64) (map[int64][]float64, error)
-}
-
-// BatchOracleCtx is a BatchOracle whose batched fetch honors a context:
-// a cancellation or deadline expiry mid-fan-out stops further per-source
-// batches. On a context error the returned map holds the partial refresh
-// set that beat the cutoff (installed and charged normally) alongside
-// the context error, so the processor can fold partial progress into a
-// best-effort answer. The cache implements it.
-type BatchOracleCtx interface {
-	BatchOracle
-	// MasterBatchCtx is MasterBatch under a context; see above.
-	MasterBatchCtx(ctx context.Context, keys []int64) (map[int64][]float64, error)
+	// Refresh refreshes every requested key and reports the outcome as a
+	// set aligned with keys: an entry is installed, and holds the precise
+	// bounded-column values, when that key's refresh reached the table.
+	// Keys that have disappeared since the plan was computed are skipped,
+	// not errors. A cancellation or deadline expiry stops further
+	// per-source batches. Whenever the call fails — a cutoff or a hard
+	// error — the set still reports every refresh paid for and installed
+	// before the failure, so the processor accounts for it and can fold
+	// partial progress into a best-effort answer.
+	Refresh(ctx context.Context, keys []int64) (relation.RefreshSet, error)
 }
 
 // Result reports a bounded query execution.
@@ -689,24 +683,25 @@ func cutoff(res Result, q Query, cause error) (Result, error) {
 func runPlan(ctx context.Context, e *tableEntry, plan refresh.Plan, res *Result, tr *obs.Trace) (ctxErr, hardErr error) {
 	tr.SetPlanCosts(plan.Keys, plan.Costs)
 	// Report what was actually refreshed: keys dropped mid-flight are
-	// neither served nor charged, so they must not be counted.
-	vals, ctxErr, hardErr := fetchKeys(ctx, e, plan.Keys)
+	// neither served nor charged, so they must not be counted — and every
+	// refresh that was paid is counted, whatever error ended the round.
+	set, ctxErr, hardErr := fetchKeys(ctx, e, plan.Keys)
 	// The paid costs fold in plan order — a deterministic float addition
 	// sequence the trace replays, so Trace.TotalCost() matches
 	// res.RefreshCost bit-exactly.
 	sp := obs.SpanFromContext(ctx)
 	var installed []int64
 	if sp != nil {
-		installed = make([]int64, 0, len(vals))
+		installed = make([]int64, 0, len(plan.Keys))
 	}
-	for j, key := range plan.Keys {
-		if _, ok := vals[key]; !ok {
+	for j, ok := range set.Installed {
+		if !ok {
 			continue
 		}
 		res.Refreshed++
 		res.RefreshCost += plan.Costs[j]
 		if sp != nil {
-			installed = append(installed, key)
+			installed = append(installed, plan.Keys[j])
 		}
 	}
 	sp.RecordKeys(installed)
@@ -747,54 +742,43 @@ func clampCounter(v float64) uint64 {
 // fetchKeys runs one refresh round for the given keys through the
 // entry's oracle — the shared oracle protocol of both the single-query
 // refresh phase (runPlan) and the batch executor's per-table union
-// rounds. The returned map holds exactly the keys whose refresh reached
-// the table (dropped keys and replies that lost to newer pushes are
-// absent). A context cutoff is returned separately from hard errors: on
-// a cutoff the refreshes that beat it are already installed, charged,
-// and present in the map.
-func fetchKeys(ctx context.Context, e *tableEntry, keys []int64) (vals map[int64][]float64, ctxErr, hardErr error) {
-	switch b := e.oracle.(type) {
-	case BatchOracleCtx:
-		// The batch oracle fetches per source in parallel and installs
-		// the refreshed bounds itself (see BatchOracle); on a context
-		// error the reply holds the partial set that beat the cutoff.
-		vals, err := b.MasterBatchCtx(ctx, keys)
-		if err != nil {
-			if parallel.IsContextError(err) {
-				return vals, err, nil
-			}
-			return vals, nil, err
+// rounds. The returned set is aligned with keys and marks exactly the
+// keys whose refresh reached the table (dropped keys and replies that
+// lost to newer pushes are not). A context cutoff is returned separately
+// from hard errors; on either, the refreshes that completed first are
+// already installed, charged, and marked in the set.
+func fetchKeys(ctx context.Context, e *tableEntry, keys []int64) (set relation.RefreshSet, ctxErr, hardErr error) {
+	if r, ok := e.oracle.(Refresher); ok {
+		// The refresher fetches per source in parallel and installs the
+		// refreshed bounds itself (see Refresher).
+		set, err := r.Refresh(ctx, keys)
+		if parallel.IsContextError(err) {
+			return set, err, nil
 		}
-		return vals, nil, nil
-	case BatchOracle:
-		vals, err := b.MasterBatch(keys)
-		if err != nil {
-			return nil, nil, err
-		}
-		return vals, nil, nil
-	default:
-		// Plain per-key oracle: the context is honored between keys, so
-		// a cutoff keeps the keys already fetched and installed.
-		vals := make(map[int64][]float64, len(keys))
-		for _, key := range keys {
-			if err := ctx.Err(); err != nil {
-				return vals, err, nil
-			}
-			v, ok := e.oracle.Master(key)
-			if !ok {
-				return vals, nil, fmt.Errorf("query: oracle has no master values for key %d", key)
-			}
-			// A dropped key no longer contributes; nothing to install.
-			installed, err := e.install(key, v)
-			if err != nil {
-				return vals, nil, err
-			}
-			if installed {
-				vals[key] = v
-			}
-		}
-		return vals, nil, nil
+		return set, nil, err
 	}
+	// Plain per-key oracle: the context is honored between keys, so a
+	// cutoff keeps the keys already fetched and installed.
+	set = relation.NewRefreshSet(len(keys), len(e.schema().BoundedColumns()))
+	for i, key := range keys {
+		if err := ctx.Err(); err != nil {
+			return set, err, nil
+		}
+		v, ok := e.oracle.Master(key)
+		if !ok {
+			return set, nil, fmt.Errorf("query: oracle has no master values for key %d", key)
+		}
+		// A dropped key no longer contributes; nothing to install.
+		installed, err := e.install(key, v)
+		if err != nil {
+			return set, nil, err
+		}
+		if installed {
+			set.Installed[i] = true
+			copy(set.Row(i), v)
+		}
+	}
+	return set, nil, nil
 }
 
 // Satisfies reports whether a bounded answer meets an absolute precision

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -206,7 +207,7 @@ func TestTighteningRMonotonicallyIncreasesCost(t *testing.T) {
 }
 
 // batchOracle wraps a MapOracle and records whether the batch path ran.
-// Per the BatchOracle contract it installs the refreshed values into the
+// Per the Refresher contract it installs the refreshed values into the
 // registered table itself.
 type batchOracle struct {
 	m       workload.MapOracle
@@ -217,29 +218,30 @@ type batchOracle struct {
 
 func (b *batchOracle) Master(key int64) ([]float64, bool) { return b.m.Master(key) }
 
-func (b *batchOracle) MasterBatch(keys []int64) (map[int64][]float64, error) {
+func (b *batchOracle) Refresh(_ context.Context, keys []int64) (relation.RefreshSet, error) {
 	b.batches++
 	b.keys += len(keys)
-	out := make(map[int64][]float64, len(keys))
-	for _, key := range keys {
+	set := relation.NewRefreshSet(len(keys), len(b.tab.Schema().BoundedColumns()))
+	for j, key := range keys {
 		v, ok := b.m.Master(key)
 		if !ok {
-			return nil, ErrNoOracle
+			return set, ErrNoOracle
 		}
 		if i := b.tab.ByKey(key); i >= 0 {
 			if err := b.tab.Refresh(i, v); err != nil {
-				return nil, err
+				return set, err
 			}
 		}
-		out[key] = v
+		set.Installed[j] = true
+		copy(set.Row(j), v)
 	}
-	return out, nil
+	return set, nil
 }
 
-// TestExecuteUsesBatchOracle checks that a refreshing execution fetches
-// the whole plan through MasterBatch when the oracle supports it, and
-// that the answer matches the sequential per-key path.
-func TestExecuteUsesBatchOracle(t *testing.T) {
+// TestExecuteUsesRefresher checks that a refreshing execution fetches
+// the whole plan through one Refresh round when the oracle supports it,
+// and that the answer matches the sequential per-key path.
+func TestExecuteUsesRefresher(t *testing.T) {
 	tab := workload.Figure2Table()
 	bo := &batchOracle{m: workload.MapOracle(workload.Figure2Master()), tab: tab}
 	p := NewProcessor(refresh.Options{Solver: refresh.SolverExactDP})
@@ -254,7 +256,7 @@ func TestExecuteUsesBatchOracle(t *testing.T) {
 		t.Fatalf("precise batch execution: met=%v answer=%v", res.Met, res.Answer)
 	}
 	if bo.batches != 1 {
-		t.Errorf("MasterBatch called %d times, want 1", bo.batches)
+		t.Errorf("Refresh called %d times, want 1", bo.batches)
 	}
 	if bo.keys != res.Refreshed {
 		t.Errorf("batched %d keys, refreshed %d", bo.keys, res.Refreshed)

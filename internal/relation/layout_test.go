@@ -144,7 +144,7 @@ func TestStoreLayoutMatchesModel(t *testing.T) {
 			default:
 				// A tick over one shard: every promised row re-evaluated.
 				now := int64(step)
-				st.UpdateShard(rng.Intn(st.NumShards()), func(tab *Table) {
+				st.UpdateShard(rng.Intn(st.NumShards()), func(tab *Table) bool {
 					for i := 0; i < tab.Len(); i++ {
 						if !tab.HasPromise(i) {
 							continue
@@ -156,6 +156,7 @@ func TestStoreLayoutMatchesModel(t *testing.T) {
 							m.bounds[col] = iv
 						}
 					}
+					return true
 				})
 			}
 			total := 0

@@ -40,8 +40,9 @@ type Column struct {
 // Schema is an ordered list of named columns. Schemas are immutable after
 // construction and safe for concurrent use.
 type Schema struct {
-	cols   []Column
-	byName map[string]int
+	cols    []Column
+	byName  map[string]int
+	bounded []int // indexes of the bounded columns, schema order
 }
 
 // NewSchema builds a schema from the given columns. It panics on duplicate
@@ -60,6 +61,9 @@ func NewSchema(cols ...Column) *Schema {
 			panic(fmt.Sprintf("relation: duplicate column %q", c.Name))
 		}
 		s.byName[c.Name] = i
+		if c.Kind == Bounded {
+			s.bounded = append(s.bounded, i)
+		}
 	}
 	return s
 }
@@ -95,13 +99,7 @@ func (s *Schema) ColumnNames() []string {
 	return names
 }
 
-// BoundedColumns returns the indexes of all bounded columns.
-func (s *Schema) BoundedColumns() []int {
-	var out []int
-	for i, c := range s.cols {
-		if c.Kind == Bounded {
-			out = append(out, i)
-		}
-	}
-	return out
-}
+// BoundedColumns returns the indexes of all bounded columns in schema
+// order. The slice is computed once in NewSchema and shared by every
+// caller: it must not be modified.
+func (s *Schema) BoundedColumns() []int { return s.bounded }

@@ -173,15 +173,18 @@ func (s *Store) ViewShard(i int, fn func(t *Table)) {
 	fn(s.shards[i].tab)
 }
 
-// UpdateShard runs fn over shard i's table under the shard's write lock.
-// fn must not change the table's cardinality or tuple order (use
-// Insert/Delete, which maintain the store's length counter and the
-// per-shard key-order invariant); mutating bounds in place is fine.
-func (s *Store) UpdateShard(i int, fn func(t *Table)) {
+// UpdateShard runs fn over shard i's table under the shard's write lock
+// and bumps the store version once if fn reports that it wrote anything —
+// one lock acquisition and one version bump for a whole pass over the
+// shard's rows. fn must not change the table's cardinality or tuple order
+// (use Insert/Delete, which maintain the store's length counter and the
+// per-shard key-order invariant); mutating rows in place is fine.
+func (s *Store) UpdateShard(i int, fn func(t *Table) (wrote bool)) {
 	s.shards[i].mu.Lock()
 	defer s.shards[i].mu.Unlock()
-	fn(s.shards[i].tab)
-	s.version.Add(1)
+	if fn(s.shards[i].tab) {
+		s.version.Add(1)
+	}
 }
 
 // Version returns the store's mutation counter. Two equal reads
@@ -272,6 +275,30 @@ func (s *Store) Refresh(key int64, exact []float64) (bool, error) {
 	var err error
 	ok := s.Update(key, func(t *Table, i int) { err = t.Refresh(i, exact) })
 	return ok, err
+}
+
+// RefreshSet reports one refresh round over a requested key list, entry
+// for entry: Installed[i] says whether keys[i]'s refresh reached the
+// relation — a key dropped since it was requested, or a reply overtaken
+// by a newer push, did not — and row i of Values holds the exact
+// bounded-column values that were installed for it. Whoever runs the round
+// fills it; per-source batches own disjoint entries, so concurrent
+// batches fill one set without a lock.
+type RefreshSet struct {
+	Installed []bool
+	Values    []float64 // row-major: one row of bounded columns per key
+}
+
+// NewRefreshSet returns an all-false set for n requested keys of nb
+// bounded columns each.
+func NewRefreshSet(n, nb int) RefreshSet {
+	return RefreshSet{Installed: make([]bool, n), Values: make([]float64, n*nb)}
+}
+
+// Row returns entry i's exact values, meaningful when Installed[i].
+func (s RefreshSet) Row(i int) []float64 {
+	nb := len(s.Values) / len(s.Installed)
+	return s.Values[i*nb : (i+1)*nb : (i+1)*nb]
 }
 
 // SortedKeys returns every cached key in ascending order — the

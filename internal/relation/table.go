@@ -172,6 +172,28 @@ func (t *Table) SetPromise(i int, bounds []boundfn.Bound, seq int64) {
 	t.seqs[i] = seq
 }
 
+// Install writes a refresh into row i in one step: the promise (bound
+// functions and sequence number, as SetPromise) and the intervals it
+// stands for — the exact values as points when exact is set (a paid
+// query-initiated refresh collapses the row until the next Sync), each
+// bound function evaluated at now otherwise. An empty interval is never
+// written: that column keeps its bound, as with SetBound. values and
+// bounds hold one entry per bounded column, in schema order.
+func (t *Table) Install(i int, seq int64, values []float64, bounds []boundfn.Bound, exact bool, now int64) {
+	bs := t.tuples[i].Bounds
+	for j, col := range t.bcols {
+		iv := interval.Point(values[j])
+		if !exact {
+			iv = bounds[j].At(now)
+		}
+		if !iv.IsEmpty() {
+			bs[col] = iv
+		}
+	}
+	t.SetPromise(i, bounds, seq)
+	t.version.Add(1)
+}
+
 // Insert adds a tuple: at the end of a flat table, at its canonical
 // position (binary search, one shift of the row arrays) in a store shard.
 // It returns an error if the bound count does not match the schema, an

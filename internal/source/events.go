@@ -101,7 +101,6 @@ func (s *Source) RemoveObject(key int64) error {
 		return fmt.Errorf("source %s: no object %d", s.id, key)
 	}
 	delete(s.objects, key)
-	delete(s.regs, key)
 	s.mu.Unlock()
 	s.enqueue(TableEvent{Insert: false, Key: key})
 	return nil

@@ -28,33 +28,24 @@ func (s *Source) EnablePiggyback(fraction float64) {
 	s.piggyback = fraction
 }
 
-// piggybackRefreshesLocked collects extra refreshes for the subscriber:
+// piggybackLocked appends extra refreshes for the subscriber to the batch:
 // all of its other registered objects (excluded reports the ones already
-// being refreshed) whose values are near a bound edge. Caller holds s.mu.
-func (s *Source) piggybackRefreshesLocked(sub Subscriber, excluded func(int64) bool) []Refresh {
-	if s.piggyback <= 0 {
-		return nil
-	}
+// being refreshed) whose values are near a bound edge. Caller holds s.mu
+// and has checked that piggybacking is enabled.
+func (s *Source) piggybackLocked(b *Batch, sub Subscriber, excluded func(int64) bool) {
 	now := s.clock.Now()
-	var out []Refresh
-	for key, regs := range s.regs {
+	for key, o := range s.objects {
 		if excluded(key) {
 			continue
 		}
-		o := s.objects[key]
-		for _, reg := range regs {
-			if reg.sub != sub {
-				continue
-			}
-			if !s.nearEdgeLocked(reg, now, o.values) {
-				continue
-			}
-			r := s.makeRefreshLocked(key, o, reg, ValueInitiated)
-			s.net.SendFrom(s.id, netsim.Propagation, 1, 0)
-			out = append(out, r)
+		reg := o.reg(sub)
+		if reg == nil || !s.nearEdgeLocked(reg, now, o.values) {
+			continue
 		}
+		s.promiseLocked(o, reg)
+		s.net.SendFrom(s.id, netsim.Propagation, 1, 0)
+		b.Append(key, o.seq, o.values, reg.bounds)
 	}
-	return out
 }
 
 // nearEdgeLocked reports whether any attribute's master value is within

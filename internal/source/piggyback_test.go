@@ -1,6 +1,7 @@
 package source
 
 import (
+	"context"
 	"testing"
 
 	"trapp/internal/boundfn"
@@ -72,16 +73,19 @@ func TestPiggybackOnQueryRefresh(t *testing.T) {
 	if err := s.SetValue(2, []float64{53.5}); err != nil {
 		t.Fatal(err)
 	}
-	r, err := s.QueryRefresh(1, rec)
+	b, err := s.QueryRefreshBatchCtx(context.Background(), []int64{1}, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Key != 1 {
-		t.Errorf("main refresh key %d", r.Key)
+	// The piggybacked sibling rides behind the requested row, free.
+	if len(b.Keys) != 2 || b.Requested != 1 || b.Keys[0] != 1 || b.Keys[1] != 2 {
+		t.Fatalf("reply rows = %v (%d requested)", b.Keys, b.Requested)
 	}
-	// The piggybacked sibling arrives via ApplyRefresh.
-	if len(rec.refreshes) != 1 || rec.refreshes[0].Key != 2 {
-		t.Fatalf("piggyback pushes = %+v", rec.refreshes)
+	if r := b.Refresh(1); r.Kind != ValueInitiated || r.Values[0] != 53.5 {
+		t.Errorf("piggybacked row = %+v", r)
+	}
+	if len(rec.refreshes) != 0 {
+		t.Errorf("the source called back into the subscriber: %+v", rec.refreshes)
 	}
 }
 

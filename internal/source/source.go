@@ -12,6 +12,13 @@
 // width parameter is governed by a boundfn.WidthPolicy; the adaptive policy
 // widens bounds after value-initiated refreshes and narrows them after
 // query-initiated ones.
+//
+// A registration owns the promise it tracks and is overwritten in place by
+// every refresh of its object. A refresh message handed out of the source
+// (a pushed Refresh, a columnar Batch reply) owns its own rows and never
+// shares storage with a registration: it is delivered after the source
+// lock is released, while the object's next refresh may already be
+// rewriting the registration.
 package source
 
 import (
@@ -71,15 +78,75 @@ type Subscriber interface {
 	ApplyRefresh(r Refresh)
 }
 
+// Batch is the reply to one batched query-refresh request, as a struct of
+// arrays: row i refreshes object Keys[i] with sequence number Seqs[i], and
+// its exact attribute values and fresh bound functions are row i of
+// Values and Bounds (see Refresh). The first Requested rows answer the
+// request, in request order, and are query-initiated; any rows after them
+// are piggybacked extras (value-initiated). The arrays belong to the
+// message: nothing in them is shared with the source.
+type Batch struct {
+	SourceID  string
+	Requested int
+	Keys      []int64
+	Seqs      []int64
+	Values    []float64
+	Bounds    []boundfn.Bound
+	ends      []int32 // ends[i]: where row i ends, and row i+1 starts, in Values and Bounds
+}
+
+// Kind reports why row i was sent.
+func (b *Batch) Kind(i int) RefreshKind {
+	if i < b.Requested {
+		return QueryInitiated
+	}
+	return ValueInitiated
+}
+
+// Refresh returns row i as a single refresh message; its Values and
+// Bounds are windows onto the batch's arrays.
+func (b *Batch) Refresh(i int) Refresh {
+	lo, hi := int32(0), b.ends[i]
+	if i > 0 {
+		lo = b.ends[i-1]
+	}
+	return Refresh{SourceID: b.SourceID, Key: b.Keys[i], Values: b.Values[lo:hi:hi], Bounds: b.Bounds[lo:hi:hi], Kind: b.Kind(i), Seq: b.Seqs[i]}
+}
+
+// Append adds a row holding copies of values and bounds (one entry per
+// attribute each).
+func (b *Batch) Append(key, seq int64, values []float64, bounds []boundfn.Bound) {
+	b.Keys = append(b.Keys, key)
+	b.Seqs = append(b.Seqs, seq)
+	b.Values = append(b.Values, values...)
+	b.Bounds = append(b.Bounds, bounds...)
+	b.ends = append(b.ends, int32(len(b.Values)))
+}
+
 // object is one master data object.
 type object struct {
 	values []float64 // master attribute values
 	cost   float64   // query-initiated refresh cost C_i
 	policy boundfn.WidthPolicy
 	seq    int64 // refresh generation counter; see Refresh.Seq
+	// regs holds one registration per subscribed cache. The pointers are
+	// stable for as long as the subscription lasts.
+	regs []*registration
 }
 
-// registration tracks the bound promised to one cache for one object.
+// reg returns the subscriber's registration for the object, or nil.
+func (o *object) reg(sub Subscriber) *registration {
+	for _, r := range o.regs {
+		if r.sub == sub {
+			return r
+		}
+	}
+	return nil
+}
+
+// registration tracks the bound promised to one cache for one object. It
+// owns bounds: every refresh overwrites the slice in place, and no message
+// leaving the source refers to it.
 type registration struct {
 	sub    Subscriber
 	bounds []boundfn.Bound
@@ -95,7 +162,6 @@ type Source struct {
 
 	mu        sync.Mutex
 	objects   map[int64]*object
-	regs      map[int64][]*registration
 	piggyback float64 // see EnablePiggyback
 
 	// Delayed insert/delete propagation (section 8.3); see events.go.
@@ -113,7 +179,6 @@ func New(id string, clock *netsim.Clock, net *netsim.Network, shape boundfn.Shap
 		net:     net,
 		shape:   shape,
 		objects: make(map[int64]*object),
-		regs:    make(map[int64][]*registration),
 	}
 }
 
@@ -175,41 +240,55 @@ func (s *Source) Subscribe(key int64, sub Subscriber) (Refresh, error) {
 		return Refresh{}, fmt.Errorf("source %s: no object %d", s.id, key)
 	}
 	s.net.SendFrom(s.id, netsim.Registration, 1, 0)
-	reg := &registration{sub: sub}
-	r := s.makeRefreshLocked(key, o, reg, QueryInitiated)
-	r.Kind = ValueInitiated // initial push is not charged as a query refresh
-	// Replace any prior registration for the same subscriber instead of
+	// Reuse a prior registration for the same subscriber instead of
 	// accumulating duplicates: a cache re-handshaking after recovery (or
 	// retrying a racy subscribe) must end up with exactly one live
 	// registration, or every future push would be delivered N times.
-	replaced := false
-	for i, old := range s.regs[key] {
-		if old.sub == sub {
-			s.regs[key][i] = reg
-			replaced = true
-			break
-		}
+	reg := o.reg(sub)
+	if reg == nil {
+		reg = &registration{sub: sub}
+		o.regs = append(o.regs, reg)
 	}
-	if !replaced {
-		s.regs[key] = append(s.regs[key], reg)
-	}
-	return r, nil
+	// The initial push is not charged as a query refresh.
+	return s.refreshLocked(key, o, reg, ValueInitiated), nil
 }
 
-// makeRefreshLocked builds a refresh with fresh bounds for the object and
-// records the promised bounds in the registration.
-func (s *Source) makeRefreshLocked(key int64, o *object, reg *registration, kind RefreshKind) Refresh {
+// promiseLocked writes a fresh promise for the object — its current values
+// at the policy's next width, from now — into the registration, in place,
+// and advances the object's refresh sequence.
+func (s *Source) promiseLocked(o *object, reg *registration) {
 	now := s.clock.Now()
 	w := o.policy.NextWidth()
-	bounds := make([]boundfn.Bound, len(o.values))
-	values := make([]float64, len(o.values))
-	for i, v := range o.values {
-		values[i] = v
-		bounds[i] = boundfn.Bound{Value: v, Width: w, RefreshedAt: now, Shape: s.shape}
+	if len(reg.bounds) != len(o.values) {
+		reg.bounds = make([]boundfn.Bound, len(o.values))
 	}
-	reg.bounds = bounds
+	for i, v := range o.values {
+		reg.bounds[i] = boundfn.Bound{Value: v, Width: w, RefreshedAt: now, Shape: s.shape}
+	}
 	o.seq++
-	return Refresh{SourceID: s.id, Key: key, Values: values, Bounds: bounds, Kind: kind, Seq: o.seq}
+}
+
+// refreshLocked promises fresh bounds to the registration and returns the
+// refresh message announcing them. The message holds copies: the
+// registration's own slice is rewritten by the object's next refresh,
+// possibly while this message is still being delivered.
+func (s *Source) refreshLocked(key int64, o *object, reg *registration, kind RefreshKind) Refresh {
+	s.promiseLocked(o, reg)
+	return Refresh{
+		SourceID: s.id,
+		Key:      key,
+		Values:   append([]float64(nil), o.values...),
+		Bounds:   append([]boundfn.Bound(nil), reg.bounds...),
+		Kind:     kind,
+		Seq:      o.seq,
+	}
+}
+
+// push is one refresh message waiting to be delivered to its subscriber
+// once the source lock is released.
+type push struct {
+	sub Subscriber
+	r   Refresh
 }
 
 // SetValue updates one master object's attribute values (an "escrow style"
@@ -226,12 +305,9 @@ func (s *Source) SetValue(key int64, values []float64) error {
 	}
 	copy(o.values, values)
 	now := s.clock.Now()
-	type push struct {
-		sub Subscriber
-		r   Refresh
-	}
-	var pushes []push
-	for _, reg := range s.regs[key] {
+	var buf [2]push // the usual escape has one subscriber: no list to allocate
+	pushes := buf[:0]
+	for _, reg := range o.regs {
 		if regContains(reg, now, o.values) {
 			continue
 		}
@@ -244,13 +320,17 @@ func (s *Source) SetValue(key int64, values []float64) error {
 		if len(reg.bounds) == 0 || reg.bounds[0].RefreshedAt < now {
 			o.policy.ObserveValueRefresh()
 		}
-		r := s.makeRefreshLocked(key, o, reg, ValueInitiated)
+		r := s.refreshLocked(key, o, reg, ValueInitiated)
 		s.net.SendFrom(s.id, netsim.ValueRefresh, 1, o.cost)
 		pushes = append(pushes, push{reg.sub, r})
 		// The message is going out anyway: ride along refreshes for this
 		// cache's other near-edge objects (section 8.3).
-		for _, extra := range s.piggybackRefreshesLocked(reg.sub, func(k int64) bool { return k == key }) {
-			pushes = append(pushes, push{reg.sub, extra})
+		if s.piggyback > 0 {
+			var extras Batch
+			s.piggybackLocked(&extras, reg.sub, func(k int64) bool { return k == key })
+			for i := range extras.Keys {
+				pushes = append(pushes, push{reg.sub, extras.Refresh(i)})
+			}
 		}
 	}
 	s.mu.Unlock()
@@ -275,39 +355,17 @@ func regContains(reg *registration, now int64, values []float64) bool {
 	return true
 }
 
-// QueryRefresh serves a query-initiated refresh pulled by a cache: it
-// charges the object's cost, narrows the width policy, installs fresh
-// bounds for that cache, and returns the exact values. If piggybacking is
-// enabled, near-edge sibling objects of the same cache are pushed along
-// with the reply at no extra cost.
-func (s *Source) QueryRefresh(key int64, sub Subscriber) (Refresh, error) {
-	rs, err := s.QueryRefreshBatch([]int64{key}, sub)
-	if err != nil {
-		return Refresh{}, err
-	}
-	// The batch reply lists requested refreshes first, piggybacked extras
-	// after; deliver the extras and hand back the single requested one.
-	for _, r := range rs[1:] {
-		sub.ApplyRefresh(r)
-	}
-	return rs[0], nil
-}
-
-// QueryRefreshBatch serves query-initiated refreshes for a whole set of
-// objects in one locked pass over the source — the batched request a
-// cache's refresh fan-out sends once per source instead of one round
-// trip per object. Every requested object is charged its cost and gets
-// fresh bounds (Kind QueryInitiated); if piggybacking is enabled,
-// near-edge sibling objects outside the batch ride along for free (Kind
-// ValueInitiated). Requested refreshes precede extras in the reply, in
-// request order. The caller applies the refreshes; this method does not
-// call back into the subscriber.
-func (s *Source) QueryRefreshBatch(keys []int64, sub Subscriber) ([]Refresh, error) {
-	return s.QueryRefreshBatchCtx(context.Background(), keys, sub)
-}
-
-// QueryRefreshBatchCtx is QueryRefreshBatch honoring a context: the
-// request first validates the batch, then waits out the network's
+// QueryRefreshBatchCtx serves query-initiated refreshes for a whole set
+// of objects in one locked pass over the source — the batched request a
+// cache's refresh fan-out sends once per source instead of one round trip
+// per object — and answers with one columnar reply (see Batch): a handful
+// of allocations per batch, none per object. Every requested object is
+// charged its cost and gets fresh bounds; if piggybacking is enabled,
+// near-edge sibling objects outside the batch ride along for free. The
+// caller applies the reply; this method does not call back into the
+// subscriber.
+//
+// The request first validates the batch, then waits out the network's
 // simulated wire time with no lock held, and only then commits — charges
 // the cost, narrows the width policies, and installs the fresh promised
 // bounds — atomically under the source lock. A context canceled (or a
@@ -316,9 +374,9 @@ func (s *Source) QueryRefreshBatch(keys []int64, sub Subscriber) ([]Refresh, err
 // refresh monitor's soundness invariant (the source pushes whenever a
 // value escapes its *promised* bound) is unaffected by abandoned
 // requests.
-func (s *Source) QueryRefreshBatchCtx(ctx context.Context, keys []int64, sub Subscriber) ([]Refresh, error) {
+func (s *Source) QueryRefreshBatchCtx(ctx context.Context, keys []int64, sub Subscriber) (Batch, error) {
 	if len(keys) == 0 {
-		return nil, nil
+		return Batch{}, nil
 	}
 	// Phase 1: validate, so a bad batch fails before paying wire time —
 	// skipped on the hot path (zero latency), where there is no wire
@@ -326,7 +384,7 @@ func (s *Source) QueryRefreshBatchCtx(ctx context.Context, keys []int64, sub Sub
 	// batches before anything is charged.
 	if s.net.Latency() > 0 {
 		if err := s.validateBatch(keys, sub); err != nil {
-			return nil, err
+			return Batch{}, err
 		}
 	}
 	// Phase 2: simulated wire time, interruptible, no lock held. A traced
@@ -336,7 +394,7 @@ func (s *Source) QueryRefreshBatchCtx(ctx context.Context, keys []int64, sub Sub
 	wireSp := sp.StartSpan("wire_wait")
 	if err := s.net.Wait(ctx); err != nil {
 		wireSp.End()
-		return nil, err
+		return Batch{}, err
 	}
 	wireSp.End()
 	// Phase 3: re-resolve and commit atomically. Objects that vanished
@@ -344,34 +402,53 @@ func (s *Source) QueryRefreshBatchCtx(ctx context.Context, keys []int64, sub Sub
 	// validation; nothing is charged on that path either.
 	commitSp := sp.StartSpan("commit")
 	s.mu.Lock()
-	objs := make([]*object, len(keys))
-	regs := make([]*registration, len(keys))
+	type resolved struct {
+		o   *object
+		reg *registration
+	}
+	res := make([]resolved, len(keys))
+	attrs := 0
 	for i, key := range keys {
 		o, reg, err := s.resolveLocked(key, sub)
 		if err != nil {
 			s.mu.Unlock()
 			commitSp.End()
-			return nil, err
+			return Batch{}, err
 		}
-		objs[i], regs[i] = o, reg
+		res[i] = resolved{o, reg}
+		attrs += len(o.values)
 	}
-	out := make([]Refresh, 0, len(keys))
-	requested := make(map[int64]bool, len(keys))
+	b := Batch{
+		SourceID:  s.id,
+		Requested: len(keys),
+		Keys:      make([]int64, 0, len(keys)),
+		Seqs:      make([]int64, 0, len(keys)),
+		Values:    make([]float64, 0, attrs),
+		Bounds:    make([]boundfn.Bound, 0, attrs),
+		ends:      make([]int32, 0, len(keys)),
+	}
 	var batchCost float64
 	for i, key := range keys {
-		objs[i].policy.ObserveQueryRefresh()
-		batchCost += objs[i].cost
-		requested[key] = true
-		out = append(out, s.makeRefreshLocked(key, objs[i], regs[i], QueryInitiated))
+		o, reg := res[i].o, res[i].reg
+		o.policy.ObserveQueryRefresh()
+		batchCost += o.cost
+		s.promiseLocked(o, reg)
+		b.Append(key, o.seq, o.values, reg.bounds)
 	}
 	s.net.SendFrom(s.id, netsim.QueryRefresh, int64(len(keys)), batchCost)
-	out = append(out, s.piggybackRefreshesLocked(sub, func(key int64) bool { return requested[key] })...)
+	if s.piggyback > 0 {
+		requested := make(map[int64]bool, len(keys))
+		for _, key := range keys {
+			requested[key] = true
+		}
+		s.piggybackLocked(&b, sub, func(key int64) bool { return requested[key] })
+	}
 	s.mu.Unlock()
 	if commitSp != nil {
 		commitSp.SetDetail("keys=%d cost=%g", len(keys), batchCost)
 		commitSp.End()
 	}
-	return out, nil
+	return b, nil
 }
 
 // WidthTelemetry summarizes the adaptive-width controller state across
@@ -440,10 +517,8 @@ func (s *Source) resolveLocked(key int64, sub Subscriber) (*object, *registratio
 	if !ok {
 		return nil, nil, fmt.Errorf("source %s: no object %d", s.id, key)
 	}
-	for _, r := range s.regs[key] {
-		if r.sub == sub {
-			return o, r, nil
-		}
+	if reg := o.reg(sub); reg != nil {
+		return o, reg, nil
 	}
 	return nil, nil, fmt.Errorf("source %s: cache not subscribed to object %d", s.id, key)
 }
@@ -475,19 +550,14 @@ func (s *Source) ObserveDemand(key int64, subscribers int) {
 func (s *Source) CheckBounds() int {
 	s.mu.Lock()
 	now := s.clock.Now()
-	type push struct {
-		sub Subscriber
-		r   Refresh
-	}
 	var pushes []push
-	for key, regs := range s.regs {
-		o := s.objects[key]
-		for _, reg := range regs {
+	for key, o := range s.objects {
+		for _, reg := range o.regs {
 			if regContains(reg, now, o.values) {
 				continue
 			}
 			o.policy.ObserveValueRefresh()
-			r := s.makeRefreshLocked(key, o, reg, ValueInitiated)
+			r := s.refreshLocked(key, o, reg, ValueInitiated)
 			s.net.SendFrom(s.id, netsim.ValueRefresh, 1, o.cost)
 			pushes = append(pushes, push{reg.sub, r})
 		}

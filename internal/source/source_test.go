@@ -1,6 +1,7 @@
 package source
 
 import (
+	"context"
 	"testing"
 
 	"trapp/internal/boundfn"
@@ -13,6 +14,15 @@ type recorder struct {
 }
 
 func (r *recorder) ApplyRefresh(ref Refresh) { r.refreshes = append(r.refreshes, ref) }
+
+// queryRefresh pulls one object's query-initiated refresh: a batch of one.
+func queryRefresh(s *Source, key int64, sub Subscriber) (Refresh, error) {
+	b, err := s.QueryRefreshBatchCtx(context.Background(), []int64{key}, sub)
+	if err != nil {
+		return Refresh{}, err
+	}
+	return b.Refresh(0), nil
+}
 
 func newTestSource(t *testing.T) (*Source, *netsim.Clock, *netsim.Network) {
 	t.Helper()
@@ -118,7 +128,7 @@ func TestQueryRefresh(t *testing.T) {
 	if _, err := s.Subscribe(1, rec); err != nil {
 		t.Fatal(err)
 	}
-	r, err := s.QueryRefresh(1, rec)
+	r, err := queryRefresh(s, 1, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,10 +139,10 @@ func TestQueryRefresh(t *testing.T) {
 		t.Errorf("query refresh cost = %g, want 3", net.Stats().QueryRefreshCost)
 	}
 	// Unsubscribed caller is rejected.
-	if _, err := s.QueryRefresh(1, &recorder{}); err == nil {
+	if _, err := queryRefresh(s, 1, &recorder{}); err == nil {
 		t.Error("unsubscribed QueryRefresh accepted")
 	}
-	if _, err := s.QueryRefresh(9, rec); err == nil {
+	if _, err := queryRefresh(s, 9, rec); err == nil {
 		t.Error("QueryRefresh for missing object accepted")
 	}
 }
@@ -151,23 +161,28 @@ func TestQueryRefreshBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rs, err := s.QueryRefreshBatch([]int64{1, 3}, rec)
+	ctx := context.Background()
+	b, err := s.QueryRefreshBatchCtx(ctx, []int64{1, 3}, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rs) != 2 {
-		t.Fatalf("batch returned %d refreshes, want 2", len(rs))
+	if len(b.Keys) != 2 || b.Requested != 2 {
+		t.Fatalf("batch returned %d rows (%d requested), want 2", len(b.Keys), b.Requested)
 	}
-	if rs[0].Key != 1 || rs[1].Key != 3 {
-		t.Errorf("batch keys = %d, %d; want request order 1, 3", rs[0].Key, rs[1].Key)
+	if b.Keys[0] != 1 || b.Keys[1] != 3 {
+		t.Errorf("batch keys = %d, %d; want request order 1, 3", b.Keys[0], b.Keys[1])
 	}
-	for _, r := range rs {
-		if r.Kind != QueryInitiated {
-			t.Errorf("key %d kind = %v", r.Key, r.Kind)
+	for i := range b.Keys {
+		r := b.Refresh(i)
+		if r.Kind != QueryInitiated || r.SourceID != "s1" || r.Key != b.Keys[i] || r.Seq != b.Seqs[i] {
+			t.Errorf("row %d as a message = %+v", i, r)
+		}
+		if len(r.Values) != 2 || len(r.Bounds) != 2 || r.Bounds[1].Value != r.Values[1] {
+			t.Errorf("row %d carries values %v, bounds %v", i, r.Values, r.Bounds)
 		}
 	}
-	if rs[1].Values[0] != 30 {
-		t.Errorf("key 3 values = %v", rs[1].Values)
+	if vals := b.Refresh(1).Values; vals[0] != 30 || vals[1] != 300 {
+		t.Errorf("key 3 values = %v", vals)
 	}
 	st := net.Stats()
 	if st.Messages[netsim.QueryRefresh] != 2 {
@@ -177,14 +192,79 @@ func TestQueryRefreshBatch(t *testing.T) {
 		t.Errorf("query refresh cost = %g, want 10", st.QueryRefreshCost)
 	}
 	// Errors reject the whole batch without charging.
-	if _, err := s.QueryRefreshBatch([]int64{1, 9}, rec); err == nil {
+	if _, err := s.QueryRefreshBatchCtx(ctx, []int64{1, 9}, rec); err == nil {
 		t.Error("batch with missing object accepted")
 	}
-	if _, err := s.QueryRefreshBatch([]int64{2}, &recorder{}); err == nil {
+	if _, err := s.QueryRefreshBatchCtx(ctx, []int64{2}, &recorder{}); err == nil {
 		t.Error("batch from unsubscribed cache accepted")
 	}
-	if rs, err := s.QueryRefreshBatch(nil, rec); err != nil || rs != nil {
-		t.Errorf("empty batch = %v, %v", rs, err)
+	if net.Stats().QueryRefreshCost != 3+7 {
+		t.Errorf("rejected batches were charged: cost = %g", net.Stats().QueryRefreshCost)
+	}
+	if b, err := s.QueryRefreshBatchCtx(ctx, nil, rec); err != nil || len(b.Keys) != 0 {
+		t.Errorf("empty batch = %+v, %v", b, err)
+	}
+}
+
+// TestRefreshNeverAliasesRegistration pins the rule that makes in-place
+// registrations safe: whatever leaves the source — a subscribe reply, a
+// pushed refresh, a batch row — owns its storage, so scribbling over it
+// changes nothing the refresh monitor sees.
+func TestRefreshNeverAliasesRegistration(t *testing.T) {
+	s, clock, _ := newTestSource(t)
+	rec := &recorder{}
+	first, err := s.Subscribe(1, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	contains := func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		o := s.objects[1]
+		return regContains(o.reg(rec), clock.Now(), o.values)
+	}
+	scribble := func(what string, r Refresh) {
+		t.Helper()
+		for i := range r.Bounds {
+			r.Bounds[i] = boundfn.Bound{Value: -1e9, RefreshedAt: clock.Now()}
+			r.Values[i] = -1e9
+		}
+		if !contains() {
+			t.Errorf("mutating %s changed the registration's promise", what)
+		}
+		if v, _ := s.Values(1); v[0] == -1e9 {
+			t.Errorf("mutating %s changed the master values", what)
+		}
+	}
+	scribble("the subscribe reply", first)
+	clock.Advance(1)
+	if err := s.SetValue(1, []float64{1e6, 1e6}); err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.refreshes) != 1 {
+		t.Fatalf("escape pushed %d refreshes, want 1", len(rec.refreshes))
+	}
+	scribble("a pushed refresh", rec.refreshes[0])
+	b, err := s.QueryRefreshBatchCtx(context.Background(), []int64{1}, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scribble("a batch row", b.Refresh(0))
+	// The registration is rewritten in place by the next refresh, and the
+	// older message keeps what it was sent.
+	held, err := queryRefresh(s, 1, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append([]boundfn.Bound(nil), held.Bounds...)
+	clock.Advance(3)
+	if _, err := queryRefresh(s, 1, rec); err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if held.Bounds[i] != want[i] {
+			t.Errorf("a later refresh rewrote a message already handed out: %v, was %v", held.Bounds[i], want[i])
+		}
 	}
 }
 
@@ -201,7 +281,7 @@ func TestAdaptiveWidthReactsToRefreshKinds(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Query refresh narrows.
-	if _, err := s.QueryRefresh(1, rec); err != nil {
+	if _, err := queryRefresh(s, 1, rec); err != nil {
 		t.Fatal(err)
 	}
 	v, q := pol.Counts()
