@@ -7,6 +7,7 @@
 package trapp_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -265,7 +266,7 @@ func BenchmarkEndToEndQuery(b *testing.B) {
 				proc := newBenchProcessor(tab, master)
 				b.StartTimer()
 				q := benchQuery(r)
-				if _, err := proc.Execute(q); err != nil {
+				if _, err := proc.ExecuteCtx(context.Background(), q); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -321,7 +322,7 @@ func BenchmarkIterativeVsBatch(b *testing.B) {
 			b.StopTimer()
 			proc := newBenchProcessor(workload.StockTable(quotes), master)
 			b.StartTimer()
-			if _, err := proc.Execute(benchQuery(500)); err != nil {
+			if _, err := proc.ExecuteCtx(context.Background(), benchQuery(500)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -376,7 +377,7 @@ func benchJoinTables(n int) (*relation.Table, *relation.Table, workload.MapOracl
 // newBenchProcessor registers the stock table for end-to-end benchmarks.
 func newBenchProcessor(tab *relation.Table, master workload.MapOracle) *query.Processor {
 	proc := query.NewProcessor(refresh.Options{Epsilon: 0.1})
-	proc.Register("stocks", tab, master)
+	proc.RegisterStore("stocks", relation.StoreOf(tab), master)
 	return proc
 }
 

@@ -43,10 +43,6 @@ func TestCloseThenExecuteReturnsErrClosed(t *testing.T) {
 	if _, err := sys.SubscribeCtx(context.Background(), q); !errors.Is(err, trapp.ErrClosed) {
 		t.Errorf("SubscribeCtx after Close: err = %v, want ErrClosed", err)
 	}
-	//lint:ignore SA1019 the deprecated wrapper must surface ErrClosed too
-	if _, err := sys.Execute(q); !errors.Is(err, trapp.ErrClosed) {
-		t.Errorf("Execute after Close: err = %v, want ErrClosed", err)
-	}
 }
 
 func TestCloseRacingExecutions(t *testing.T) {

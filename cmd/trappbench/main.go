@@ -57,7 +57,6 @@ type benchOutput struct {
 	Batch         *experiment.BatchComparison         `json:"batch,omitempty"`
 	Remote        *experiment.RemoteResult            `json:"remote,omitempty"`
 	Scale         *experiment.ScaleResult             `json:"scale,omitempty"`
-	Cluster       []experiment.ClusterResult          `json:"cluster,omitempty"`
 }
 
 var out benchOutput
@@ -87,7 +86,6 @@ func main() {
 	zipfU := flag.Float64("zipfu", 1.2, "steady-phase Zipf exponent for update object selection")
 	phaseTicks := flag.Int64("phaseticks", 300, "logical-clock ticks per regime phase (100 ticks/s)")
 	scalePush := flag.Float64("scalepush", 20000, "baseline aggregate push rate for the scale benchmark, pushes/sec")
-	clusterN := flag.Int("cluster", 3, "partitions for the cluster benchmark (E19): closed-loop clients through the scatter-gather coordinator, vs a 1-node cluster baseline")
 	jsonPath := flag.String("json", "", "write machine-readable results (concurrent + subscription benchmarks) to this file")
 	flag.Parse()
 
@@ -99,8 +97,6 @@ func main() {
 		switch {
 		case explicit["scale"] || explicit["tenants"] || explicit["zipfq"] || explicit["zipfu"] || explicit["phaseticks"]:
 			*exp = "scale"
-		case explicit["cluster"]:
-			*exp = "cluster"
 		case explicit["remote"]:
 			*exp = "remote"
 		case explicit["batch"]:
@@ -128,7 +124,6 @@ func main() {
 				Seed:          *seed,
 			})
 		},
-		"cluster":       func() { cluster(*clusterN, *concurrency, *n, *seed, *duration, *warmup) },
 		"concurrent":    func() { concurrent(*concurrency, *updaters, *n, *seed, *duration, *warmup, *pushRate, *budget) },
 		"subscriptions": func() { subscriptions(*subscribers, *n, *seed, *rounds) },
 		"batch":         func() { batch(*batchN, *n, *seed) },
@@ -519,43 +514,6 @@ func scale(remoteAddr string, opts experiment.ScaleOptions) {
 		fmt.Printf("build: %v for %d objects; max shard occupancy share %.3f (ideal %.3f); sched refresh cost %.0f; query refresh cost %.0f\n",
 			res.Build.Round(time.Millisecond), res.Objects, res.MaxShardLenShare, 1.0/8,
 			res.SchedRefreshCost, res.RefreshCost)
-	}
-}
-
-func cluster(nodes, clients, links int, seed int64, duration, warmup time.Duration) {
-	const sources = 8
-	fmt.Printf("E19 — scatter-gather cluster throughput (links=%d, sources=%d, clients=%d, window=%v): 1 node vs %d\n",
-		links, sources, clients, duration, nodes)
-	runs := []int{nodes}
-	if nodes > 1 {
-		runs = []int{1, nodes} // baseline first so coordination overhead is visible
-	}
-	var cells [][]string
-	for _, n := range runs {
-		res, err := experiment.ClusterBench(n, clients, links, sources, seed, duration, warmup)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cluster benchmark: %v\n", err)
-			os.Exit(1)
-		}
-		out.Cluster = append(out.Cluster, res)
-		cells = append(cells, []string{
-			fmt.Sprintf("%d", res.Nodes),
-			fmt.Sprintf("%d", res.Clients),
-			fmt.Sprintf("%d", res.Queries),
-			fmt.Sprintf("%.0f", res.QPS),
-			res.P50.Round(time.Microsecond).String(),
-			res.P99.Round(time.Microsecond).String(),
-			fmt.Sprintf("%.0f", res.RefreshCost),
-			fmt.Sprintf("%d", res.Unmet),
-			fmt.Sprintf("%d", res.DegradedQueries),
-		})
-	}
-	experiment.WriteTable(os.Stdout,
-		[]string{"nodes", "clients", "queries", "qps", "p50", "p99", "refresh-cost", "unmet", "degraded"}, cells)
-	last := out.Cluster[len(out.Cluster)-1]
-	for _, p := range last.Partitions {
-		fmt.Printf("partition %s: buckets=%v ops=%d errors=%d retries=%d degraded=%d\n",
-			p.ID, p.Buckets, p.Ops, p.Errors, p.Retries, p.Degraded)
 	}
 }
 

@@ -56,7 +56,7 @@ func main() {
 			table.Delete(4)
 		}
 		proc := trapp.NewProcessor(trapp.Options{Solver: trapp.SolverExactDP})
-		proc.Register("links", table, workload.MapOracle(workload.Figure2Master()))
+		proc.RegisterStore("links", trapp.StoreOf(table), workload.MapOracle(workload.Figure2Master()))
 
 		q, err := trapp.ParseQueryWith(s.sql, schemas)
 		if err != nil {

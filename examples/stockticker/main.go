@@ -33,9 +33,8 @@ func main() {
 
 	for _, r := range []float64{1000, 500, 200, 100, 50, 20, 5, 0} {
 		// Fresh cache per constraint so runs are comparable.
-		table := workload.StockTable(quotes)
 		proc := trapp.NewProcessor(trapp.Options{Epsilon: 0.1})
-		proc.Register("stocks", table, workload.StockMaster(quotes))
+		proc.RegisterStore("stocks", trapp.StoreOf(workload.StockTable(quotes)), workload.StockMaster(quotes))
 
 		sql := fmt.Sprintf("SELECT SUM(price) WITHIN %g FROM stocks", r)
 		query, err := trapp.ParseQueryWith(sql, map[string]*trapp.Schema{

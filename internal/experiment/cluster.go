@@ -81,10 +81,15 @@ func BuildLinkPartitions(links, srcCount int, seed int64, ids []string) ([]*trap
 	return systems, netw, ring, nil
 }
 
-// MixQuery exposes the benchmark query mix for the cluster differential
-// test and bench runner.
+// MixQuery draws from the benchmark query mix for the cluster
+// differential tests, giving one query in four a relative constraint
+// (WITHIN p%, §8.1) in place of its absolute one.
 func MixQuery(rng *rand.Rand, schema *relation.Schema, links int) query.Query {
-	return concurrentQuery(rng, schema, links)
+	q := concurrentQuery(rng, schema, links)
+	if rng.Intn(4) == 0 {
+		q.RelativeWithin = 0.002 + rng.Float64()*0.05
+	}
+	return q
 }
 
 // PartitionIDs names n partitions p0..p{n-1}.

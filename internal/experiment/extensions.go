@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"time"
 
 	"trapp/internal/aggregate"
@@ -36,15 +37,15 @@ func IterativeVsBatch(n int, seed int64) []IterBatchRow {
 		r := aggregate.Eval(probe, price, fn, nil).Width() / 4
 
 		bp := query.NewProcessor(refresh.Options{})
-		bp.Register("stocks", workload.StockTable(quotes), master)
+		bp.RegisterStore("stocks", relation.StoreOf(workload.StockTable(quotes)), master)
 		q := query.NewQuery("stocks", fn, "price")
 		q.Within = r
-		batch, err := bp.Execute(q)
+		batch, err := bp.ExecuteCtx(context.Background(), q)
 		if err != nil || !batch.Met {
 			continue
 		}
 		ip := query.NewProcessor(refresh.Options{})
-		ip.Register("stocks", workload.StockTable(quotes), master)
+		ip.RegisterStore("stocks", relation.StoreOf(workload.StockTable(quotes)), master)
 		iter, err := ip.ExecuteIterative(q)
 		if err != nil || !iter.Met {
 			continue

@@ -3,7 +3,6 @@ package partition
 import (
 	"context"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,7 +10,6 @@ import (
 	"trapp/internal/aggregate"
 	"trapp/internal/obs"
 	"trapp/internal/parallel"
-	"trapp/internal/predicate"
 	"trapp/internal/query"
 	"trapp/internal/refresh"
 	"trapp/internal/relation"
@@ -68,16 +66,20 @@ type Metrics struct {
 	Partitions []NodeMetrics `json:"partitions"`
 }
 
-// Cluster is the scatter-gather coordinator: a query.Processor replica
-// whose scan, plan, and refresh phases fan out to the partitions owning
-// the relation's canonical buckets. It implements the server Engine
-// surface (ExecuteCtx / ExecuteBatchDetailed / SubscribeCtx / Catalog),
-// so cmd/trappcoord serves a cluster through the exact HTTP and framed
-// paths a single node serves an embedded system.
+// Cluster is the scatter-gather coordinator. It owns a query.Processor
+// with one scattered registration per catalog table (scattered.go), so a
+// clustered query runs the very three-step executor an embedded system
+// runs; what stays here is what only a cluster has — topology, bounded
+// retry with per-attempt timeouts, per-partition health, and the last
+// good fold states the degraded path falls back to. It implements the
+// server Engine surface (ExecuteCtx / ExecuteBatchDetailed / SubscribeCtx
+// / Catalog), so cmd/trappcoord serves a cluster through the exact HTTP
+// and framed paths a single node serves an embedded system.
 type Cluster struct {
 	nodes []Node
 	ring  *Ring
 	cfg   Config
+	proc  *query.Processor
 
 	catalog sql.MapCatalog
 	closed  atomic.Bool
@@ -114,6 +116,7 @@ func New(ctx context.Context, nodes []Node, cfg Config) (*Cluster, error) {
 		nodes: nodes,
 		ring:  ring,
 		cfg:   cfg,
+		proc:  query.NewProcessor(cfg.Options),
 		stats: make([]nodeStats, len(nodes)),
 		last:  make(map[string][]*aggregate.State),
 	}
@@ -127,7 +130,9 @@ func New(ctx context.Context, nodes []Node, cfg Config) (*Cluster, error) {
 			ref = h
 			cl.catalog = make(sql.MapCatalog, len(h.Tables))
 			for _, t := range h.Tables {
-				cl.catalog[t.Name] = relation.NewSchema(t.Columns...)
+				schema := relation.NewSchema(t.Columns...)
+				cl.catalog[t.Name] = schema
+				cl.proc.Attach(t.Name, &scattered{cl: cl, schema: schema})
 			}
 			continue
 		}
@@ -212,10 +217,11 @@ func (cl *Cluster) Topology() map[string]any {
 
 // call runs one idempotent partition operation with the configured
 // per-attempt timeout and bounded retry, recording health telemetry.
-// The parent context aborts retries immediately.
+// The parent context aborts retries immediately. On failure the last
+// attempt's value is returned beside the error: a refresh that failed
+// part-way still reports what it installed, and that was paid for.
 func call[T any](cl *Cluster, ctx context.Context, node int, fn func(ctx context.Context) (T, error)) (T, error) {
 	s := &cl.stats[node]
-	var lastErr error
 	for attempt := 0; ; attempt++ {
 		actx, cancel := ctx, context.CancelFunc(nil)
 		if cl.cfg.OpTimeout > 0 {
@@ -232,16 +238,13 @@ func call[T any](cl *Cluster, ctx context.Context, node int, fn func(ctx context
 			return v, nil
 		}
 		s.errors.Add(1)
-		lastErr = err
 		if ctx.Err() != nil {
 			// The request itself is done; surface its error, not the
 			// attempt's.
-			var zero T
-			return zero, ctx.Err()
+			return v, ctx.Err()
 		}
 		if attempt >= cl.cfg.Retries {
-			var zero T
-			return zero, lastErr
+			return v, err
 		}
 		s.retries.Add(1)
 	}
@@ -273,44 +276,19 @@ func (cl *Cluster) lastState(shape string, node int) *aggregate.State {
 	return nil
 }
 
-// coordCtxErr maps a partition-reported context cutoff onto the
-// coordinator's own context error — the cause a single node would carry.
-func coordCtxErr(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return context.DeadlineExceeded
-}
-
-// cutoffRes mirrors the processor's cutoff shaping: a request stopped by
-// context cancellation returns the best interval achieved so far, with a
-// typed ErrPrecisionUnmet when the constraint is still unmet.
-func cutoffRes(res query.Result, q query.Query, cause error) (query.Result, error) {
-	if query.Satisfies(res.Answer, q.Within) {
-		return res, cause
-	}
-	return res, query.ErrPrecisionUnmet{Achieved: res.Answer, Spent: res.RefreshCost, Cause: cause}
-}
-
-// Execute runs a query with a background context and default options.
-func (cl *Cluster) Execute(q query.Query) (query.Result, error) {
-	return cl.ExecuteCtx(context.Background(), q)
-}
-
 // ExecuteCtx implements the server engine surface: the single-node
-// three-step bounded execution, scattered.
+// three-step bounded execution over the scattered relation.
 func (cl *Cluster) ExecuteCtx(ctx context.Context, q query.Query, opts ...query.ExecOption) (query.Result, error) {
 	return cl.ExecuteConfig(ctx, q, query.BuildExecConfig(opts...))
 }
 
-// ExecuteConfig mirrors the single-node System.executeConfig →
-// Processor.ExecuteConfig pipeline phase for phase — same validation
-// order, same phase boundaries, same error shaping — with each phase
-// scattered to the partitions and gathered through the mergeable fold:
+// ExecuteConfig is ExecuteCtx over a resolved option set. The cluster's
+// processor runs the request; each step reaches the partitions through
+// the table's scattered registration:
 //
-//	Phase 1   State ops     → MergeStates  → initial answer (+fast path)
-//	Phase 2   Inputs ops    → MergeInputs  → ChoosePlan (at coordinator)
-//	Phase 3   Refresh ops   → plan-order cost fold → merged refold
+//	fold      State ops    → MergeStates (+ degraded widening)
+//	snapshot  Inputs ops   → MergeInputs → CHOOSE_REFRESH (in the processor)
+//	refresh   Refresh ops  → plan-order cost fold → merged refold
 //
 // Bit-identity with a single node holding all tuples is by construction:
 // see the package comment and DESIGN.md §14.
@@ -322,312 +300,7 @@ func (cl *Cluster) ExecuteConfig(ctx context.Context, q query.Query, cfg query.E
 	if _, ok := cl.catalog[q.Table]; !ok {
 		return query.Result{}, fmt.Errorf("partition: %w: %q not mounted", query.ErrUnknownTable, q.Table)
 	}
-	if len(q.GroupBy) > 0 {
-		return query.Result{}, fmt.Errorf("query: GROUP BY query requires ExecuteGroupBy")
-	}
-	q, ropts := cfg.Resolve(q, cl.cfg.Options)
-	if cfg.HasBudget && (cfg.Budget < 0 || math.IsNaN(cfg.Budget)) {
-		return query.Result{}, fmt.Errorf("query: invalid cost budget %g", cfg.Budget)
-	}
-	if !cfg.Deadline.IsZero() {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, cfg.Deadline)
-		defer cancel()
-		cfg.Deadline = time.Time{}
-	}
-	if q.RelativeWithin > 0 {
-		return query.Result{}, fmt.Errorf("partition: relative precision constraints are not supported in cluster mode")
-	}
-	sch := cl.catalog[q.Table]
-	if _, ok := sch.Lookup(q.Column); !ok {
-		return query.Result{}, fmt.Errorf("%w: %q.%q", query.ErrUnknownColumn, q.Table, q.Column)
-	}
-	if q.Within < 0 || math.IsNaN(q.Within) {
-		return query.Result{}, fmt.Errorf("query: invalid precision constraint %g", q.Within)
-	}
-	// Scan boundary: a request that arrives already expired does no work.
-	if err := ctx.Err(); err != nil {
-		return query.Result{}, err
-	}
-
-	tr := cfg.TraceRoot
-	if tr == nil && cfg.Trace {
-		tr = obs.NewTrace(q.String())
-	}
-	var root *obs.Span
-	if tr != nil {
-		root = tr.Root
-		defer tr.Finish()
-	}
-
-	shape := shapeOf(q)
-	noPred := predicate.IsTrivial(q.Where)
-	n := len(cl.nodes)
-
-	var res query.Result
-	res.Trace = tr
-
-	// Phase 1: scatter the fold. Each partition syncs its cache bounds
-	// and returns its local State; the gather merges bucket-disjoint
-	// states into the global initial answer.
-	scatterSp := root.StartSpan("scatter-state")
-	states := make([]*aggregate.State, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := range cl.nodes {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			st, err := call(cl, ctx, i, func(ctx context.Context) (aggregate.State, error) {
-				return cl.nodes[i].State(ctx, shape)
-			})
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			states[i] = &st
-		}(i)
-	}
-	wg.Wait()
-	var degraded []int
-	var degCause error
-	for i, err := range errs {
-		if err == nil {
-			cl.rememberState(shape, i, states[i])
-			continue
-		}
-		if cached := cl.lastState(shape, i); cached != nil && ctx.Err() == nil {
-			// The partition stayed unreachable through the retries: fall
-			// back to its last good state and re-widen below, degrading
-			// precision instead of failing the query.
-			cl.stats[i].degraded.Add(1)
-			states[i] = cached
-			degraded = append(degraded, i)
-			degCause = err
-			continue
-		}
-		// No sound fallback: without this partition's tuples any answer
-		// would be unsound, so the query fails like a single node whose
-		// scan could not run.
-		if scatterSp != nil {
-			scatterSp.End()
-		}
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return query.Result{}, ctxErr
-		}
-		return query.Result{}, fmt.Errorf("partition %s: state: %w", cl.nodes[i].ID(), err)
-	}
-	merged := aggregate.MergeStates(q.Agg, noPred, states)
-	res.Initial = merged.Answer()
-	if len(degraded) > 0 {
-		cl.degradedQs.Add(1)
-		res.Initial = res.Initial.Expand(cl.cfg.DegradedSlack * float64(len(degraded)))
-	}
-	if scatterSp != nil {
-		scatterSp.SetDetail("parts=%d degraded=%d width=%g", n, len(degraded), res.Initial.Width())
-		scatterSp.End()
-	}
-	res.Answer = res.Initial
-	res.Met = query.Satisfies(res.Answer, q.Within)
-	budgetDual := cfg.HasBudget && cfg.Mode != query.ModeImprecise
-	if res.Met && !(budgetDual && math.IsInf(q.Within, 1)) {
-		return res, nil
-	}
-	if len(degraded) > 0 {
-		// A stale fallback state cannot be refreshed through its dead
-		// partition; stop at the widened merged answer.
-		if !res.Met {
-			return res, query.ErrPrecisionUnmet{Achieved: res.Answer, Spent: 0, Cause: degCause}
-		}
-		return res, nil
-	}
-
-	// Plan boundary.
-	if err := ctx.Err(); err != nil {
-		return cutoffRes(res, q, err)
-	}
-
-	// Phase 2: scatter the classified snapshots and plan centrally over
-	// the merged canonical inputs — the same inputs, in the same order,
-	// a single node would classify, so the same plan.
-	inputsSp := root.StartSpan("scatter-inputs")
-	perInputs := make([][]aggregate.Input, n)
-	lens := make([]int, n)
-	for i := range errs {
-		errs[i] = nil
-	}
-	for i := range cl.nodes {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			type snap struct {
-				inputs []aggregate.Input
-				n      int
-			}
-			sn, err := call(cl, ctx, i, func(ctx context.Context) (snap, error) {
-				inputs, tableLen, err := cl.nodes[i].Inputs(ctx, shape)
-				return snap{inputs, tableLen}, err
-			})
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			perInputs[i], lens[i] = sn.inputs, sn.n
-		}(i)
-	}
-	wg.Wait()
-	tableLen := 0
-	planParts := perInputs[:0:0]
-	excluded := 0
-	for i, err := range errs {
-		if err == nil {
-			planParts = append(planParts, perInputs[i])
-			tableLen += lens[i]
-			continue
-		}
-		if inputsSp != nil {
-			inputsSp.End()
-		}
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return cutoffRes(res, q, ctxErr)
-		}
-		// A partition that answered phase 1 but not phase 2 keeps its
-		// (current) phase-1 state in the final merge; its tuples are
-		// simply not candidates for refresh this request — sound, since
-		// fewer refreshes only leave the answer wider.
-		excluded++
-		tableLen += states[i].TableLen
-	}
-	inputs := aggregate.MergeInputs(planParts...)
-	if inputsSp != nil {
-		inputsSp.SetDetail("inputs=%d excluded=%d", len(inputs), excluded)
-		inputsSp.End()
-	}
-
-	chooseSp := root.StartSpan("choose")
-	start := time.Now()
-	plan, err := query.ChoosePlan(inputs, q, noPred, tableLen, cfg, ropts)
-	res.ChooseTime = time.Since(start)
-	if chooseSp != nil {
-		chooseSp.SetDetail("%s", plan.Describe())
-		chooseSp.End()
-	}
-	if err != nil {
-		return res, err
-	}
-
-	var ctxErr error
-	if plan.Len() > 0 {
-		// Fan-out boundary.
-		if err := ctx.Err(); err != nil {
-			return cutoffRes(res, q, err)
-		}
-		tr.SetPlanCosts(plan.Keys, plan.Costs)
-		refreshSp := root.StartSpan("refresh")
-
-		// Phase 3: route each planned key to its owning partition and
-		// scatter the refresh fan-outs.
-		perKeys := make([][]int64, n)
-		for _, key := range plan.Keys {
-			o := cl.ring.OwnerOfKey(key)
-			perKeys[o] = append(perKeys[o], key)
-		}
-		outs := make([]*RefreshOutcome, n)
-		for i := range errs {
-			errs[i] = nil
-		}
-		for i := range cl.nodes {
-			if len(perKeys[i]) == 0 {
-				continue
-			}
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				out, err := call(cl, ctx, i, func(ctx context.Context) (RefreshOutcome, error) {
-					return cl.nodes[i].Refresh(ctx, shape, perKeys[i])
-				})
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				outs[i] = &out
-			}(i)
-		}
-		wg.Wait()
-
-		installed := make(map[int64]bool, len(plan.Keys))
-		final := make([]*aggregate.State, n)
-		var hardErr error
-		for i := range cl.nodes {
-			if len(perKeys[i]) == 0 {
-				final[i] = states[i]
-				continue
-			}
-			if errs[i] != nil {
-				// The partition's installs (if any) are unconfirmed:
-				// charge nothing for them and keep its wider phase-1
-				// state — conservative, therefore sound.
-				final[i] = states[i]
-				if parallel.IsContextError(errs[i]) || ctx.Err() != nil {
-					ctxErr = coordCtxErr(ctx)
-				} else if hardErr == nil {
-					hardErr = fmt.Errorf("partition %s: refresh: %w", cl.nodes[i].ID(), errs[i])
-				}
-				continue
-			}
-			for _, k := range outs[i].Installed {
-				installed[k] = true
-			}
-			if outs[i].Cut {
-				ctxErr = coordCtxErr(ctx)
-			}
-			final[i] = &outs[i].State
-			cl.rememberState(shape, i, &outs[i].State)
-		}
-		// The paid costs fold in plan order — the same deterministic
-		// float addition sequence a single node's runPlan performs, so
-		// the cluster's RefreshCost is bit-identical.
-		var installedKeys []int64
-		if refreshSp != nil {
-			installedKeys = make([]int64, 0, len(installed))
-		}
-		for j, key := range plan.Keys {
-			if !installed[key] {
-				continue
-			}
-			res.Refreshed++
-			res.RefreshCost += plan.Costs[j]
-			if refreshSp != nil {
-				installedKeys = append(installedKeys, key)
-			}
-		}
-		refreshSp.RecordKeys(installedKeys)
-		refreshSp.End()
-		if hardErr != nil {
-			return res, hardErr
-		}
-
-		// Merged refold: refreshed partitions contribute their
-		// post-refresh states, untouched ones their phase-1 states.
-		foldSp := root.StartSpan("fold")
-		mergedFinal := aggregate.MergeStates(q.Agg, noPred, final)
-		res.Answer = mergedFinal.Answer()
-		res.Met = query.Satisfies(res.Answer, q.Within)
-		if foldSp != nil {
-			foldSp.SetDetail("width=%g", res.Answer.Width())
-			foldSp.End()
-		}
-	}
-	if ctxErr != nil && !res.Met {
-		return res, query.ErrPrecisionUnmet{Achieved: res.Answer, Spent: res.RefreshCost, Cause: ctxErr}
-	}
-	if ctxErr != nil {
-		return res, nil // cut short, but the constraint held anyway
-	}
-	if budgetDual && !res.Met && !math.IsInf(q.Within, 1) {
-		return res, query.ErrBudgetExhausted{Achieved: res.Answer, Spent: res.RefreshCost, Budget: cfg.Budget}
-	}
-	return res, nil
+	return cl.proc.ExecuteConfig(ctx, q, cfg)
 }
 
 // ExecuteBatchDetailed implements the server engine surface. The

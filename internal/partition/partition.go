@@ -1,7 +1,11 @@
 // Package partition implements the partitioned serving tier: a relation
 // sharded by consistent hash of the tuple key across N trappserver
-// processes, answered through a thin scatter-gather coordinator that
-// mirrors the single-node three-step execution (DESIGN.md §14).
+// processes, answered through a thin scatter-gather coordinator. The
+// coordinator does not re-implement the single-node three-step
+// execution: it owns a query.Processor and registers each table with it
+// as a relation scattered over the nodes (scattered.go), so a clustered
+// query runs the embedded path's executor and only the folding,
+// snapshotting and refreshing fan out (DESIGN.md §14).
 //
 // The split leans entirely on the engine's canonical-order invariants:
 //
@@ -16,13 +20,13 @@
 //     (aggregate.MergeStates) replays the single-node combination
 //     operation for operation, so the gathered answer is bit-identical
 //     to one node holding all tuples.
-//   - Refresh planning runs at the coordinator over the merged canonical
-//     input snapshot (aggregate.MergeInputs + query.ChoosePlan); the
-//     chosen keys scatter back to their owning partitions, and the paid
-//     costs fold in plan order, reproducing single-node RefreshCost
+//   - Refresh planning runs in the coordinator's processor over the
+//     merged canonical input snapshot (aggregate.MergeInputs); the chosen
+//     keys scatter back to their owning partitions, and the paid costs
+//     fold in plan order, reproducing single-node RefreshCost
 //     bit-exactly.
 //
-// The cluster differential test (internal/experiment) runs a three-node
+// The cluster differential test (cluster_test.go) runs a three-node
 // loopback topology in lockstep with a single embedded system over the
 // full mutation mix and asserts every interval, plan-cost total, and
 // typed error bit-identical.

@@ -40,7 +40,7 @@ import (
 // batchItem is one query's in-flight state during ExecuteBatch.
 type batchItem struct {
 	q      Query
-	e      *tableEntry
+	e      *storeEntry
 	col    int
 	noPred bool
 	snap   *batchSnapshot
@@ -138,11 +138,11 @@ func (p *Processor) ExecuteBatchDetailed(ctx context.Context, qs []Query, cfg Ex
 			return nil, nil, fmt.Errorf("query: batch %d: GROUP BY queries are not batchable; use ExecuteGroupBy", i)
 		}
 		q, _ = cfg.apply(q, p.opts)
-		e := p.entry(q.Table)
+		e := p.storeEntry(q.Table)
 		if e == nil {
 			return nil, nil, fmt.Errorf("batch %d: %w: %q", i, ErrUnknownTable, q.Table)
 		}
-		col, ok := e.schema().Lookup(q.Column)
+		col, ok := e.Schema().Lookup(q.Column)
 		if !ok {
 			return nil, nil, fmt.Errorf("batch %d: %w: %q.%q", i, ErrUnknownColumn, q.Table, q.Column)
 		}
@@ -155,25 +155,8 @@ func (p *Processor) ExecuteBatchDetailed(ctx context.Context, qs []Query, cfg Ex
 		key := snapshotKey(q, col)
 		snap := snaps[key]
 		if snap == nil {
-			// Share classified snapshots with the plan cache: a memoized
-			// snapshot certified by the relation's mutation counter
-			// replaces the collection pass, and fresh collections are
-			// memoized for later requests (see plancache.go).
-			usePlans := !p.plansOff.Load()
-			scKey := scanKey{col: col, pred: predKey(q.Where)}
-			if usePlans {
-				if sc, ok := e.plans.scan(scKey, e.version()); ok {
-					snap = &batchSnapshot{inputs: sc.inputs, tableLen: sc.n}
-				}
-			}
-			if snap == nil {
-				v := e.version()
-				inputs, tableLen := e.snapshot(col, q.Where, ropts.Parallelism)
-				snap = &batchSnapshot{inputs: inputs, tableLen: tableLen}
-				if usePlans && inputs != nil {
-					e.plans.storeScan(scKey, v, inputs, tableLen)
-				}
-			}
+			inputs, tableLen := e.snapshot(col, q.Where, ropts.Parallelism)
+			snap = &batchSnapshot{inputs: inputs, tableLen: tableLen}
 			snaps[key] = snap
 		}
 		items[i] = batchItem{q: q, e: e, col: col, noPred: predicate.IsTrivial(q.Where), snap: snap}
@@ -210,7 +193,7 @@ func (p *Processor) ExecuteBatchDetailed(ctx context.Context, qs []Query, cfg Ex
 	// them. The fan-out boundary honors the context; a cutoff leaves
 	// later tables unfetched and their queries fall back to cached-bound
 	// answers plus whatever partial refreshes beat the deadline.
-	unions := make(map[*tableEntry]*tableUnion)
+	unions := make(map[*storeEntry]*tableUnion)
 	var order []*tableUnion
 	for i := range items {
 		it := &items[i]
@@ -235,7 +218,7 @@ func (p *Processor) ExecuteBatchDetailed(ctx context.Context, qs []Query, cfg Ex
 		if ctxErr = ctx.Err(); ctxErr != nil {
 			break
 		}
-		u.set, ctxErr, hardErr = fetchKeys(ctx, u.e, u.keys)
+		u.set, ctxErr, hardErr = u.e.fetch(ctx, u.keys)
 		if ctxErr != nil || hardErr != nil {
 			break
 		}
@@ -259,7 +242,7 @@ func (p *Processor) ExecuteBatchDetailed(ctx context.Context, qs []Query, cfg Ex
 // queries' plan keys in first-seen order, each key's position in it, and
 // the round's outcome aligned with keys (empty if the round never ran).
 type tableUnion struct {
-	e     *tableEntry
+	e     *storeEntry
 	keys  []int64
 	index map[int64]int
 	set   relation.RefreshSet
@@ -318,20 +301,4 @@ func finalizeBatchItem(it *batchItem, u *tableUnion, ctxErr error, budgetDual bo
 	case ctxErr == nil && budgetDual && !it.res.Met && !math.IsInf(it.q.Within, 1):
 		it.err = ErrBudgetExhausted{Achieved: it.res.Answer, Spent: it.res.RefreshCost, Budget: budget}
 	}
-}
-
-// viewTuple runs fn on the current tuple for key under the appropriate
-// read lock, reporting whether the key is present.
-func (e *tableEntry) viewTuple(key int64, fn func(tu *relation.Tuple)) bool {
-	if e.store != nil {
-		return e.store.View(key, func(t *relation.Table, i int) { fn(t.At(i)) })
-	}
-	e.lock.RLock()
-	defer e.lock.RUnlock()
-	i := e.table.ByKey(key)
-	if i < 0 {
-		return false
-	}
-	fn(e.table.At(i))
-	return true
 }

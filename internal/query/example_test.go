@@ -1,22 +1,24 @@
 package query_test
 
 import (
+	"context"
 	"fmt"
 
 	"trapp/internal/aggregate"
 	"trapp/internal/predicate"
 	"trapp/internal/query"
 	"trapp/internal/refresh"
+	"trapp/internal/relation"
 	"trapp/internal/workload"
 )
 
 // The paper's Q6: AVG latency over high-traffic links WITHIN 2. The
 // processor combines the cached Figure 2 bounds with the Appendix F
 // minimum-cost refresh set {1, 3, 5, 6} and returns [8, 9].
-func ExampleProcessor_Execute() {
+func ExampleProcessor_ExecuteCtx() {
 	proc := query.NewProcessor(refresh.Options{Solver: refresh.SolverExactDP})
 	table := workload.Figure2Table()
-	proc.Register("links", table, workload.MapOracle(workload.Figure2Master()))
+	proc.RegisterStore("links", relation.StoreOf(table), workload.MapOracle(workload.Figure2Master()))
 
 	s := table.Schema()
 	q := query.NewQuery("links", aggregate.Avg, workload.ColLatency)
@@ -25,7 +27,7 @@ func ExampleProcessor_Execute() {
 		predicate.Column(s.MustLookup(workload.ColTraffic), "traffic"),
 		predicate.Gt, predicate.Const(100))
 
-	res, _ := proc.Execute(q)
+	res, _ := proc.ExecuteCtx(context.Background(), q)
 	fmt.Println("query:   ", q)
 	fmt.Println("answer:  ", res.Answer)
 	fmt.Println("refreshed", res.Refreshed, "tuples at cost", res.RefreshCost)
@@ -39,7 +41,7 @@ func ExampleProcessor_Execute() {
 // group independently meeting the precision constraint.
 func ExampleProcessor_ExecuteGroupBy() {
 	proc := query.NewProcessor(refresh.Options{})
-	proc.Register("links", workload.Figure2Table(), workload.MapOracle(workload.Figure2Master()))
+	proc.RegisterStore("links", relation.StoreOf(workload.Figure2Table()), workload.MapOracle(workload.Figure2Master()))
 
 	q := query.NewQuery("links", aggregate.Sum, workload.ColLatency)
 	q.Within = 0

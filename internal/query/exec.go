@@ -13,8 +13,8 @@ package query
 //     of "meet R at minimum cost", "get as narrow as possible spending
 //     at most B".
 //   - WithSolver: a per-request knapsack solver override.
-//   - WithMode: collapses the old PreciseMode/ImpreciseMode entry
-//     points into options over the one execution path.
+//   - WithMode: the fresh-data and stale-data extremes of Figure 1(a)
+//     as options over the one execution path.
 
 import (
 	"math"
@@ -119,8 +119,7 @@ func WithSolver(s refresh.Solver) ExecOption {
 	return func(c *ExecConfig) { c.Solver = s; c.HasSolver = true }
 }
 
-// WithMode positions the request on the precision-performance dial,
-// subsuming the deprecated PreciseMode/ImpreciseMode entry points.
+// WithMode positions the request on the precision-performance dial.
 func WithMode(m Mode) ExecOption {
 	return func(c *ExecConfig) { c.Mode = m }
 }
@@ -134,16 +133,6 @@ func WithMode(m Mode) ExecOption {
 // it off on hot paths.
 func WithTrace() ExecOption {
 	return func(c *ExecConfig) { c.Trace = true }
-}
-
-// Resolve rewrites a query for the configured mode and returns the
-// refresh options the request should solve with — the same resolution
-// ExecuteConfig performs before its three-step execution. Exported for
-// the partition coordinator, which mirrors the single-node execution
-// skeleton over scattered per-partition folds and must apply the exact
-// same mode/solver rewrites.
-func (c ExecConfig) Resolve(q Query, base refresh.Options) (Query, refresh.Options) {
-	return c.apply(q, base)
 }
 
 // apply rewrites a query for the configured mode and returns the

@@ -93,7 +93,7 @@ func TestCancellationMidRefreshReturnsBestAchieved(t *testing.T) {
 	defer cancel()
 	p := NewProcessor(refresh.Options{Solver: refresh.SolverExactDP})
 	oracle := &cancelingOracle{inner: workload.MapOracle(workload.Figure2Master()), cancel: cancel, after: 2}
-	p.Register("links", workload.Figure2Table(), oracle)
+	p.RegisterStore("links", relation.StoreOf(workload.Figure2Table()), oracle)
 
 	q := NewQuery("links", aggregate.Sum, workload.ColLatency)
 	q.Within = 0 // precise: plan refreshes all six tuples
@@ -125,33 +125,6 @@ func TestCancellationMidRefreshReturnsBestAchieved(t *testing.T) {
 	}
 	if unmet.Achieved != res.Answer {
 		t.Errorf("Achieved %v != Answer %v", unmet.Achieved, res.Answer)
-	}
-}
-
-func TestWithModeMatchesDeprecatedWrappers(t *testing.T) {
-	q := NewQuery("links", aggregate.Avg, workload.ColTraffic)
-	q.Within = 10
-
-	a := newFig2Processor()
-	b := newFig2Processor()
-	viaOpt, err1 := a.ExecuteCtx(context.Background(), q, WithMode(ModePrecise))
-	viaWrapper, err2 := b.PreciseMode(q)
-	if err1 != nil || err2 != nil {
-		t.Fatal(err1, err2)
-	}
-	if viaOpt.Answer != viaWrapper.Answer || viaOpt.RefreshCost != viaWrapper.RefreshCost {
-		t.Errorf("ModePrecise %+v != PreciseMode %+v", viaOpt, viaWrapper)
-	}
-
-	c := newFig2Processor()
-	d := newFig2Processor()
-	viaOpt, err1 = c.ExecuteCtx(context.Background(), q, WithMode(ModeImprecise))
-	viaWrapper, err2 = d.ImpreciseMode(q)
-	if err1 != nil || err2 != nil {
-		t.Fatal(err1, err2)
-	}
-	if viaOpt.Answer != viaWrapper.Answer || viaOpt.Refreshed != 0 {
-		t.Errorf("ModeImprecise %+v != ImpreciseMode %+v", viaOpt, viaWrapper)
 	}
 }
 
@@ -218,7 +191,7 @@ func TestWithCostBudgetNeverExceedsBudget(t *testing.T) {
 func TestWithCostBudgetNarrowsUnconstrainedQuery(t *testing.T) {
 	p := newFig2Processor()
 	q := NewQuery("links", aggregate.Sum, workload.ColLatency) // R = +Inf
-	free, err := p.ImpreciseMode(q)
+	free, err := p.ExecuteCtx(context.Background(), q, WithMode(ModeImprecise))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +221,7 @@ func TestWithCostBudgetPrefersClassicPlanWhenAffordable(t *testing.T) {
 	ref := newFig2Processor()
 	q := NewQuery("links", aggregate.Avg, workload.ColTraffic)
 	q.Within = 10
-	classic, err := ref.Execute(q)
+	classic, err := ref.ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +253,7 @@ func TestExecuteBatchMatchesStandaloneExecution(t *testing.T) {
 		t.Fatalf("got %d results for %d queries", len(results), len(qs))
 	}
 	for i, q := range qs {
-		solo, err := newFig2Processor().Execute(q)
+		solo, err := newFig2Processor().ExecuteCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -302,7 +275,7 @@ func TestExecuteBatchDedupesSharedRefreshes(t *testing.T) {
 	fetches := 0
 	p := NewProcessor(refresh.Options{Solver: refresh.SolverExactDP})
 	oracle := countingOracle{inner: workload.MapOracle(workload.Figure2Master()), n: &fetches}
-	p.Register("links", workload.Figure2Table(), oracle)
+	p.RegisterStore("links", relation.StoreOf(workload.Figure2Table()), oracle)
 	results, err := p.ExecuteBatch(context.Background(), qs)
 	if err != nil {
 		t.Fatal(err)

@@ -48,7 +48,7 @@ type GroupRow struct {
 // Grouping columns must be exact (bounded grouping columns would make
 // group membership uncertain, which the paper leaves open).
 func (p *Processor) ExecuteGroupBy(q Query) ([]GroupRow, error) {
-	e := p.entry(q.Table)
+	e := p.storeEntry(q.Table)
 	if e == nil {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownTable, q.Table)
 	}
@@ -57,7 +57,7 @@ func (p *Processor) ExecuteGroupBy(q Query) ([]GroupRow, error) {
 		return nil, fmt.Errorf("query: ExecuteGroupBy needs at least one grouping column")
 	}
 	q.GroupBy = nil // subqueries are scalar
-	schema := e.schema()
+	schema := e.Schema()
 	colIdx := make([]int, len(groupCols))
 	for i, name := range groupCols {
 		ci, ok := schema.Lookup(name)
@@ -101,7 +101,7 @@ func (p *Processor) ExecuteGroupBy(q Query) ([]GroupRow, error) {
 		vals := seen[k]
 		gq := q
 		gq.Where = conjoinGroupPredicate(q.Where, colIdx, groupCols, vals)
-		res, err := p.Execute(gq)
+		res, err := p.ExecuteCtx(context.Background(), gq)
 		if err != nil {
 			return rows, fmt.Errorf("query: group %v: %w", vals, err)
 		}
@@ -152,37 +152,16 @@ func RelativeR(initial interval.Interval, p float64) float64 {
 
 // ExecuteRelative runs the query under a relative precision constraint p:
 // the final answer [LA, HA] satisfies HA − LA ≤ 2·|A|·p for the true
-// answer A. The query's own Within field is ignored.
+// answer A. The query's own Within field is ignored. It is ExecuteCtx
+// with Query.RelativeWithin set: the executor derives the conservative
+// absolute constraint from its step-1 answer (RelativeR) and runs the
+// standard algorithm against it.
 func (proc *Processor) ExecuteRelative(q Query, p float64) (Result, error) {
-	return proc.executeRelative(context.Background(), q, p, ExecConfig{}, proc.opts)
-}
-
-// executeRelative is the relative-constraint path of the configured
-// execution: a first scan derives the conservative absolute constraint
-// from the initial bounded answer (§8.1), then the standard configured
-// execution runs against it — inheriting the request's context,
-// deadline, budget and solver.
-func (proc *Processor) executeRelative(ctx context.Context, q Query, p float64, cfg ExecConfig, ropts refresh.Options) (Result, error) {
 	if p < 0 || math.IsNaN(p) {
 		return Result{}, fmt.Errorf("query: invalid relative precision %g", p)
 	}
-	e := proc.entry(q.Table)
-	if e == nil {
-		return Result{}, fmt.Errorf("%w: %q", ErrUnknownTable, q.Table)
-	}
-	col, ok := e.schema().Lookup(q.Column)
-	if !ok {
-		return Result{}, fmt.Errorf("%w: %q.%q", ErrUnknownColumn, q.Table, q.Column)
-	}
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
-	}
-	inputs, tableLen := e.snapshot(col, q.Where, ropts.Parallelism)
-	initial := aggregate.EvalInputs(inputs, q.Agg, predicate.IsTrivial(q.Where), tableLen)
-	q.Within = RelativeR(initial, p)
-	res, err := proc.ExecuteConfig(ctx, q, cfg)
-	res.Initial = initial
-	return res, err
+	q.Within, q.RelativeWithin = 0, p // p = 0 asks for the exact answer
+	return proc.ExecuteCtx(context.Background(), q)
 }
 
 // ExecuteIterative runs the §8.2 online variant: repeatedly compute the
@@ -193,11 +172,11 @@ func (proc *Processor) executeRelative(ctx context.Context, q Query, p float64, 
 // less. The Result additionally reports the number of refresh rounds via
 // Refreshed (one tuple per round).
 func (proc *Processor) ExecuteIterative(q Query) (Result, error) {
-	e := proc.entry(q.Table)
+	e := proc.storeEntry(q.Table)
 	if e == nil {
 		return Result{}, fmt.Errorf("%w: %q", ErrUnknownTable, q.Table)
 	}
-	col, ok := e.schema().Lookup(q.Column)
+	col, ok := e.Schema().Lookup(q.Column)
 	if !ok {
 		return Result{}, fmt.Errorf("%w: %q.%q", ErrUnknownColumn, q.Table, q.Column)
 	}
@@ -244,7 +223,7 @@ func (proc *Processor) ExecuteIterative(q Query) (Result, error) {
 		}
 		// One round of one key; nothing installed means the key vanished
 		// mid-round — replan.
-		set, _, err := fetchKeys(context.Background(), e, []int64{key})
+		set, _, err := e.fetch(context.Background(), []int64{key})
 		if err != nil {
 			return res, err
 		}

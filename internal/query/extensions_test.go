@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -159,7 +160,7 @@ func TestExecuteIterativeMeetsConstraintCheaper(t *testing.T) {
 	batchProc := newFig2Processor()
 	q := NewQuery("links", aggregate.Sum, workload.ColLatency)
 	q.Within = 4
-	batchRes, err := batchProc.Execute(q)
+	batchRes, err := batchProc.ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,15 +238,15 @@ func TestQuickIterativeNeverCostsMoreThanBatch(t *testing.T) {
 		R := r.Float64() * 20
 
 		bp := NewProcessor(refresh.Options{})
-		bp.Register("t", build(), master)
+		bp.RegisterStore("t", relation.StoreOf(build()), master)
 		q := NewQuery("t", fn, "v")
 		q.Within = R
-		batch, err := bp.Execute(q)
+		batch, err := bp.ExecuteCtx(context.Background(), q)
 		if err != nil || !batch.Met {
 			return false
 		}
 		ip := NewProcessor(refresh.Options{})
-		ip.Register("t", build(), master)
+		ip.RegisterStore("t", relation.StoreOf(build()), master)
 		iter, err := ip.ExecuteIterative(q)
 		if err != nil || !iter.Met {
 			return false

@@ -16,6 +16,7 @@ package query
 // bit-identical answers and refresh accounting on every layout.
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -99,7 +100,7 @@ var layouts = []struct {
 				Cost:   r.cost,
 			})
 		}
-		p.Register("m", t, oracleOf(rows))
+		p.RegisterStore("m", relation.StoreOf(t), oracleOf(rows))
 		return p
 	}},
 	{"store-1", storeLayout(1)},
@@ -219,7 +220,7 @@ func TestMetamorphicLoosenNeverCostsMore(t *testing.T) {
 
 				// The unconstrained width anchors the constraint ladder.
 				base := layout.build(rows, opts)
-				res0, err := base.Execute(q)
+				res0, err := base.ExecuteCtx(context.Background(), q)
 				if err != nil {
 					t.Fatalf("trial %d: unconstrained: %v", trial, err)
 				}
@@ -237,7 +238,7 @@ func TestMetamorphicLoosenNeverCostsMore(t *testing.T) {
 					qq := q
 					qq.Within = r
 					p := layout.build(rows, opts)
-					res, err := p.Execute(qq)
+					res, err := p.ExecuteCtx(context.Background(), qq)
 					if err != nil {
 						t.Fatalf("trial %d R=%g: %v", trial, r, err)
 					}
@@ -271,7 +272,7 @@ func TestMetamorphicLayoutsAgreeBitForBit(t *testing.T) {
 		q := genQuery(rng)
 		// Tight enough to force refresh planning on most trials.
 		base := layouts[0].build(rows, opts)
-		res0, err := base.Execute(q)
+		res0, err := base.ExecuteCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -286,7 +287,7 @@ func TestMetamorphicLayoutsAgreeBitForBit(t *testing.T) {
 		var ref outcome
 		for i, layout := range layouts {
 			p := layout.build(rows, opts)
-			res, err := p.Execute(q)
+			res, err := p.ExecuteCtx(context.Background(), q)
 			res.ChooseTime = 0
 			got := outcome{res, err}
 			if i == 0 {
@@ -324,7 +325,7 @@ func TestMetamorphicCachedVsColdLockstep(t *testing.T) {
 				cold.SetPlanCache(false)
 
 				q := genQuery(rng)
-				base, err := warm.Execute(q)
+				base, err := warm.ExecuteCtx(context.Background(), q)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -334,8 +335,8 @@ func TestMetamorphicCachedVsColdLockstep(t *testing.T) {
 				// Each repeat re-primes or hits the warm cache; refreshes
 				// installed by constrained runs invalidate it in between.
 				for rep := 0; rep < 3; rep++ {
-					wres, werr := warm.Execute(q)
-					cres, cerr := cold.Execute(q)
+					wres, werr := warm.ExecuteCtx(context.Background(), q)
+					cres, cerr := cold.ExecuteCtx(context.Background(), q)
 					if (werr == nil) != (cerr == nil) {
 						t.Fatalf("trial %d rep %d (%s): errors differ: warm %v, cold %v", trial, rep, q, werr, cerr)
 					}

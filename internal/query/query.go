@@ -14,12 +14,20 @@
 // # Concurrency
 //
 // The Processor is safe for concurrent use: any number of goroutines may
-// Execute queries (against the same or different relations) while
-// registrations happen. A registration is either a sharded store
-// (RegisterStore — the cache path) whose per-shard RWMutexes are shared
-// with the owning cache, or a flat table (Register/RegisterShared) with
-// a single lock. The three-step execution brackets its phases with
-// those locks: the aggregation scans of steps 1 and 3 and the
+// execute queries (against the same or different relations) while
+// registrations happen.
+//
+// # One executor, two registrations
+//
+// The three steps are written once, in ExecuteConfig, over a Registration:
+// something the processor can fold (step 1), snapshot (the classified
+// inputs CHOOSE_REFRESH consumes) and refresh (run the chosen keys, then
+// refold for step 3). Validation, the deadline, the phase boundaries,
+// plan selection, the plan-order cost fold and every typed error live in
+// that one skeleton; a registration differs only in where the tuples are
+// folded. There are two. RegisterStore builds the store-backed one over
+// a sharded relation.Store whose per-shard RWMutexes are shared with the
+// owning cache: the aggregation scans of steps 1 and 3 and the
 // CHOOSE_REFRESH scan of step 2 hold shard read locks one shard at a
 // time (so concurrent queries scan in parallel and a source push blocks
 // only scans of the shard owning the pushed key), while installing
@@ -27,6 +35,10 @@
 // Refresh fetches themselves run outside all locks so that slow sources
 // never block scans; when the oracle is a Refresher the whole refresh set
 // is one round of parallel per-source batches, installed by the oracle.
+// The shape-keyed plan cache lives behind this registration. The other
+// is the partition coordinator's scattered registration (package
+// partition), which folds, snapshots and refreshes by fanning out to the
+// nodes owning the relation's buckets and merging what they return.
 package query
 
 import (
@@ -41,7 +53,6 @@ import (
 	"trapp/internal/aggregate"
 	"trapp/internal/interval"
 	"trapp/internal/obs"
-	"trapp/internal/parallel"
 	"trapp/internal/predicate"
 	"trapp/internal/refresh"
 	"trapp/internal/relation"
@@ -155,88 +166,62 @@ type Result struct {
 	Trace *obs.Trace
 }
 
-// tableEntry is one registered table with its oracle. A registration is
-// either flat — a relation.Table plus the RWMutex guarding it — or
-// sharded — a relation.Store carrying its own per-shard locks. The
-// execution methods below hide the difference: scans take the read
-// lock(s), installs take only the write lock(s) covering the mutated
-// keys.
-type tableEntry struct {
-	table  *relation.Table // flat registration; nil when store is set
-	store  *relation.Store // sharded registration
-	oracle Oracle
-	lock   *sync.RWMutex // guards table; unused for sharded registrations
-	plans  *planCache    // shape-keyed scan/classify memo, see plancache.go
+// Registration is the seam between the three-step executor and a
+// relation: the processor resolves a request against Schema, then drives
+// one Execution per request. A registration may differ from another only
+// in how it folds, snapshots and refreshes — never in validation, phase
+// boundaries, plan selection, cost accounting or error shaping, which
+// ExecuteConfig owns (DESIGN.md invariant 32).
+type Registration interface {
+	// Schema returns the registered relation's schema.
+	Schema() *relation.Schema
+	// Begin starts one request. The returned Execution carries whatever
+	// the registration must remember between the steps of that request; a
+	// registration with nothing to remember returns itself.
+	Begin() Execution
 }
 
-// version returns the relation's mutation counter — the plan cache's
-// invalidation token (see plancache.go).
-func (e *tableEntry) version() uint64 {
-	if e.store != nil {
-		return e.store.Version()
-	}
-	return e.table.Version()
+// Execution is one request's view of a registration. The executor calls
+// Fold once, then — only if the constraint is not met from cache —
+// Snapshot, Refresh and Refold, in that order. An execution starts its
+// own trace spans under the root it is handed (nil when the request is
+// not traced).
+type Execution interface {
+	// Fold computes the step-1 bounded answer from cached bounds. frozen
+	// is non-nil when the answer was folded from a fallback the
+	// registration cannot refresh (a degraded partition's last good
+	// state): the executor stops at this answer and, if the constraint is
+	// unmet, reports frozen as the cause. err means no sound answer
+	// exists.
+	Fold(ctx context.Context, root *obs.Span, r Request) (initial interval.Interval, frozen, err error)
+	// Snapshot returns the canonical key-ordered classified inputs
+	// CHOOSE_REFRESH plans over and the relation's cardinality at scan
+	// time. The slice is read-only. It fails only when ctx ends.
+	Snapshot(ctx context.Context, root *obs.Span, r Request) (inputs []aggregate.Input, tableLen int, err error)
+	// Refresh runs one refresh round for the plan's keys and reports,
+	// aligned with keys, which refreshes reached the relation: a key
+	// dropped since the plan was computed, or a reply overtaken by a newer
+	// push, did not. A context cutoff is returned separately from hard
+	// errors; on either, installed still marks every refresh paid for and
+	// installed before the failure. ctx carries the refresh span.
+	Refresh(ctx context.Context, r Request, keys []int64) (installed []bool, ctxErr, hardErr error)
+	// Refold computes the step-3 answer after a Refresh that did not fail
+	// hard.
+	Refold(r Request) interval.Interval
 }
 
-// schema returns the registered relation's schema.
-func (e *tableEntry) schema() *relation.Schema {
-	if e.store != nil {
-		return e.store.Schema()
-	}
-	return e.table.Schema()
-}
-
-// snapshot classifies the relation's tuples over column col under the
-// predicate, returning the canonical key-ordered inputs and the
-// cardinality at scan time. Flat tables are scanned serially under the
-// table read lock; sharded stores scan shard-parallel, each worker
-// holding only its shard's read lock.
-func (e *tableEntry) snapshot(col int, where predicate.Expr, workers int) ([]aggregate.Input, int) {
-	if e.store != nil {
-		return aggregate.CollectStore(e.store, col, where, true, workers)
-	}
-	e.lock.RLock()
-	defer e.lock.RUnlock()
-	return aggregate.Collect(e.table, col, where, true), e.table.Len()
-}
-
-// install writes refreshed exact values for one key, write-locking only
-// the owning shard (sharded) or the whole table (flat). It reports
-// whether the key was still present — a dropped key no longer
-// contributes and installs nothing.
-func (e *tableEntry) install(key int64, vals []float64) (bool, error) {
-	if e.store != nil {
-		return e.store.Refresh(key, vals)
-	}
-	e.lock.Lock()
-	defer e.lock.Unlock()
-	i := e.table.ByKey(key)
-	if i < 0 {
-		return false, nil
-	}
-	return true, e.table.Refresh(i, vals)
-}
-
-// forEachTuple visits every tuple under the appropriate read lock(s):
-// the whole table for flat registrations, shard by shard in ascending
-// index order for sharded ones. The tuple pointer is only valid during
-// the callback.
-func (e *tableEntry) forEachTuple(fn func(tu *relation.Tuple)) {
-	if e.store != nil {
-		for si := 0; si < e.store.NumShards(); si++ {
-			e.store.ViewShard(si, func(t *relation.Table) {
-				for i := 0; i < t.Len(); i++ {
-					fn(t.At(i))
-				}
-			})
-		}
-		return
-	}
-	e.lock.RLock()
-	defer e.lock.RUnlock()
-	for i := 0; i < e.table.Len(); i++ {
-		fn(e.table.At(i))
-	}
+// Request is one validated scalar request as a registration sees it.
+type Request struct {
+	// Query is the query after the mode rewrite; its Within is absolute.
+	Query Query
+	// Col is the aggregation column's index in the registration's schema.
+	Col int
+	// NoPred reports a trivial (absent) predicate.
+	NoPred bool
+	// Mode is the request's position on the precision-performance dial.
+	Mode Mode
+	// Workers is the scan parallelism of the request's refresh options.
+	Workers int
 }
 
 // Processor executes bounded queries over a set of cached tables, pulling
@@ -244,7 +229,7 @@ func (e *tableEntry) forEachTuple(fn func(tu *relation.Tuple)) {
 // the package comment for the locking protocol.
 type Processor struct {
 	mu      sync.RWMutex
-	entries map[string]*tableEntry
+	entries map[string]Registration
 	opts    refresh.Options
 	metrics *obs.EngineMetrics
 	// plansOff disables the shape-keyed plan cache when set; the cold
@@ -256,7 +241,7 @@ type Processor struct {
 // NewProcessor returns an empty processor with the given refresh options.
 func NewProcessor(opts refresh.Options) *Processor {
 	return &Processor{
-		entries: make(map[string]*tableEntry),
+		entries: make(map[string]Registration),
 		opts:    opts,
 		metrics: &obs.EngineMetrics{},
 	}
@@ -267,34 +252,23 @@ func NewProcessor(opts refresh.Options) *Processor {
 // so the whole request path records into one place.
 func (p *Processor) Metrics() *obs.EngineMetrics { return p.metrics }
 
-// Register adds a cached table and its refresh oracle. A nil oracle is
-// allowed for tables queried only in imprecise mode. The table gets a
-// private lock; when another component also mutates the table (a cache
-// applying source pushes), use RegisterShared with that component's lock.
-func (p *Processor) Register(name string, t *relation.Table, o Oracle) {
-	p.RegisterShared(name, t, o, nil)
-}
-
-// RegisterShared adds a cached table whose contents are guarded by the
-// given lock, shared with whatever other component mutates the table; a
-// nil lock allocates a private one.
-func (p *Processor) RegisterShared(name string, t *relation.Table, o Oracle, lock *sync.RWMutex) {
-	if lock == nil {
-		lock = &sync.RWMutex{}
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.entries[name] = &tableEntry{table: t, oracle: o, lock: lock, plans: newPlanCache()}
-}
-
-// RegisterStore adds a sharded cached relation. The store's per-shard
-// locks are shared with whatever other component mutates it (the cache
-// applying source pushes): scans take shard read locks, installs
-// write-lock only the shards owning refreshed keys.
+// RegisterStore adds a sharded cached relation and its refresh oracle
+// (nil is allowed for tables queried only in imprecise mode). The store's
+// per-shard locks are shared with whatever other component mutates it
+// (the cache applying source pushes): scans take shard read locks,
+// installs write-lock only the shards owning refreshed keys. A flat
+// table is a one-shard store (relation.StoreOf).
 func (p *Processor) RegisterStore(name string, st *relation.Store, o Oracle) {
+	p.Attach(name, &storeEntry{proc: p, store: st, oracle: o, plans: newPlanCache()})
+}
+
+// Attach adds a relation the processor reaches through the given
+// registration — how the partition coordinator registers a relation
+// scattered over its nodes.
+func (p *Processor) Attach(name string, r Registration) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.entries[name] = &tableEntry{store: st, oracle: o, plans: newPlanCache()}
+	p.entries[name] = r
 }
 
 // SetPlanCache enables or disables the shape-keyed plan cache (enabled
@@ -307,38 +281,38 @@ func (p *Processor) SetPlanCache(enabled bool) { p.plansOff.Store(!enabled) }
 func (p *Processor) PlanCacheEnabled() bool { return !p.plansOff.Load() }
 
 // PlanCacheSizes returns the total memoized fold and scan entry counts
-// across all registered tables.
+// across all store-backed registrations.
 func (p *Processor) PlanCacheSizes() (folds, scans int) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	for _, e := range p.entries {
-		f, s := e.plans.sizes()
-		folds += f
-		scans += s
+	for _, r := range p.entries {
+		if e, ok := r.(*storeEntry); ok {
+			f, s := e.plans.sizes()
+			folds += f
+			scans += s
+		}
 	}
 	return folds, scans
 }
 
 // entry returns the registration for a table, or nil.
-func (p *Processor) entry(name string) *tableEntry {
+func (p *Processor) entry(name string) Registration {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	return p.entries[name]
 }
 
-// Table returns a registered flat table, or nil (also nil for sharded
-// registrations; see Store).
-func (p *Processor) Table(name string) *relation.Table {
-	if e := p.entry(name); e != nil {
-		return e.table
-	}
-	return nil
+// storeEntry returns the store-backed registration for a table, or nil —
+// what the batch, GROUP BY and iterative executors run over, which read
+// tuples directly.
+func (p *Processor) storeEntry(name string) *storeEntry {
+	e, _ := p.entry(name).(*storeEntry)
+	return e
 }
 
-// Store returns a registered sharded store, or nil for flat
-// registrations and unknown names.
+// Store returns a registered sharded store, or nil for unknown names.
 func (p *Processor) Store(name string) *relation.Store {
-	if e := p.entry(name); e != nil {
+	if e := p.storeEntry(name); e != nil {
 		return e.store
 	}
 	return nil
@@ -354,14 +328,6 @@ var ErrUnknownColumn = errors.New("query: unknown column")
 // no oracle.
 var ErrNoOracle = errors.New("query: table has no refresh oracle")
 
-// Execute runs the three-step bounded execution for the query with a
-// background context and default per-request options. Queries with a
-// relative precision constraint are delegated to ExecuteRelative;
-// queries with GROUP BY must be run with ExecuteGroupBy.
-func (p *Processor) Execute(q Query) (Result, error) {
-	return p.ExecuteCtx(context.Background(), q)
-}
-
 // ExecuteCtx runs the three-step bounded execution under a context with
 // per-request options. The context (and WithDeadline) is honored at the
 // phase boundaries — before the scan, before CHOOSE_REFRESH, before the
@@ -371,13 +337,18 @@ func (p *Processor) Execute(q Query) (Result, error) {
 // answer still misses the precision constraint, the error is a typed
 // ErrPrecisionUnmet wrapping the context error. Cost-budgeted requests
 // (WithCostBudget) that end wider than a finite constraint return the
-// narrowest achieved answer with a typed ErrBudgetExhausted.
+// narrowest achieved answer with a typed ErrBudgetExhausted. A relative
+// constraint (Query.RelativeWithin, §8.1) becomes the conservative
+// absolute one its step-1 answer implies (RelativeR); queries with
+// GROUP BY must be run with ExecuteGroupBy.
 func (p *Processor) ExecuteCtx(ctx context.Context, q Query, opts ...ExecOption) (Result, error) {
 	return p.ExecuteConfig(ctx, q, BuildExecConfig(opts...))
 }
 
 // ExecuteConfig is ExecuteCtx over an already-resolved option set; the
-// System façade builds the config once and reuses it across phases.
+// System façade builds the config once and reuses it across phases. It is
+// the one place the three-step algorithm is written: everything it asks
+// of the relation goes through the table's Registration.
 func (p *Processor) ExecuteConfig(ctx context.Context, q Query, cfg ExecConfig) (Result, error) {
 	if len(q.GroupBy) > 0 {
 		return Result{}, fmt.Errorf("query: GROUP BY query requires ExecuteGroupBy")
@@ -386,29 +357,21 @@ func (p *Processor) ExecuteConfig(ctx context.Context, q Query, cfg ExecConfig) 
 	if cfg.HasBudget && (cfg.Budget < 0 || math.IsNaN(cfg.Budget)) {
 		return Result{}, fmt.Errorf("query: invalid cost budget %g", cfg.Budget)
 	}
-	// The deadline is attached before any dispatch so every path —
-	// including the relative-constraint pre-scan — sees it; the config
-	// passed onward is cleared to avoid re-deriving the context.
 	if !cfg.Deadline.IsZero() {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithDeadline(ctx, cfg.Deadline)
 		defer cancel()
-		cfg.Deadline = time.Time{}
 	}
-	if q.RelativeWithin > 0 {
-		rel := q.RelativeWithin
-		q.RelativeWithin = 0
-		return p.executeRelative(ctx, q, rel, cfg, ropts)
-	}
-	e := p.entry(q.Table)
-	if e == nil {
+	reg := p.entry(q.Table)
+	if reg == nil {
 		return Result{}, fmt.Errorf("%w: %q", ErrUnknownTable, q.Table)
 	}
-	col, ok := e.schema().Lookup(q.Column)
+	col, ok := reg.Schema().Lookup(q.Column)
 	if !ok {
 		return Result{}, fmt.Errorf("%w: %q.%q", ErrUnknownColumn, q.Table, q.Column)
 	}
-	if q.Within < 0 || math.IsNaN(q.Within) {
+	relative := q.RelativeWithin > 0
+	if !relative && (q.Within < 0 || math.IsNaN(q.Within)) {
 		return Result{}, fmt.Errorf("query: invalid precision constraint %g", q.Within)
 	}
 
@@ -439,70 +402,28 @@ func (p *Processor) ExecuteConfig(ctx context.Context, q Query, cfg ExecConfig) 
 		t0 = time.Now()
 	}
 
-	// Step 1: initial bounded answer from cached bounds. The scan holds
-	// read locks, so concurrent queries evaluate in parallel. Over a
-	// sharded store the answer is folded in one streaming pass (pooled
-	// buffers, no Input materialization) — the hot path for queries
-	// answered from cache; the Input snapshot is materialized only when
-	// refresh selection actually needs it. Flat tables snapshot once and
-	// reuse the inputs. The (possibly slow) knapsack solve runs with no
-	// lock held.
+	// Step 1: initial bounded answer from cached bounds.
 	var res Result
 	res.Trace = tr
-	noPred := predicate.IsTrivial(q.Where)
-
-	// Plan-cache lookup: the step-1 answer depends only on the query
-	// shape and the relation state, so a memoized fold certified by the
-	// relation's mutation counter replaces the scan outright (see
-	// plancache.go for the bit-identical argument). The version is read
-	// before the scan so a racing mutation can only leave a
-	// conservatively stale stamp.
-	usePlans := !p.plansOff.Load()
-	var pcKey foldKey
-	var pcVer uint64
-	pcHit := false
-	if usePlans {
-		pcVer = e.version()
-		pcKey = foldKey{col: col, agg: q.Agg, mode: cfg.Mode, pred: predKey(q.Where)}
+	req := Request{Query: q, Col: col, NoPred: predicate.IsTrivial(q.Where), Mode: cfg.Mode, Workers: ropts.Parallelism}
+	run := reg.Begin()
+	initial, frozen, err := run.Fold(ctx, root, req)
+	if err != nil {
+		tr.Finish()
+		return Result{}, err
 	}
-	pcSp := root.StartSpan("plancache")
-	var inputs []aggregate.Input
-	var tableLen int
-	if usePlans {
-		if ent, ok := e.plans.fold(m, pcKey, pcVer); ok {
-			pcHit = true
-			res.Initial = ent.initial
-			tableLen = ent.n
-		}
-	}
-	if pcSp != nil {
-		pcSp.SetDetail("hit=%t", pcHit)
-		pcSp.End()
-	}
-	var scanSp *obs.Span
-	if !pcHit {
-		scanSp = root.StartSpan("scan")
-		if e.store != nil {
-			res.Initial, tableLen = aggregate.EvalStoreStream(e.store, col, q.Agg, q.Where)
-		} else {
-			inputs, tableLen = e.snapshot(col, q.Where, ropts.Parallelism)
-			res.Initial = aggregate.EvalInputs(inputs, q.Agg, noPred, tableLen)
-		}
-		if usePlans {
-			e.plans.storeFold(pcKey, pcVer, res.Initial, tableLen)
-			if inputs != nil {
-				e.plans.storeScan(scanKey{col: col, pred: pcKey.pred}, pcVer, inputs, tableLen)
-			}
-		}
-	}
+	res.Initial = initial
 	var tScan time.Time
 	if sampled {
 		tScan = time.Now()
 		m.Scan.ObserveDuration(tScan.Sub(t0))
 	}
-	if scanSp != nil {
-		scanSp.SetDetail("rows=%d width=%g", tableLen, res.Initial.Width())
-		scanSp.End()
+	if relative {
+		// §8.1: the true answer lies in the initial bound, so the smallest
+		// |A| over it gives a conservative absolute constraint the standard
+		// algorithm then runs against.
+		q.Within, q.RelativeWithin = RelativeR(res.Initial, q.RelativeWithin), 0
+		req.Query = q
 	}
 	res.Answer = res.Initial
 	res.Met = Satisfies(res.Answer, q.Within)
@@ -532,35 +453,29 @@ func (p *Processor) ExecuteConfig(ctx context.Context, q Query, cfg ExecConfig) 
 		tr.Finish()
 	}()
 
+	if frozen != nil {
+		// Part of the answer is a stale fallback nothing can refresh; stop
+		// at it.
+		if !res.Met {
+			return res, ErrPrecisionUnmet{Achieved: res.Answer, Spent: res.RefreshCost, Cause: frozen}
+		}
+		return res, nil
+	}
+
 	// Plan boundary.
 	if err := ctx.Err(); err != nil {
 		return cutoff(res, q, err)
 	}
 
-	// Step 2: choose refreshes from a snapshot, fetch the exact values
-	// outside any table lock — slow sources must not block other
-	// queries' scans — and install them write-locking only the shards
-	// owning keys in the plan. A memoized classified snapshot (stamped
-	// with an unchanged mutation counter) replaces the collection pass:
-	// the planners treat inputs as read-only, so sharing is safe.
-	if inputs == nil {
-		scKey := scanKey{col: col, pred: predKey(q.Where)}
-		if usePlans {
-			if sc, ok := e.plans.scan(scKey, e.version()); ok {
-				inputs, tableLen = sc.inputs, sc.n
-			}
-		}
-		if inputs == nil {
-			v := e.version()
-			inputs, tableLen = e.snapshot(col, q.Where, ropts.Parallelism)
-			if usePlans && inputs != nil {
-				e.plans.storeScan(scKey, v, inputs, tableLen)
-			}
-		}
+	// Step 2: choose refreshes from a snapshot — the (possibly slow)
+	// knapsack solve runs with no lock held — and run them.
+	inputs, tableLen, err := run.Snapshot(ctx, root, req)
+	if err != nil {
+		return cutoff(res, q, err)
 	}
 	chooseSp := root.StartSpan("choose")
 	start := time.Now()
-	plan, err := choosePlan(inputs, q, noPred, tableLen, cfg, ropts)
+	plan, err := choosePlan(inputs, q, req.NoPred, tableLen, cfg, ropts)
 	res.ChooseTime = time.Since(start)
 	m.Choose.ObserveDuration(res.ChooseTime)
 	if chooseSp != nil {
@@ -572,17 +487,36 @@ func (p *Processor) ExecuteConfig(ctx context.Context, q Query, cfg ExecConfig) 
 	}
 	var ctxErr error
 	if plan.Len() > 0 {
-		if e.oracle == nil {
-			return res, fmt.Errorf("%w: %q", ErrNoOracle, q.Table)
-		}
 		// Fan-out boundary.
 		if err := ctx.Err(); err != nil {
 			return cutoff(res, q, err)
 		}
+		tr.SetPlanCosts(plan.Keys, plan.Costs)
 		refreshSp := root.StartSpan("refresh")
 		tRef := time.Now()
-		var hardErr error
-		ctxErr, hardErr = runPlan(obs.ContextWithSpan(ctx, refreshSp), e, plan, &res, tr)
+		installed, cut, hardErr := run.Refresh(obs.ContextWithSpan(ctx, refreshSp), req, plan.Keys)
+		ctxErr = cut
+		// Report what was actually refreshed: keys dropped mid-flight are
+		// neither served nor charged, so they must not be counted — and
+		// every refresh that was paid is counted, whatever error ended the
+		// round. The paid costs fold in plan order — a deterministic float
+		// addition sequence the trace replays, so Trace.TotalCost() matches
+		// res.RefreshCost bit-exactly.
+		var paidKeys []int64
+		if refreshSp != nil {
+			paidKeys = make([]int64, 0, len(plan.Keys))
+		}
+		for j, ok := range installed {
+			if !ok {
+				continue
+			}
+			res.Refreshed++
+			res.RefreshCost += plan.Costs[j]
+			if refreshSp != nil {
+				paidKeys = append(paidKeys, plan.Keys[j])
+			}
+		}
+		refreshSp.RecordKeys(paidKeys)
 		m.Refresh.ObserveDuration(time.Since(tRef))
 		refreshSp.End()
 		if hardErr != nil {
@@ -590,27 +524,12 @@ func (p *Processor) ExecuteConfig(ctx context.Context, q Query, cfg ExecConfig) 
 		}
 
 		// Step 3: recompute from the (possibly partially) refreshed
-		// cache. A cutoff mid-fan-out still recomputes: the refreshes
+		// relation. A cutoff mid-fan-out still recomputes: the refreshes
 		// that beat it are paid and installed, and the best-effort answer
 		// must reflect them.
 		foldSp := root.StartSpan("fold")
 		tFold := time.Now()
-		// The post-refresh state is what the next same-shape request will
-		// scan, so memoize the refold under the version read before it —
-		// repeat constrained shapes then hit on their initial scan.
-		var vFold uint64
-		if usePlans {
-			vFold = e.version()
-		}
-		if e.store != nil {
-			res.Answer, tableLen = aggregate.EvalStoreStream(e.store, col, q.Agg, q.Where)
-		} else {
-			inputs, tableLen = e.snapshot(col, q.Where, ropts.Parallelism)
-			res.Answer = aggregate.EvalInputs(inputs, q.Agg, noPred, tableLen)
-		}
-		if usePlans {
-			e.plans.storeFold(pcKey, vFold, res.Answer, tableLen)
-		}
+		res.Answer = run.Refold(req)
 		m.Fold.ObserveDuration(time.Since(tFold))
 		if foldSp != nil {
 			foldSp.SetDetail("width=%g", res.Answer.Width())
@@ -628,15 +547,6 @@ func (p *Processor) ExecuteConfig(ctx context.Context, q Query, cfg ExecConfig) 
 		return res, ErrBudgetExhausted{Achieved: res.Answer, Spent: res.RefreshCost, Budget: cfg.Budget}
 	}
 	return res, nil
-}
-
-// ChoosePlan selects the refresh plan for one request — the exact plan
-// selection ExecuteConfig runs between its scan and refresh phases.
-// Exported for the partition coordinator: planning over the merged
-// canonical inputs of all partitions with this function yields the same
-// plan a single node holding the whole relation would compute.
-func ChoosePlan(inputs []aggregate.Input, q Query, noPred bool, tableLen int, cfg ExecConfig, opts refresh.Options) (refresh.Plan, error) {
-	return choosePlan(inputs, q, noPred, tableLen, cfg, opts)
 }
 
 // choosePlan selects the refresh plan for one request. Cost-budgeted
@@ -674,40 +584,6 @@ func cutoff(res Result, q Query, cause error) (Result, error) {
 	return res, ErrPrecisionUnmet{Achieved: res.Answer, Spent: res.RefreshCost, Cause: cause}
 }
 
-// runPlan executes the refresh phase of a chosen plan against the
-// entry's oracle, accumulating the per-key accounting of what actually
-// reached the table into res. It returns a context error separately from
-// hard errors: on a cutoff the refreshes that beat it are already
-// installed and counted, and the caller folds them into a best-effort
-// answer.
-func runPlan(ctx context.Context, e *tableEntry, plan refresh.Plan, res *Result, tr *obs.Trace) (ctxErr, hardErr error) {
-	tr.SetPlanCosts(plan.Keys, plan.Costs)
-	// Report what was actually refreshed: keys dropped mid-flight are
-	// neither served nor charged, so they must not be counted — and every
-	// refresh that was paid is counted, whatever error ended the round.
-	set, ctxErr, hardErr := fetchKeys(ctx, e, plan.Keys)
-	// The paid costs fold in plan order — a deterministic float addition
-	// sequence the trace replays, so Trace.TotalCost() matches
-	// res.RefreshCost bit-exactly.
-	sp := obs.SpanFromContext(ctx)
-	var installed []int64
-	if sp != nil {
-		installed = make([]int64, 0, len(plan.Keys))
-	}
-	for j, ok := range set.Installed {
-		if !ok {
-			continue
-		}
-		res.Refreshed++
-		res.RefreshCost += plan.Costs[j]
-		if sp != nil {
-			installed = append(installed, plan.Keys[j])
-		}
-	}
-	sp.RecordKeys(installed)
-	return ctxErr, hardErr
-}
-
 // recordTelemetry records the paper's precision–cost telemetry for one
 // completed request: the achieved interval width relative to the
 // requested bound (permille; 1000 = exactly at the bound) and the
@@ -739,48 +615,6 @@ func clampCounter(v float64) uint64 {
 	return uint64(v)
 }
 
-// fetchKeys runs one refresh round for the given keys through the
-// entry's oracle — the shared oracle protocol of both the single-query
-// refresh phase (runPlan) and the batch executor's per-table union
-// rounds. The returned set is aligned with keys and marks exactly the
-// keys whose refresh reached the table (dropped keys and replies that
-// lost to newer pushes are not). A context cutoff is returned separately
-// from hard errors; on either, the refreshes that completed first are
-// already installed, charged, and marked in the set.
-func fetchKeys(ctx context.Context, e *tableEntry, keys []int64) (set relation.RefreshSet, ctxErr, hardErr error) {
-	if r, ok := e.oracle.(Refresher); ok {
-		// The refresher fetches per source in parallel and installs the
-		// refreshed bounds itself (see Refresher).
-		set, err := r.Refresh(ctx, keys)
-		if parallel.IsContextError(err) {
-			return set, err, nil
-		}
-		return set, nil, err
-	}
-	// Plain per-key oracle: the context is honored between keys, so a
-	// cutoff keeps the keys already fetched and installed.
-	set = relation.NewRefreshSet(len(keys), len(e.schema().BoundedColumns()))
-	for i, key := range keys {
-		if err := ctx.Err(); err != nil {
-			return set, err, nil
-		}
-		v, ok := e.oracle.Master(key)
-		if !ok {
-			return set, nil, fmt.Errorf("query: oracle has no master values for key %d", key)
-		}
-		// A dropped key no longer contributes; nothing to install.
-		installed, err := e.install(key, v)
-		if err != nil {
-			return set, nil, err
-		}
-		if installed {
-			set.Installed[i] = true
-			copy(set.Row(i), v)
-		}
-	}
-	return set, nil, nil
-}
-
 // Satisfies reports whether a bounded answer meets an absolute precision
 // constraint R (with a float tolerance). An empty answer (exactly
 // undefined aggregate) is trivially precise. The continuous-query engine
@@ -791,21 +625,4 @@ func Satisfies(a interval.Interval, r float64) bool {
 		return true
 	}
 	return a.Width() <= r+1e-9
-}
-
-// PreciseMode executes the query by refreshing every tuple that might
-// contribute, the "query the sources" extreme of Figure 1(a). It is the
-// baseline for the precision-performance experiments.
-//
-// Deprecated: use ExecuteCtx with WithMode(ModePrecise).
-func (p *Processor) PreciseMode(q Query) (Result, error) {
-	return p.ExecuteCtx(context.Background(), q, WithMode(ModePrecise))
-}
-
-// ImpreciseMode executes the query over cached bounds only, the "query the
-// cache" extreme of Figure 1(a): no refreshes, no guarantees about width.
-//
-// Deprecated: use ExecuteCtx with WithMode(ModeImprecise).
-func (p *Processor) ImpreciseMode(q Query) (Result, error) {
-	return p.ExecuteCtx(context.Background(), q, WithMode(ModeImprecise))
 }

@@ -17,12 +17,12 @@ import (
 // paper's master values as the oracle.
 func newFig2Processor() *Processor {
 	p := NewProcessor(refresh.Options{Solver: refresh.SolverExactDP})
-	p.Register("links", workload.Figure2Table(), workload.MapOracle(workload.Figure2Master()))
+	p.RegisterStore("links", relation.StoreOf(workload.Figure2Table()), workload.MapOracle(workload.Figure2Master()))
 	return p
 }
 
 func highTraffic(p *Processor) predicate.Expr {
-	s := p.Table("links").Schema()
+	s := p.Store("links").Schema()
 	return predicate.NewCmp(
 		predicate.Column(s.MustLookup(workload.ColTraffic), "traffic"),
 		predicate.Gt, predicate.Const(100))
@@ -31,7 +31,7 @@ func highTraffic(p *Processor) predicate.Expr {
 func TestExecuteImpreciseMode(t *testing.T) {
 	p := newFig2Processor()
 	q := NewQuery("links", aggregate.Sum, workload.ColLatency)
-	res, err := p.Execute(q)
+	res, err := p.ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestExecuteWithConstraintRefreshes(t *testing.T) {
 	p := newFig2Processor()
 	q := NewQuery("links", aggregate.Avg, workload.ColTraffic)
 	q.Within = 10
-	res, err := p.Execute(q)
+	res, err := p.ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestExecuteConstraintAlreadyMet(t *testing.T) {
 	p := newFig2Processor()
 	q := NewQuery("links", aggregate.Sum, workload.ColLatency)
 	q.Within = 100 // initial width is 15
-	res, err := p.Execute(q)
+	res, err := p.ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestExecuteQ6EndToEnd(t *testing.T) {
 	q := NewQuery("links", aggregate.Avg, workload.ColLatency)
 	q.Within = 2
 	q.Where = highTraffic(p)
-	res, err := p.Execute(q)
+	res, err := p.ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestExecuteQ6EndToEnd(t *testing.T) {
 func TestPreciseModeGivesExactAnswer(t *testing.T) {
 	p := newFig2Processor()
 	q := NewQuery("links", aggregate.Min, workload.ColBandwidth)
-	res, err := p.PreciseMode(q)
+	res, err := p.ExecuteCtx(context.Background(), q, WithMode(ModePrecise))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestImpreciseModeNeverRefreshes(t *testing.T) {
 	p := newFig2Processor()
 	q := NewQuery("links", aggregate.Min, workload.ColBandwidth)
 	q.Within = 0.001 // would normally force refreshes
-	res, err := p.ImpreciseMode(q)
+	res, err := p.ExecuteCtx(context.Background(), q, WithMode(ModeImprecise))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,33 +139,33 @@ func TestImpreciseModeNeverRefreshes(t *testing.T) {
 
 func TestExecuteErrors(t *testing.T) {
 	p := newFig2Processor()
-	if _, err := p.Execute(NewQuery("nope", aggregate.Sum, "latency")); err == nil {
+	if _, err := p.ExecuteCtx(context.Background(), NewQuery("nope", aggregate.Sum, "latency")); err == nil {
 		t.Error("unknown table accepted")
 	}
-	if _, err := p.Execute(NewQuery("links", aggregate.Sum, "nope")); err == nil {
+	if _, err := p.ExecuteCtx(context.Background(), NewQuery("links", aggregate.Sum, "nope")); err == nil {
 		t.Error("unknown column accepted")
 	}
 	q := NewQuery("links", aggregate.Sum, workload.ColLatency)
 	q.Within = -1
-	if _, err := p.Execute(q); err == nil {
+	if _, err := p.ExecuteCtx(context.Background(), q); err == nil {
 		t.Error("negative R accepted")
 	}
 	q.Within = math.NaN()
-	if _, err := p.Execute(q); err == nil {
+	if _, err := p.ExecuteCtx(context.Background(), q); err == nil {
 		t.Error("NaN R accepted")
 	}
 }
 
 func TestExecuteNoOracle(t *testing.T) {
 	p := NewProcessor(refresh.Options{})
-	p.Register("links", workload.Figure2Table(), nil)
+	p.RegisterStore("links", relation.StoreOf(workload.Figure2Table()), nil)
 	q := NewQuery("links", aggregate.Sum, workload.ColLatency)
 	q.Within = 1
-	if _, err := p.Execute(q); err == nil {
+	if _, err := p.ExecuteCtx(context.Background(), q); err == nil {
 		t.Error("refresh without oracle accepted")
 	}
 	// Imprecise queries still work.
-	if _, err := p.Execute(NewQuery("links", aggregate.Sum, workload.ColLatency)); err != nil {
+	if _, err := p.ExecuteCtx(context.Background(), NewQuery("links", aggregate.Sum, workload.ColLatency)); err != nil {
 		t.Errorf("imprecise query failed: %v", err)
 	}
 }
@@ -192,7 +192,7 @@ func TestTighteningRMonotonicallyIncreasesCost(t *testing.T) {
 		p := newFig2Processor()
 		q := NewQuery("links", aggregate.Sum, workload.ColTraffic)
 		q.Within = r
-		res, err := p.Execute(q)
+		res, err := p.ExecuteCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,7 +211,7 @@ func TestTighteningRMonotonicallyIncreasesCost(t *testing.T) {
 // registered table itself.
 type batchOracle struct {
 	m       workload.MapOracle
-	tab     *relation.Table
+	st      *relation.Store
 	batches int
 	keys    int
 }
@@ -221,16 +221,14 @@ func (b *batchOracle) Master(key int64) ([]float64, bool) { return b.m.Master(ke
 func (b *batchOracle) Refresh(_ context.Context, keys []int64) (relation.RefreshSet, error) {
 	b.batches++
 	b.keys += len(keys)
-	set := relation.NewRefreshSet(len(keys), len(b.tab.Schema().BoundedColumns()))
+	set := relation.NewRefreshSet(len(keys), len(b.st.Schema().BoundedColumns()))
 	for j, key := range keys {
 		v, ok := b.m.Master(key)
 		if !ok {
 			return set, ErrNoOracle
 		}
-		if i := b.tab.ByKey(key); i >= 0 {
-			if err := b.tab.Refresh(i, v); err != nil {
-				return set, err
-			}
+		if _, err := b.st.Refresh(key, v); err != nil {
+			return set, err
 		}
 		set.Installed[j] = true
 		copy(set.Row(j), v)
@@ -242,13 +240,13 @@ func (b *batchOracle) Refresh(_ context.Context, keys []int64) (relation.Refresh
 // the whole plan through one Refresh round when the oracle supports it,
 // and that the answer matches the sequential per-key path.
 func TestExecuteUsesRefresher(t *testing.T) {
-	tab := workload.Figure2Table()
-	bo := &batchOracle{m: workload.MapOracle(workload.Figure2Master()), tab: tab}
+	st := relation.StoreOf(workload.Figure2Table())
+	bo := &batchOracle{m: workload.MapOracle(workload.Figure2Master()), st: st}
 	p := NewProcessor(refresh.Options{Solver: refresh.SolverExactDP})
-	p.Register("links", tab, bo)
+	p.RegisterStore("links", st, bo)
 	q := NewQuery("links", aggregate.Sum, workload.ColLatency)
 	q.Within = 0
-	res, err := p.Execute(q)
+	res, err := p.ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +260,7 @@ func TestExecuteUsesRefresher(t *testing.T) {
 		t.Errorf("batched %d keys, refreshed %d", bo.keys, res.Refreshed)
 	}
 	serial := newFig2Processor()
-	want, err := serial.Execute(q)
+	want, err := serial.ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

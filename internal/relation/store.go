@@ -68,6 +68,17 @@ func NewStore(schema *Schema, nshards int) *Store {
 	return s
 }
 
+// StoreOf returns a one-shard store holding copies of the flat table's
+// tuples — the flat single-lock layout, which is how a hand-built Table
+// (a paper figure, a test fixture) is registered with a query processor.
+func StoreOf(t *Table) *Store {
+	s := NewStore(t.Schema(), 1)
+	for i := 0; i < t.Len(); i++ {
+		s.MustInsert(*t.At(i))
+	}
+	return s
+}
+
 // Schema returns the store's schema.
 func (s *Store) Schema() *Schema { return s.schema }
 

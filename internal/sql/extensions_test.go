@@ -1,11 +1,13 @@
 package sql
 
 import (
+	"context"
 	"testing"
 
 	"trapp/internal/aggregate"
 	"trapp/internal/query"
 	"trapp/internal/refresh"
+	"trapp/internal/relation"
 	"trapp/internal/workload"
 )
 
@@ -53,8 +55,8 @@ func TestParseGroupByErrors(t *testing.T) {
 func TestParseRelativeEndToEnd(t *testing.T) {
 	q := mustParse(t, "SELECT SUM(traffic) WITHIN 2% FROM links")
 	p := query.NewProcessor(refresh.Options{Solver: refresh.SolverExactDP})
-	p.Register("links", workload.Figure2Table(), workload.MapOracle(workload.Figure2Master()))
-	res, err := p.Execute(q)
+	p.RegisterStore("links", relation.StoreOf(workload.Figure2Table()), workload.MapOracle(workload.Figure2Master()))
+	res, err := p.ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +72,7 @@ func TestParseRelativeEndToEnd(t *testing.T) {
 func TestParseGroupByEndToEnd(t *testing.T) {
 	q := mustParse(t, "SELECT SUM(latency) WITHIN 0 FROM links GROUP BY from")
 	p := query.NewProcessor(refresh.Options{})
-	p.Register("links", workload.Figure2Table(), workload.MapOracle(workload.Figure2Master()))
+	p.RegisterStore("links", relation.StoreOf(workload.Figure2Table()), workload.MapOracle(workload.Figure2Master()))
 	rows, err := p.ExecuteGroupBy(q)
 	if err != nil {
 		t.Fatal(err)
@@ -79,7 +81,7 @@ func TestParseGroupByEndToEnd(t *testing.T) {
 		t.Fatalf("groups = %d", len(rows))
 	}
 	// Scalar Execute rejects GROUP BY queries.
-	if _, err := p.Execute(q); err == nil {
+	if _, err := p.ExecuteCtx(context.Background(), q); err == nil {
 		t.Error("Execute accepted a GROUP BY query")
 	}
 }

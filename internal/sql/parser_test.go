@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"trapp/internal/predicate"
 	"trapp/internal/query"
 	"trapp/internal/refresh"
+	"trapp/internal/relation"
 	"trapp/internal/workload"
 )
 
@@ -187,8 +189,8 @@ func TestParseErrors(t *testing.T) {
 func TestParseEndToEndQ6(t *testing.T) {
 	q := mustParse(t, "SELECT AVG(latency) WITHIN 2 FROM links WHERE traffic > 100")
 	p := query.NewProcessor(refresh.Options{Solver: refresh.SolverExactDP})
-	p.Register("links", workload.Figure2Table(), workload.MapOracle(workload.Figure2Master()))
-	res, err := p.Execute(q)
+	p.RegisterStore("links", relation.StoreOf(workload.Figure2Table()), workload.MapOracle(workload.Figure2Master()))
+	res, err := p.ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

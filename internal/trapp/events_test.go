@@ -98,7 +98,7 @@ func TestCountWithSlackWidensAnswer(t *testing.T) {
 	// widened by ±slack; no flush happens.
 	q := query.NewQuery("links", aggregate.Count, workload.ColLatency)
 	q.Within = 10
-	res, err := sys.Execute(q)
+	res, err := sys.ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestTightCountForcesFlush(t *testing.T) {
 	}
 	q := query.NewQuery("links", aggregate.Count, workload.ColLatency)
 	q.Within = 0
-	res, err := sys.Execute(q)
+	res, err := sys.ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestOtherAggregatesFlushFirst(t *testing.T) {
 	}
 	q := query.NewQuery("links", aggregate.Max, workload.ColLatency)
 	q.Within = 0
-	res, err := sys.Execute(q)
+	res, err := sys.ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -443,29 +443,5 @@ func (s *System) ExecuteBatchDetailed(ctx context.Context, qs []query.Query, opt
 	return results, perQuery, nil
 }
 
-// Execute runs the query with a background context and default options.
-//
-// Deprecated: use ExecuteCtx, which adds cancellation, deadlines, cost
-// budgets, per-request solvers and typed errors.
-func (s *System) Execute(q query.Query) (query.Result, error) {
-	return s.ExecuteCtx(context.Background(), q)
-}
-
-// PreciseMode runs the query at R = 0 (the fresh-data extreme of
-// Figure 1(a)).
-//
-// Deprecated: use ExecuteCtx with WithMode(ModePrecise).
-func (s *System) PreciseMode(q query.Query) (query.Result, error) {
-	return s.ExecuteCtx(context.Background(), q, query.WithMode(query.ModePrecise))
-}
-
-// ImpreciseMode runs the query over cached bounds only (the stale-data
-// extreme of Figure 1(a)).
-//
-// Deprecated: use ExecuteCtx with WithMode(ModeImprecise).
-func (s *System) ImpreciseMode(q query.Query) (query.Result, error) {
-	return s.ExecuteCtx(context.Background(), q, query.WithMode(query.ModeImprecise))
-}
-
 // Stats returns a snapshot of network traffic counters.
 func (s *System) Stats() netsim.Stats { return s.Net.Stats() }

@@ -1,6 +1,7 @@
 package trapp
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -38,7 +39,7 @@ func TestSystemSetup(t *testing.T) {
 	if err := sys.Mount("t", sys.Cache("c")); err == nil {
 		t.Error("duplicate mount accepted")
 	}
-	if _, err := sys.Execute(query.NewQuery("missing", aggregate.Sum, "x")); err == nil {
+	if _, err := sys.ExecuteCtx(context.Background(), query.NewQuery("missing", aggregate.Sum, "x")); err == nil {
 		t.Error("unmounted table accepted")
 	}
 }
@@ -67,7 +68,7 @@ func TestEndToEndLifecycle(t *testing.T) {
 	// Immediately after subscribing, bounds are points: imprecise mode is
 	// already exact.
 	q := query.NewQuery("links", aggregate.Sum, workload.ColLatency)
-	res, err := sys.Execute(q)
+	res, err := sys.ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestEndToEndLifecycle(t *testing.T) {
 
 	// Let time pass: bounds grow, imprecise answers widen.
 	sys.Clock.Advance(100)
-	res, err = sys.Execute(q)
+	res, err = sys.ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestEndToEndLifecycle(t *testing.T) {
 
 	// A constrained query forces query-initiated refreshes and meets R.
 	q.Within = 1
-	res, err = sys.Execute(q)
+	res, err = sys.ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestEndToEndLifecycle(t *testing.T) {
 		t.Errorf("value refreshes %d → %d, want +1", before, after)
 	}
 	// The cache sees the new value without paying a query refresh.
-	res, err = sys.ImpreciseMode(query.NewQuery("links", aggregate.Max, workload.ColLatency))
+	res, err = sys.ExecuteCtx(context.Background(), query.NewQuery("links", aggregate.Max, workload.ColLatency), query.WithMode(query.ModeImprecise))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,14 +144,14 @@ func TestPreciseAndImpreciseModes(t *testing.T) {
 	sys.Clock.Advance(10000) // bounds grow wide
 
 	q := query.NewQuery("links", aggregate.Min, workload.ColBandwidth)
-	imp, err := sys.ImpreciseMode(q)
+	imp, err := sys.ExecuteCtx(context.Background(), q, query.WithMode(query.ModeImprecise))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if imp.Refreshed != 0 {
 		t.Error("imprecise mode refreshed")
 	}
-	prec, err := sys.PreciseMode(q)
+	prec, err := sys.ExecuteCtx(context.Background(), q, query.WithMode(query.ModePrecise))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +189,7 @@ func TestPredicateQueryThroughSystem(t *testing.T) {
 		predicate.Column(s.MustLookup(workload.ColTraffic), "traffic"),
 		predicate.Gt, predicate.Const(100))
 	q.Within = 0
-	res, err := sys.Execute(q)
+	res, err := sys.ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +220,7 @@ func TestStatsAccumulateAcrossQueries(t *testing.T) {
 	sys.Clock.Advance(10000)
 	q := query.NewQuery("links", aggregate.Sum, workload.ColTraffic)
 	q.Within = 0
-	if _, err := sys.Execute(q); err != nil {
+	if _, err := sys.ExecuteCtx(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
 	st := sys.Stats()

@@ -100,6 +100,14 @@ type Tuple = relation.Tuple
 // NewTable returns an empty table with the given schema.
 func NewTable(s *Schema) *Table { return relation.NewTable(s) }
 
+// Store is a sharded cached relation with per-shard locks — what a
+// Processor registers (Processor.RegisterStore).
+type Store = relation.Store
+
+// StoreOf returns a one-shard store holding copies of a hand-built flat
+// table's tuples.
+func StoreOf(t *Table) *Store { return relation.StoreOf(t) }
+
 // Func identifies an aggregation function.
 type Func = aggregate.Func
 
@@ -189,7 +197,8 @@ func WithCostBudget(b float64) ExecOption { return query.WithCostBudget(b) }
 func WithSolver(s Solver) ExecOption { return query.WithSolver(s) }
 
 // WithMode positions one request on the precision-performance dial,
-// subsuming the deprecated PreciseMode/ImpreciseMode entry points.
+// from the fresh-data extreme (ModePrecise) to the stale-data one
+// (ModeImprecise).
 func WithMode(m Mode) ExecOption { return query.WithMode(m) }
 
 // WithTrace records a span tree through the request's phases (cache
@@ -365,7 +374,7 @@ type GroupRow = query.GroupRow
 // subscription.
 type GroupAnswer = continuous.GroupAnswer
 
-// Processor executes bounded queries over directly registered tables,
+// Processor executes bounded queries over directly registered stores,
 // without the source/cache architecture — useful for embedding TRAPP/AG
 // query processing over an existing store, and for reproducing the
 // paper's worked examples over fixed cached bounds.

@@ -155,14 +155,6 @@ func TestPublicAPIModes(t *testing.T) {
 	if imp.RefreshCost != 0 {
 		t.Error("imprecise mode paid refresh cost")
 	}
-	//lint:ignore SA1019 the deprecated wrapper must keep matching the option
-	wrapper, err := sys.ImpreciseMode(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wrapper.Answer != imp.Answer {
-		t.Error("deprecated ImpreciseMode diverges from WithMode(ModeImprecise)")
-	}
 	prec, err := sys.ExecuteCtx(context.Background(), q, trapp.WithMode(trapp.ModePrecise))
 	if err != nil {
 		t.Fatal(err)
