@@ -1,10 +1,8 @@
 // Command trappserver serves a TRAPP system over HTTP — the network
 // service layer of the client/server scenario the paper assumes (many
 // clients, many replicated sources, one precision-performance engine in
-// between). It builds the benchmarks' link-monitoring workload
-// (experiment.BuildLinkSystem) — or, with -objects, the adversarial
-// multi-tenant scale workload (experiment.BuildScaleSystem) that
-// `trappbench -scale -remote` drives — and exposes:
+// between). It builds the link-monitoring workload
+// (experiment.BuildLinkSystem) and exposes:
 //
 //	POST /query      execute SQL (single or ';'-separated batch); body
 //	                 {"sql": ..., "deadline_ms", "budget", "mode",
@@ -20,8 +18,8 @@
 // it), -clientbudget meters each client's cumulative refresh cost
 // (budget-exhausted semantics once spent). -drive animates the workload
 // (random-walk pushes + clock ticks); leave it off to serve a static
-// system, which is what `trappbench -remote ... -verify N` requires to
-// check wire answers bit-identical against a local mirror.
+// system, whose answers are bit-identical to an in-process mirror built
+// from the same -links/-sources/-seed.
 //
 // Observability: -slowquery enables the structured slow-query log on
 // stderr, -pprof mounts /debug/pprof for live profiling.
@@ -43,7 +41,6 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
-	"math/rand"
 	gonet "net"
 	"os"
 	"os/signal"
@@ -64,9 +61,6 @@ func main() {
 	framedAddr := flag.String("framed", ":7091", "framed binary-protocol listen address (empty: disabled); the bound port is published as framed_port in /healthz")
 	links := flag.Int("links", 90, "number of monitored links (objects)")
 	sources := flag.Int("sources", 8, "number of data sources")
-	objects := flag.Int("objects", 0, "serve the adversarial scale workload with this many objects across -tenants tables instead of the link workload")
-	tenants := flag.Int("tenants", 32, "tenant tables for the -objects scale workload")
-	zipfu := flag.Float64("zipfu", 1.2, "Zipf exponent of the -drive update skew in scale mode")
 	seed := flag.Int64("seed", experiment.DefaultSeed, "workload seed")
 	maxInFlight := flag.Int("maxinflight", 0, "max concurrent /query requests (0: unlimited)")
 	maxSubs := flag.Int("maxsubs", 0, "max concurrent /subscribe streams (0: unlimited)")
@@ -81,7 +75,6 @@ func main() {
 
 	var (
 		sys *itrapp.System
-		sc  *workload.Scale
 		net *workload.Network
 		err error
 
@@ -93,10 +86,6 @@ func main() {
 	)
 	switch {
 	case *partSpec != "":
-		if *objects > 0 {
-			fmt.Fprintln(os.Stderr, "trappserver: -partition and -objects are mutually exclusive")
-			os.Exit(1)
-		}
 		var pi, pn int
 		if _, serr := fmt.Sscanf(*partSpec, "%d/%d", &pi, &pn); serr != nil || pi < 0 || pi >= pn {
 			fmt.Fprintf(os.Stderr, "trappserver: bad -partition %q (want \"i/N\" with 0 <= i < N)\n", *partSpec)
@@ -134,12 +123,6 @@ func main() {
 				}
 			}
 		}
-	case *objects > 0:
-		if *dataDir != "" {
-			fmt.Fprintln(os.Stderr, "trappserver: -data is not supported with the -objects scale workload")
-			os.Exit(1)
-		}
-		sys, sc, err = experiment.BuildScaleSystem(*objects, *tenants, *seed)
 	case *dataDir != "":
 		sys, net, rec, err = experiment.BuildLinkSystemDurable(*links, *sources, *seed, *dataDir, relation.WALOptions{})
 	default:
@@ -158,16 +141,6 @@ func main() {
 		"sources": *sources,
 		"seed":    *seed,
 		"driven":  *drive > 0,
-	}
-	if sc != nil {
-		// The scale descriptor trappbench -scale -remote discovers via
-		// /healthz to rebuild matching samplers and SQL shapes.
-		info = map[string]any{
-			"objects": *objects,
-			"tenants": *tenants,
-			"seed":    *seed,
-			"driven":  *drive > 0,
-		}
 	}
 	if *partSpec != "" {
 		info["partition"] = *partSpec
@@ -209,12 +182,10 @@ func main() {
 	// The driver animates the sources so subscriptions have something to
 	// stream: every interval the logical clock advances one tick (bounds
 	// grow, constraints can violate, the continuous engine repairs them)
-	// and values take random-walk steps — every link in link mode, a
-	// Zipfian-sampled batch of objects in scale mode (stepping the whole
-	// 10⁵–10⁶ population each tick would outrun the tick).
+	// and every link this process owns takes a random-walk step.
 	driveCtx, stopDrive := context.WithCancel(context.Background())
 	defer stopDrive()
-	if *drive > 0 && sc == nil {
+	if *drive > 0 {
 		go func() {
 			ticker := time.NewTicker(*drive)
 			defer ticker.Stop()
@@ -238,41 +209,9 @@ func main() {
 			}
 		}()
 	}
-	if *drive > 0 && sc != nil {
-		go func() {
-			zu, err := workload.NewZipf(*objects, *zipfu)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "trappserver: drive: %v\n", err)
-				return
-			}
-			rng := rand.New(rand.NewSource(*seed + 1))
-			batch := 2048
-			if batch > *objects {
-				batch = *objects
-			}
-			ticker := time.NewTicker(*drive)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-driveCtx.Done():
-					return
-				case <-ticker.C:
-					for b := 0; b < batch; b++ {
-						o := &sc.Objects[zu.Rank(rng)]
-						src := sys.Source(experiment.ScaleSourceFor(o.Key))
-						if err := src.SetValue(o.Key, o.Step(rng, 1)); err != nil {
-							fmt.Fprintf(os.Stderr, "trappserver: drive: %v\n", err)
-							return
-						}
-					}
-					sys.Clock.Advance(1)
-				}
-			}
-		}()
-	}
 
 	// The framed listener starts before HTTP so /healthz can publish the
-	// bound framed port (trappbench -wire framed discovers it there).
+	// bound framed port (a framed client discovers it there).
 	if *framedAddr != "" {
 		fln, err := srv.ListenAndServeFramed(*framedAddr)
 		if err != nil {
@@ -290,13 +229,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "trappserver: listen %s: %v\n", *addr, err)
 		os.Exit(1)
 	}
-	if sc != nil {
-		fmt.Printf("trappserver: serving %d objects in %d tenants on http://%s (drive=%v)\n",
-			*objects, *tenants, ln.Addr(), *drive)
-	} else {
-		fmt.Printf("trappserver: serving %d links from %d sources on http://%s (drive=%v)\n",
-			*links, *sources, ln.Addr(), *drive)
-	}
+	fmt.Printf("trappserver: serving %d links from %d sources on http://%s (drive=%v)\n",
+		*links, *sources, ln.Addr(), *drive)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -2,6 +2,8 @@
 // the ablations listed in DESIGN.md. Each experiment returns typed rows so
 // the same code backs cmd/trappbench's tables and the testing.B benchmarks
 // at the repository root; EXPERIMENTS.md records paper-vs-measured shapes.
+// links.go builds the link-monitoring systems the servers, the examples
+// and the cluster tests deploy.
 package experiment
 
 import (

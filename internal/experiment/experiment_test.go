@@ -3,7 +3,6 @@ package experiment
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestFigure5Shape(t *testing.T) {
@@ -153,31 +152,5 @@ func TestWriteTable(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != 4 {
 		t.Errorf("table has %d lines", len(lines))
-	}
-}
-
-func TestConcurrentBenchmarkRuns(t *testing.T) {
-	res, err := Concurrent(2, 0, 40, 4, DefaultSeed, 100*time.Millisecond, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Clients != 2 || res.Queries <= 0 || res.QPS <= 0 {
-		t.Errorf("result = %+v", res)
-	}
-	if res.P50 < 0 || res.P99 < res.P50 {
-		t.Errorf("latency percentiles = %v, %v", res.P50, res.P99)
-	}
-}
-
-func TestConcurrentMixedModeRuns(t *testing.T) {
-	res, err := Concurrent(2, 2, 40, 4, DefaultSeed, 100*time.Millisecond, 50000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Updaters != 2 || res.Pushes <= 0 || res.PushRate <= 0 {
-		t.Errorf("mixed-mode result = %+v", res)
-	}
-	if res.Queries <= 0 || res.QPS <= 0 {
-		t.Errorf("mixed-mode result = %+v", res)
 	}
 }

@@ -11,7 +11,6 @@
 package obs
 
 import (
-	"math"
 	"math/bits"
 	"sync/atomic"
 	"time"
@@ -116,69 +115,4 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	s.Sum = h.sum.Load()
 	s.Count = h.count.Load()
 	return s
-}
-
-// Mean returns the mean observed value, or 0 for an empty snapshot.
-func (s HistogramSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
-}
-
-// Quantile estimates the q-th quantile (q in [0, 1]) by linear
-// interpolation inside the owning bucket; the estimate is within the
-// bucket's relative width (≤ 12.5%) of the true order statistic.
-func (s HistogramSnapshot) Quantile(q float64) uint64 {
-	var total uint64
-	for _, b := range s.Buckets {
-		total += b.Count
-	}
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := uint64(math.Ceil(q * float64(total)))
-	if rank == 0 {
-		rank = 1
-	}
-	var cum uint64
-	for _, b := range s.Buckets {
-		if cum+b.Count >= rank {
-			frac := float64(rank-cum) / float64(b.Count)
-			return b.Lo + uint64(frac*float64(b.Hi-b.Lo))
-		}
-		cum += b.Count
-	}
-	last := s.Buckets[len(s.Buckets)-1]
-	return last.Hi - 1
-}
-
-// Sub returns the difference snapshot s − prev (per-bucket, count, and
-// sum), for windowed measurements over an accumulating histogram. Both
-// snapshots must come from the same histogram with s taken later;
-// counters that appear to have gone backwards clamp to zero.
-func (s HistogramSnapshot) Sub(prev HistogramSnapshot) HistogramSnapshot {
-	prevAt := make(map[uint64]uint64, len(prev.Buckets))
-	for _, b := range prev.Buckets {
-		prevAt[b.Lo] = b.Count
-	}
-	out := HistogramSnapshot{}
-	if s.Count > prev.Count {
-		out.Count = s.Count - prev.Count
-	}
-	if s.Sum > prev.Sum {
-		out.Sum = s.Sum - prev.Sum
-	}
-	for _, b := range s.Buckets {
-		if n := prevAt[b.Lo]; b.Count > n {
-			out.Buckets = append(out.Buckets, Bucket{Lo: b.Lo, Hi: b.Hi, Count: b.Count - n})
-		}
-	}
-	return out
 }

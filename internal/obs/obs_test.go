@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -46,55 +45,6 @@ func TestBucketRelativeError(t *testing.T) {
 		if rel := float64(hi-lo) / float64(lo); rel > 1.0/sub+1e-9 {
 			t.Fatalf("bucket %d [%d,%d) relative width %.3f > 12.5%%", i, lo, hi, rel)
 		}
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	// Against a known distribution the quantile estimate must be within
-	// one bucket width (≤12.5% relative) of the true order statistic.
-	rng := rand.New(rand.NewSource(7))
-	var h Histogram
-	vals := make([]uint64, 10000)
-	for i := range vals {
-		v := uint64(rng.ExpFloat64() * 50000)
-		vals[i] = v
-		h.Observe(v)
-	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-	s := h.Snapshot()
-	if s.Count != uint64(len(vals)) {
-		t.Fatalf("count %d != %d", s.Count, len(vals))
-	}
-	for _, q := range []float64{0.5, 0.9, 0.99} {
-		exact := vals[int(math.Ceil(q*float64(len(vals))))-1]
-		est := s.Quantile(q)
-		if exact == 0 {
-			continue
-		}
-		rel := math.Abs(float64(est)-float64(exact)) / float64(exact)
-		if rel > 0.125+1e-9 {
-			t.Fatalf("q%.2f estimate %d vs exact %d: relative error %.3f", q, est, exact, rel)
-		}
-	}
-}
-
-func TestHistogramSub(t *testing.T) {
-	var h Histogram
-	h.Observe(5)
-	h.Observe(100)
-	before := h.Snapshot()
-	h.Observe(5)
-	h.Observe(9999)
-	diff := h.Snapshot().Sub(before)
-	if diff.Count != 2 || diff.Sum != 5+9999 {
-		t.Fatalf("diff count=%d sum=%d", diff.Count, diff.Sum)
-	}
-	var n uint64
-	for _, b := range diff.Buckets {
-		n += b.Count
-	}
-	if n != 2 {
-		t.Fatalf("diff bucket counts sum to %d, want 2", n)
 	}
 }
 

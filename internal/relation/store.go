@@ -152,20 +152,6 @@ func (s *Store) Canonical() bool { return len(s.shards) <= NumCanonicalBuckets }
 // lock-free counter so predicate-free COUNT needs no shard locks.
 func (s *Store) Len() int { return int(s.length.Load()) }
 
-// ShardLens returns the tuple count of every shard in index order — the
-// occupancy histogram the scale harness reports to detect hot-shard
-// imbalance. Each shard is read under its own lock, so the counts are
-// per-shard consistent but not a cross-shard atomic snapshot.
-func (s *Store) ShardLens() []int {
-	lens := make([]int, len(s.shards))
-	for i := range s.shards {
-		s.shards[i].mu.RLock()
-		lens[i] = s.shards[i].tab.Len()
-		s.shards[i].mu.RUnlock()
-	}
-	return lens
-}
-
 // ShardLock returns shard i's RWMutex for callers that coordinate their
 // own multi-step access (the cache shares it with the query processor's
 // scans). Lock-ordering rule: a goroutine holding one shard lock may

@@ -93,9 +93,8 @@ type Config struct {
 	// never share a budget). 0 means DefaultMaxClients.
 	MaxClients int
 	// Info is an arbitrary workload descriptor published by /healthz and
-	// /metrics (trappserver records links/sources/seed here so
-	// trappbench -remote can rebuild the identical system for parity
-	// verification).
+	// /metrics (trappserver records links/sources/seed here, enough to
+	// rebuild the identical system in process).
 	Info map[string]any
 	// SlowQuery, when positive, is the slow-query log threshold: any
 	// /query request taking at least this long is logged (request id,

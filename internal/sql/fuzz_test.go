@@ -48,7 +48,7 @@ var fuzzCatalog = MapCatalog{
 	),
 }
 
-// The -scale harness generates SQL against multi-tenant tables
+// The scale workload's SQL runs against multi-tenant tables
 // (tenant_0, tenant_1, …) with the shared scale schema; register the
 // ones its corpus sample references so those shapes parse instead of
 // failing on table resolution.
@@ -58,7 +58,7 @@ func init() {
 	}
 }
 
-// scaleCorpus is the deterministic sample of generated -scale SQL
+// scaleCorpus is the deterministic sample of the scale workload's SQL
 // shapes (underscored tenant names, tight and relative WITHIN, GROUP BY
 // over the exact region column) seeded alongside the hand-written
 // corpus.

@@ -115,7 +115,7 @@ func TestDifferentialShardedVsFlat(t *testing.T) {
 }
 
 // TestDifferentialShardedVsFlatZipf is the same differential replay with
-// keys sampled Zipfian instead of uniformly — the -scale harness's skew,
+// keys sampled Zipfian instead of uniformly — the scale workload's skew,
 // so pushes, deletes, and Oracle refreshes hammer a few hot keys (and
 // therefore a few hot shards) while queries still cover the whole table.
 // Divergence that only shows when one shard's state churns far faster

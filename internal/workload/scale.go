@@ -168,9 +168,9 @@ func ScaleSchema() *relation.Schema {
 }
 
 // QuerySQL renders a random single-answer query against tenant t — the
-// shapes the -scale harness sends through POST /query (which rejects
-// GROUP BY, so grouped shapes live in SubscriptionSQL). Deterministic
-// in the rng stream.
+// shapes a client sends through POST /query (which rejects GROUP BY, so
+// grouped shapes live in SubscriptionSQL). Deterministic in the rng
+// stream.
 func (s *Scale) QuerySQL(rng *rand.Rand, t int) string {
 	name := TenantName(t)
 	switch rng.Intn(5) {
@@ -203,8 +203,8 @@ func (s *Scale) SubscriptionSQL(rng *rand.Rand, t int) string {
 	}
 }
 
-// ScaleCorpus returns a deterministic sample of the SQL shapes the
-// -scale harness generates, for seeding parser fuzz corpora: one of
+// ScaleCorpus returns a deterministic sample of the scale workload's SQL
+// shapes, for seeding parser fuzz corpora: one of
 // each QuerySQL/SubscriptionSQL production over a few tenant names,
 // from a fixed rng stream.
 func ScaleCorpus() []string {

@@ -115,75 +115,6 @@ func TestZipfSplitByRank(t *testing.T) {
 	}
 }
 
-func TestScheduleBoundariesOnExactTicks(t *testing.T) {
-	s, err := NewSchedule([]Regime{
-		{Name: "a", Ticks: 10, UpdateRate: 1},
-		{Name: "b", Ticks: 20, UpdateRate: 1},
-		{Name: "c", Ticks: 30, UpdateRate: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.TotalTicks() != 60 {
-		t.Fatalf("total = %d", s.TotalTicks())
-	}
-	cases := []struct {
-		tick int64
-		want string
-	}{
-		{-5, "a"}, {0, "a"}, {9, "a"},
-		{10, "b"}, {29, "b"},
-		{30, "c"}, {59, "c"},
-		{60, "c"}, {1000, "c"}, // clamp past the end
-	}
-	for _, tc := range cases {
-		if got := s.At(tc.tick).Name; got != tc.want {
-			t.Errorf("At(%d) = %q, want %q", tc.tick, got, tc.want)
-		}
-	}
-	if s.Start(1) != 10 || s.Start(2) != 30 {
-		t.Errorf("starts = %d, %d", s.Start(1), s.Start(2))
-	}
-}
-
-func TestScheduleValidation(t *testing.T) {
-	if _, err := NewSchedule(nil); err == nil {
-		t.Error("empty schedule accepted")
-	}
-	if _, err := NewSchedule([]Regime{{Name: "z", Ticks: 0}}); err == nil {
-		t.Error("zero-tick regime accepted")
-	}
-	if _, err := NewSchedule([]Regime{{Name: "z", Ticks: 5, UpdateRate: -1}}); err == nil {
-		t.Error("negative update rate accepted")
-	}
-}
-
-func TestDefaultScheduleShape(t *testing.T) {
-	s := DefaultSchedule(100, 1.1, 1.2, 100000)
-	regs := s.Regimes()
-	if len(regs) < 2 {
-		t.Fatalf("default schedule has %d regimes, need a regime switch", len(regs))
-	}
-	if regs[0].QueryS != 0 {
-		t.Errorf("warm phase skew = %g, want uniform", regs[0].QueryS)
-	}
-	var burst, drift *Regime
-	for i := range regs {
-		switch regs[i].Name {
-		case "hot-burst":
-			burst = &regs[i]
-		case "drift":
-			drift = &regs[i]
-		}
-	}
-	if burst == nil || burst.UpdateRate <= 1 {
-		t.Error("no burst regime with elevated update rate")
-	}
-	if drift == nil || drift.HotOffset != 50000 {
-		t.Error("no drift regime rotating the hot set")
-	}
-}
-
 func TestScaleDeterministicPerSeed(t *testing.T) {
 	cfg := ScaleConfig{Objects: 5000, Tenants: 8, Seed: 21}
 	a, err := NewScale(cfg)
