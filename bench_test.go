@@ -278,21 +278,20 @@ func BenchmarkEndToEndQuery(b *testing.B) {
 // scan versus B-tree endpoint indexes (sections 5.1 and 8.3).
 func BenchmarkIndexedVsScanMin(b *testing.B) {
 	for _, n := range []int{100, 10000} {
-		quotes := workload.StockDay(n, experiment.DefaultSeed)
-		tab := workload.StockTable(quotes)
-		price := tab.Schema().MustLookup("price")
-		lower := relation.NewIndex(tab, price, relation.LowerEndpoint)
-		upper := relation.NewIndex(tab, price, relation.UpperEndpoint)
+		st := relation.StoreOf(workload.StockTable(workload.StockDay(n, experiment.DefaultSeed)))
+		price := st.Schema().MustLookup("price")
+		lower := relation.NewShardedIndex(st, price, relation.LowerEndpoint)
+		upper := relation.NewShardedIndex(st, price, relation.UpperEndpoint)
 		b.Run(fmt.Sprintf("scan/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := refresh.Choose(tab, price, aggregate.Min, nil, 5, refresh.Options{}); err != nil {
+				if _, err := refresh.ChooseStore(st, price, aggregate.Min, nil, 5, refresh.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		b.Run(fmt.Sprintf("indexed/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := refresh.ChooseMinIndexed(tab, lower, upper, 5); err != nil {
+				if _, err := refresh.ChooseMinIndexedStore(st, lower, upper, 5); err != nil {
 					b.Fatal(err)
 				}
 			}

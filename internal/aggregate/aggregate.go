@@ -6,6 +6,14 @@
 // precise answer that would be obtained from the master values, for every
 // possible assignment of master values inside the cached bounds. The
 // precision of the answer is its width HA − LA.
+//
+// The formulas are written once, in State (state.go): a mergeable fold
+// fed one classified tuple at a time. Every answer in the engine is a
+// State's — the streaming store scan (stream.go), a pre-collected Input
+// slice (EvalInputs), and a cluster's merge of per-partition states
+// alike. This file holds the tuple classification rule (Classifier),
+// the materializing Input scans that refresh planning needs, and the
+// exact ground truth.
 package aggregate
 
 import (
@@ -87,81 +95,65 @@ type Input struct {
 	Class predicate.Class
 }
 
-// collector holds the predicate classification state shared by the flat
-// and sharded scans.
-type collector struct {
+// Classifier is the tuple classification rule of one query shape: the
+// predicate's three-valued verdict on a tuple (T+, T?, T−) and, for T?
+// tuples, the Appendix D shrink of the aggregation column's bound to the
+// predicate's restriction on that column. A T? tuple whose shrunk bound
+// is empty cannot satisfy the predicate and classifies T−. Build one per
+// query shape and reuse it: NewClassifier derives the restriction.
+type Classifier struct {
 	col     int
 	p       predicate.Expr
 	trivial bool
 	restr   interval.Interval
 }
 
-// newCollector prepares classification over column col under predicate p;
-// shrink enables the Appendix D refinement.
-func newCollector(col int, p predicate.Expr, shrink bool) collector {
-	c := collector{col: col, p: p, trivial: predicate.IsTrivial(p), restr: interval.Unbounded}
+// NewClassifier prepares classification over column col under predicate
+// p (nil or TruePred for none); shrink enables the Appendix D refinement.
+func NewClassifier(col int, p predicate.Expr, shrink bool) Classifier {
+	c := Classifier{col: col, p: p, trivial: predicate.IsTrivial(p), restr: interval.Unbounded}
 	if shrink && !c.trivial {
 		c.restr = predicate.Restriction(p, col)
 	}
 	return c
 }
 
-// scan appends the T+ and T? inputs of t's tuples to out, with Index set
-// to each tuple's position in t.
-func (c collector) scan(t *relation.Table, out []Input) []Input {
-	for i := 0; i < t.Len(); i++ {
-		tu := t.At(i)
-		cls := predicate.Plus
-		if !c.trivial {
-			cls = predicate.ClassifyTuple(c.p, tu)
-		}
-		if cls == predicate.Minus {
-			continue
-		}
-		b := tu.Bounds[c.col]
-		if cls == predicate.Maybe {
-			s := b.Intersect(c.restr)
-			if s.IsEmpty() {
-				continue // cannot satisfy the restriction: effectively T−
-			}
-			b = s
-		}
-		out = append(out, Input{
-			Index: i,
-			Key:   tu.Key,
-			Bound: b,
-			Cost:  tu.Cost,
-			Class: cls,
-		})
-	}
-	return out
+// Classify returns the tuple's Input (Index left zero: the caller knows
+// the tuple's position) and whether the tuple contributes at all — false
+// for T−.
+func (c *Classifier) Classify(tu *relation.Tuple) (Input, bool) {
+	cls, b := c.classify(tu)
+	return Input{Key: tu.Key, Bound: b, Cost: tu.Cost, Class: cls}, cls != predicate.Minus
 }
 
-// CollectOne classifies a single tuple exactly as Collect's scan would:
-// it returns the tuple's Input (with Index left zero — the caller knows
-// the tuple's position) and whether the tuple contributes at all (false
-// for T−, including T? tuples whose shrunk bound is empty). The batch
-// executor uses it to patch a pre-refresh input snapshot with the
-// refreshed tuples of one query's own plan, reproducing bit-identically
-// the inputs a full post-refresh rescan would collect.
-func CollectOne(tu *relation.Tuple, col int, p predicate.Expr, shrink bool) (Input, bool) {
-	c := newCollector(col, p, shrink)
+// classify returns the tuple's class and its bound on the aggregation
+// column, shrunk for a T? tuple. Every classification except the
+// streaming fold's (State.scanTable) runs through it.
+func (c *Classifier) classify(tu *relation.Tuple) (predicate.Class, interval.Interval) {
 	cls := predicate.Plus
 	if !c.trivial {
 		cls = predicate.ClassifyTuple(c.p, tu)
 	}
-	if cls == predicate.Minus {
-		return Input{}, false
-	}
 	b := tu.Bounds[c.col]
 	if cls == predicate.Maybe {
-		s := b.Intersect(c.restr)
-		if s.IsEmpty() {
-			return Input{}, false
+		if b = b.Intersect(c.restr); b.IsEmpty() {
+			cls = predicate.Minus
 		}
-		b = s
 	}
-	return Input{Key: tu.Key, Bound: b, Cost: tu.Cost, Class: cls}, true
+	return cls, b
+}
+
+// scan appends the T+ and T? inputs of t's tuples to out, with Index set
+// to each tuple's position in t. The receiver is a value so that
+// CollectStore's workers capture c by copy and it stays off the heap.
+func (c Classifier) scan(t *relation.Table, out []Input) []Input {
+	for i := 0; i < t.Len(); i++ {
+		tu := t.At(i)
+		if cls, b := c.classify(tu); cls != predicate.Minus {
+			out = append(out, Input{Index: i, Key: tu.Key, Bound: b, Cost: tu.Cost, Class: cls})
+		}
+	}
+	return out
 }
 
 // sortCanonical orders inputs into the canonical order (see
@@ -171,8 +163,7 @@ func CollectOne(tu *relation.Tuple, col int, p predicate.Expr, shrink bool) (Inp
 // tuple set, independent of physical layout. This is what makes answers
 // over any store or table bit-identical to answers over any other layout
 // holding the same tuples. The already-sorted pre-check keeps the call
-// linear for scans that emit canonical order natively (default-sharded
-// stores).
+// linear for inputs that are canonical already.
 func sortCanonical(inputs []Input) {
 	sorted := true
 	for i := 1; i < len(inputs); i++ {
@@ -206,7 +197,7 @@ func sortCanonical(inputs []Input) {
 // be empty are reclassified as T− (their bound cannot satisfy the
 // predicate's restriction on the aggregation column).
 func Collect(t *relation.Table, col int, p predicate.Expr, shrink bool) []Input {
-	c := newCollector(col, p, shrink)
+	c := NewClassifier(col, p, shrink)
 	inputs := c.scan(t, make([]Input, 0, t.Len()))
 	sortCanonical(inputs)
 	return inputs
@@ -214,18 +205,16 @@ func Collect(t *relation.Table, col int, p predicate.Expr, shrink bool) []Input 
 
 // CollectStore is Collect over a sharded store: the classification scan
 // runs shard-natively — up to workers goroutines (0 means GOMAXPROCS),
-// each scanning whole shards under their read locks — and the result is
-// in the canonical order, so the inputs (and every answer or refresh
+// each scanning whole shards under their read locks — and concatenates
+// the shard runs in index order, which is the canonical order for every
+// store (relation.NewStore), so the inputs (and every answer or refresh
 // plan computed from them) are bit-identical to a flat-table scan over
-// the same tuples. A default-sharded store's scan emits canonical order
-// natively (shards in index order, canonically sorted tuples within each shard —
-// see relation.CanonicalLess), so the common case never sorts.
-// Input.Index holds the input's position in the canonical order, since a
-// sharded store has no global physical positions. The returned tableLen
-// is the store cardinality at scan time, consistent with the scanned
-// shards.
+// the same tuples without a sort. Input.Index holds the input's position
+// in the canonical order, since a sharded store has no global physical
+// positions. The returned tableLen is the store cardinality at scan
+// time, consistent with the scanned shards.
 func CollectStore(st *relation.Store, col int, p predicate.Expr, shrink bool, workers int) (inputs []Input, tableLen int) {
-	c := newCollector(col, p, shrink)
+	c := NewClassifier(col, p, shrink)
 	ns := st.NumShards()
 	if workers = parallel.Workers(workers); workers > ns {
 		workers = ns
@@ -259,9 +248,6 @@ func CollectStore(st *relation.Store, col int, p predicate.Expr, shrink bool, wo
 			inputs = append(inputs, parts[si]...)
 		}
 	}
-	if !st.Canonical() {
-		sortCanonical(inputs)
-	}
 	for i := range inputs {
 		inputs[i].Index = i
 	}
@@ -281,199 +267,14 @@ func Eval(t *relation.Table, col int, fn Func, p predicate.Expr) interval.Interv
 	return EvalInputs(inputs, fn, predicate.IsTrivial(p), t.Len())
 }
 
-// EvalStore is Eval over a sharded store, with the scan shard-parallel
-// across up to workers goroutines (see CollectStore). The answer is
-// bit-identical to Eval over a flat table holding the same tuples.
-func EvalStore(st *relation.Store, col int, fn Func, p predicate.Expr, workers int) interval.Interval {
-	inputs, tableLen := CollectStore(st, col, p, true, workers)
-	return EvalInputs(inputs, fn, predicate.IsTrivial(p), tableLen)
-}
-
-// EvalInputs computes the bounded answer from pre-collected inputs.
+// EvalInputs computes the bounded answer from pre-collected inputs in
+// canonical order (Collect, CollectStore): it is StateOf(...).Answer().
 // noPredicate selects the section 5 formulas (all tuples count as T+);
 // tableLen is the full table cardinality, needed by COUNT without a
 // predicate.
 func EvalInputs(inputs []Input, fn Func, noPredicate bool, tableLen int) interval.Interval {
-	switch fn {
-	case Min:
-		return evalMin(inputs)
-	case Max:
-		return evalMax(inputs)
-	case Sum:
-		return evalSum(inputs, noPredicate)
-	case Count:
-		return evalCount(inputs, noPredicate, tableLen)
-	case Avg:
-		return evalAvgTight(inputs)
-	default:
-		panic(fmt.Sprintf("aggregate: unknown func %d", fn))
-	}
-}
-
-// evalMin implements sections 5.1 and 6.1:
-// [min over T+∪T? of L, min over T+ of H]. Without a predicate every tuple
-// is T+ so both reductions range over all tuples. An empty T+ leaves the
-// answer unbounded above (+∞); empty input yields Empty.
-func evalMin(inputs []Input) interval.Interval {
-	lo, hi := interval.Empty, interval.Empty
-	for _, in := range inputs {
-		if lo.IsEmpty() || in.Bound.Lo < lo.Lo {
-			lo = interval.Point(in.Bound.Lo)
-		}
-		if in.Class == predicate.Plus {
-			if hi.IsEmpty() || in.Bound.Hi < hi.Lo {
-				hi = interval.Point(in.Bound.Hi)
-			}
-		}
-	}
-	if lo.IsEmpty() {
-		return interval.Empty
-	}
-	if hi.IsEmpty() {
-		return interval.Interval{Lo: lo.Lo, Hi: interval.Unbounded.Hi}
-	}
-	return interval.Interval{Lo: lo.Lo, Hi: hi.Lo}
-}
-
-// evalMax implements the symmetric Appendix C formulas:
-// [max over T+ of L, max over T+∪T? of H].
-func evalMax(inputs []Input) interval.Interval {
-	lo, hi := interval.Empty, interval.Empty
-	for _, in := range inputs {
-		if hi.IsEmpty() || in.Bound.Hi > hi.Lo {
-			hi = interval.Point(in.Bound.Hi)
-		}
-		if in.Class == predicate.Plus {
-			if lo.IsEmpty() || in.Bound.Lo > lo.Lo {
-				lo = interval.Point(in.Bound.Lo)
-			}
-		}
-	}
-	if hi.IsEmpty() {
-		return interval.Empty
-	}
-	if lo.IsEmpty() {
-		return interval.Interval{Lo: interval.Unbounded.Lo, Hi: hi.Lo}
-	}
-	return interval.Interval{Lo: lo.Lo, Hi: hi.Lo}
-}
-
-// evalSum implements sections 5.2 and 6.2. Without a predicate:
-// [ΣL, ΣH]. With one: T+ tuples contribute their full bounds; T? tuples
-// contribute only negative L to the lower bound and only positive H to the
-// upper bound (their bounds are effectively extended to include 0, since
-// they may contribute nothing).
-//
-// The summation is bucket-structured: contributions accumulate into
-// per-canonical-bucket subtotals which are then combined in ascending
-// bucket order (see bucketSums). Canonical input order is ascending
-// (bucket, key), so the per-bucket sequences are exactly the canonical
-// subsequences — the fold is a fixed regrouping of the canonical scan,
-// identical no matter how the inputs are split along bucket boundaries.
-// A cluster partition owning whole buckets can therefore ship its
-// subtotals and the coordinator's merge is bit-identical to a
-// single-node fold (DESIGN.md §14).
-func evalSum(inputs []Input, noPredicate bool) interval.Interval {
-	var s bucketSums
-	for _, in := range inputs {
-		bk := relation.CanonicalBucket(in.Key)
-		if noPredicate || in.Class == predicate.Plus {
-			s.add(bk, in.Bound.Lo, in.Bound.Hi)
-			continue
-		}
-		lo, hi := in.Bound.Lo, in.Bound.Hi
-		if lo >= 0 {
-			lo = 0
-		}
-		if hi <= 0 {
-			hi = 0
-		}
-		s.add(bk, lo, hi)
-	}
-	l, h := s.fold()
-	return interval.Interval{Lo: l, Hi: h}
-}
-
-// bucketSums is a pair of per-canonical-bucket running sums plus a
-// presence mask. A bucket participates in the final fold iff at least one
-// contribution was added to it — the presence rule that keeps the fold a
-// pure function of the contributing-input multiset (an untouched bucket
-// must not inject a +0.0 that could flip a −0.0 subtotal's sign).
-type bucketSums struct {
-	lo, hi  [relation.NumCanonicalBuckets]float64
-	present uint64
-}
-
-func (s *bucketSums) add(bucket int, lo, hi float64) {
-	s.lo[bucket] += lo
-	s.hi[bucket] += hi
-	s.present |= 1 << bucket
-}
-
-// fold combines the subtotals of the present buckets in ascending bucket
-// order — the one canonical combination order every layout and every
-// partition merge uses.
-func (s *bucketSums) fold() (lo, hi float64) {
-	for b := 0; b < relation.NumCanonicalBuckets; b++ {
-		if s.present&(1<<b) == 0 {
-			continue
-		}
-		lo += s.lo[b]
-		hi += s.hi[b]
-	}
-	return lo, hi
-}
-
-// evalCount implements sections 5.3 and 6.3. Without a predicate the
-// cached cardinality is exact. With one: [|T+|, |T+| + |T?|].
-func evalCount(inputs []Input, noPredicate bool, tableLen int) interval.Interval {
-	if noPredicate {
-		return interval.Point(float64(tableLen))
-	}
-	plus, maybe := 0, 0
-	for _, in := range inputs {
-		if in.Class == predicate.Plus {
-			plus++
-		} else {
-			maybe++
-		}
-	}
-	return interval.Interval{Lo: float64(plus), Hi: float64(plus + maybe)}
-}
-
-// evalAvgTight implements the Appendix E tight bound for AVG.
-//
-// Lower endpoint: start from the average of the T+ tuples' lower endpoints
-// and fold in T? lower endpoints in increasing order while each further
-// endpoint decreases the running average. The upper endpoint is symmetric
-// with upper endpoints in decreasing order. When T+ is empty the running
-// average starts from the first T? endpoint (an AVG over a possibly empty
-// selection is only defined when at least one tuple contributes; the bound
-// covers every nonempty subset). Without a predicate every tuple is T+ and
-// the result reduces to [mean of L, mean of H].
-func evalAvgTight(inputs []Input) interval.Interval {
-	if len(inputs) == 0 {
-		return interval.Empty
-	}
-	// The T+ seed sums are bucket-structured like evalSum's, so a
-	// partition's seed subtotals merge into the global seed bit-identically
-	// (DESIGN.md §14). T? bounds participate only through the value-sorted
-	// prefix fold below, which is already order-independent.
-	var seeds bucketSums
-	k := 0
-	var maybes []Input
-	for _, in := range inputs {
-		if in.Class == predicate.Plus {
-			seeds.add(relation.CanonicalBucket(in.Key), in.Bound.Lo, in.Bound.Hi)
-			k++
-		} else {
-			maybes = append(maybes, in)
-		}
-	}
-	sl, sh := seeds.fold()
-	lo := foldAvg(sl, k, maybes, func(in Input) float64 { return in.Bound.Lo }, true)
-	hi := foldAvg(sh, k, maybes, func(in Input) float64 { return in.Bound.Hi }, false)
-	return interval.Interval{Lo: lo, Hi: hi}
+	s := StateOf(inputs, fn, noPredicate, tableLen)
+	return s.Answer()
 }
 
 // canonicalFloatCmp is a total order on endpoint values: ascending, with
@@ -501,20 +302,22 @@ func canonicalFloatCmp(a, b float64) int {
 }
 
 // foldAvg performs the Appendix E prefix-averaging fold. s and k are the
-// T+ seed sum and count; endpoint extracts the relevant endpoint from a T?
-// tuple; minimize selects whether endpoints are folded in increasing order
-// to minimize the average (lower bound) or decreasing order to maximize it
-// (upper bound).
-func foldAvg(s float64, k int, maybes []Input, endpoint func(Input) float64, minimize bool) float64 {
+// T+ seed sum and count and maybes the T? bounds. minimize folds lower
+// endpoints in increasing order to minimize the average (the answer's
+// lower bound); otherwise upper endpoints are folded in decreasing order
+// to maximize it (the upper bound).
+func foldAvg(s float64, k int, maybes []interval.Interval, minimize bool) float64 {
 	vals := make([]float64, len(maybes))
-	for i, in := range maybes {
-		vals[i] = endpoint(in)
+	for i, b := range maybes {
+		if minimize {
+			vals[i] = b.Lo
+		} else {
+			vals[i] = b.Hi
+		}
 	}
 	slices.SortFunc(vals, canonicalFloatCmp)
 	if !minimize {
-		for i, j := 0, len(vals)-1; i < j; i, j = i+1, j-1 {
-			vals[i], vals[j] = vals[j], vals[i]
-		}
+		slices.Reverse(vals)
 	}
 	i := 0
 	if k == 0 {
@@ -549,13 +352,14 @@ func EvalLooseAvg(t *relation.Table, col int, p predicate.Expr) interval.Interva
 	return EvalLooseAvgInputs(inputs, predicate.IsTrivial(p), t.Len())
 }
 
-// EvalLooseAvgInputs is EvalLooseAvg over pre-collected inputs.
+// EvalLooseAvgInputs is EvalLooseAvg over pre-collected inputs in
+// canonical order; the SUM and COUNT bounds are their States' answers.
 func EvalLooseAvgInputs(inputs []Input, noPredicate bool, tableLen int) interval.Interval {
 	if len(inputs) == 0 {
 		return interval.Empty
 	}
-	sum := evalSum(inputs, noPredicate)
-	cnt := evalCount(inputs, noPredicate, tableLen)
+	sum := EvalInputs(inputs, Sum, noPredicate, tableLen)
+	cnt := EvalInputs(inputs, Count, noPredicate, tableLen)
 	if cnt.Lo <= 0 {
 		lo, hi := interval.Empty, interval.Empty
 		for _, in := range inputs {

@@ -362,12 +362,13 @@ func TestCollectStoreMatchesFlat(t *testing.T) {
 			}
 			for _, fn := range []Func{Min, Max, Sum, Count, Avg} {
 				want := Eval(tab, col, fn, p)
-				if got := EvalStore(st, col, fn, p, 4); got != want {
+				inputs, tableLen := CollectStore(st, col, p, true, 4)
+				if got := EvalInputs(inputs, fn, predicate.IsTrivial(p), tableLen); got != want {
 					t.Errorf("shards=%d %v store = %v, flat = %v", nshards, fn, got, want)
 				}
 				// The streaming fold must replay the same arithmetic in
 				// the same canonical order — bit-identical, repeatedly
-				// (pooled buffers must not leak state between calls).
+				// (no state may leak between calls).
 				for rep := 0; rep < 2; rep++ {
 					got, gotLen := EvalStoreStream(st, col, fn, p)
 					if got != want || gotLen != n {

@@ -1,32 +1,39 @@
 package aggregate
 
 import (
+	"fmt"
+
 	"trapp/internal/interval"
 	"trapp/internal/predicate"
 	"trapp/internal/relation"
 )
 
-// This file defines State, a mergeable partial fold of one aggregate
-// over a subset of a relation's tuples — the unit a cluster partition
-// computes locally and ships to the scatter-gather coordinator.
+// This file defines State, the engine's one bounded-answer accumulator:
+// the §5/§6 MIN/MAX/SUM/COUNT formulas and the Appendix E tight AVG,
+// folded one classified tuple at a time. A single node's answer is one
+// State fed its whole relation; a cluster partition folds its own tuples
+// into a State and ships it to the scatter-gather coordinator, which
+// merges the partitions' states and answers from the merge.
 //
 // Bit-identity across the split is by construction, not by luck
-// (DESIGN.md §14): every order-sensitive accumulation in the engine is
+// (DESIGN.md §14): every order-sensitive accumulation is
 // bucket-structured (per-canonical-bucket subtotals combined in
-// ascending bucket order — see evalSum/evalAvgTight/foldAcc), and a
-// partition owns whole canonical buckets. A partition's local canonical
-// scan therefore produces exactly the per-bucket subtotals the
-// single-node scan would produce for those buckets, and merging states
-// replays the single-node combination operation for operation:
+// ascending bucket order), and a partition owns whole canonical buckets.
+// A partition's local canonical scan therefore produces exactly the
+// per-bucket subtotals the single-node scan would produce for those
+// buckets, and merging states replays the single-node combination
+// operation for operation:
 //
-//   - MIN/MAX are selections; ties (equal float values, e.g. ±0.0) are
-//     broken by canonical tuple order, which each Selection carries as
-//     the winning tuple's key.
+//   - MIN/MAX are selections. Feed keeps the first of equal values (±0.0)
+//     in canonical order; Merge breaks the same ties by the key each
+//     Selection carries, so merged selections pick the tuple a
+//     single-node scan would.
 //   - COUNT is integer arithmetic — exactly associative.
 //   - SUM and the AVG T+ seed carry per-bucket float subtotals plus a
 //     presence mask; the merged fold adds present buckets in ascending
 //     bucket order, the same sequence of float additions a single node
-//     performs.
+//     performs. An untouched bucket is absent, not +0.0, so it cannot
+//     flip a −0.0 subtotal's sign.
 //   - AVG's T? endpoints participate through the Appendix E
 //     prefix-averaging fold, which sorts the merged endpoint multiset
 //     under a total order (canonicalFloatCmp) — a pure function of the
@@ -37,44 +44,43 @@ import (
 // guaranteed for bucket-disjoint states.
 
 // Selection is one MIN/MAX reduction: the best endpoint value seen plus
-// the key of the tuple it came from, used to break exact-value ties
-// (±0.0) by canonical order so merged selections pick the same tuple a
-// single-node canonical scan would.
+// the key of the tuple it came from, used by Merge to break exact-value
+// ties (±0.0) by canonical order.
 type Selection struct {
 	Valid bool
 	Val   float64
 	Key   int64
 }
 
-// take offers a candidate to the selection. better reports whether a
-// strictly beats b; on equal values the canonically earlier key wins —
-// exactly the "first occurrence in canonical order" a strict-inequality
-// scan keeps.
-func (s *Selection) take(val float64, key int64, better func(a, b float64) bool) {
-	switch {
-	case !s.Valid:
-		s.Valid, s.Val, s.Key = true, val, key
-	case better(val, s.Val):
-		s.Val, s.Key = val, key
-	case val == s.Val && relation.CanonicalLess(key, s.Key):
-		s.Val, s.Key = val, key
+// min offers a fed candidate to a MIN selection. Feeding is in canonical
+// order, so a strict compare keeps the canonically first of equal values.
+func (s *Selection) min(val float64, key int64) {
+	if !s.Valid || val < s.Val {
+		*s = Selection{Valid: true, Val: val, Key: key}
 	}
 }
 
-func lessF(a, b float64) bool { return a < b }
-func moreF(a, b float64) bool { return a > b }
+// max is min's MAX counterpart.
+func (s *Selection) max(val float64, key int64) {
+	if !s.Valid || val > s.Val {
+		*s = Selection{Valid: true, Val: val, Key: key}
+	}
+}
 
-// merge folds another selection into s under the same total order.
-func (s *Selection) merge(o Selection, better func(a, b float64) bool) {
-	if o.Valid {
-		s.take(o.Val, o.Key, better)
+// merge folds another partition's selection into s. better reports
+// whether o's value strictly beats s's; on equal values the canonically
+// earlier key wins — the tuple a single-node canonical scan meets first.
+func (s *Selection) merge(o Selection, better bool) {
+	if o.Valid && (!s.Valid || better || o.Val == s.Val && relation.CanonicalLess(o.Key, s.Key)) {
+		*s = o
 	}
 }
 
 // State is a mergeable partial bounded-answer fold for one aggregate
-// over a tuple subset. Produce one with StateOf or CollectState, combine
-// bucket-disjoint states with Merge, and finalize with Answer. All
-// fields are exported so states can cross a wire.
+// over a tuple subset. Produce one with CollectState (a store scan) or
+// StateOf (pre-collected inputs), combine bucket-disjoint states with
+// Merge, and finalize with Answer. All fields are exported so states can
+// cross a wire.
 type State struct {
 	Fn     Func
 	NoPred bool
@@ -110,21 +116,54 @@ func NewState(fn Func, noPred bool) State {
 	return State{Fn: fn, NoPred: noPred}
 }
 
-// Feed folds one contributing (T+ or surviving T?) bound for the keyed
-// tuple, with arithmetic identical to foldAcc.feed.
+// scanTable feeds t's contributing tuples in row order. It writes out
+// the classification rule of Classifier.classify inline rather than
+// calling it: this is the engine's hottest loop, and a call per row
+// costs about a nanosecond.
+func (s *State) scanTable(t *relation.Table, c Classifier) {
+	for i := 0; i < t.Len(); i++ {
+		tu := t.At(i)
+		cls := predicate.Plus
+		if !c.trivial {
+			cls = predicate.ClassifyTuple(c.p, tu)
+		}
+		if cls == predicate.Minus {
+			continue
+		}
+		b := tu.Bounds[c.col]
+		if cls == predicate.Maybe {
+			if b = b.Intersect(c.restr); b.IsEmpty() {
+				continue // cannot satisfy the restriction: effectively T−
+			}
+		}
+		s.Feed(tu.Key, b, cls)
+	}
+}
+
+// Feed folds one contributing bound — a T+ tuple's, or a T? tuple's
+// after the Appendix D shrink — for the keyed tuple.
+//
+// Inputs must arrive in canonical order (relation.CanonicalLess). SUM
+// and the AVG seed add within a bucket in arrival order, and MIN/MAX
+// keep the first of equal values, so canonical arrival is what makes a
+// fold over any layout bit-identical to a fold over any other. Every
+// store scan and every Collect is canonical; partitions meet in Merge.
 func (s *State) Feed(key int64, b interval.Interval, cls predicate.Class) {
 	switch s.Fn {
 	case Min:
-		s.MinLo.take(b.Lo, key, lessF)
+		s.MinLo.min(b.Lo, key)
 		if cls == predicate.Plus {
-			s.MinHiPlus.take(b.Hi, key, lessF)
+			s.MinHiPlus.min(b.Hi, key)
 		}
 	case Max:
-		s.MaxHi.take(b.Hi, key, moreF)
+		s.MaxHi.max(b.Hi, key)
 		if cls == predicate.Plus {
-			s.MaxLoPlus.take(b.Lo, key, moreF)
+			s.MaxLoPlus.max(b.Lo, key)
 		}
 	case Sum:
+		// T? tuples may contribute nothing, so their bound is extended to
+		// include 0: only a negative L lowers the sum, only a positive H
+		// raises it (section 6.2).
 		bk := relation.CanonicalBucket(key)
 		lo, hi := b.Lo, b.Hi
 		if !(s.NoPred || cls == predicate.Plus) {
@@ -158,6 +197,37 @@ func (s *State) Feed(key int64, b interval.Interval, cls predicate.Class) {
 	}
 }
 
+// mergeBuckets adds o's present per-bucket subtotals into s's.
+func mergeBuckets(lo, hi *[relation.NumCanonicalBuckets]float64, present *uint64,
+	olo, ohi *[relation.NumCanonicalBuckets]float64, opresent uint64) {
+	for b := 0; b < relation.NumCanonicalBuckets; b++ {
+		if opresent&(1<<b) == 0 {
+			continue
+		}
+		if *present&(1<<b) == 0 {
+			lo[b], hi[b] = olo[b], ohi[b]
+		} else {
+			lo[b] += olo[b]
+			hi[b] += ohi[b]
+		}
+		*present |= 1 << b
+	}
+}
+
+// foldBuckets combines the present buckets' subtotals in ascending
+// bucket order — the one combination order every layout and every
+// partition merge uses.
+func foldBuckets(lo, hi *[relation.NumCanonicalBuckets]float64, present uint64) (l, h float64) {
+	for b := 0; b < relation.NumCanonicalBuckets; b++ {
+		if present&(1<<b) == 0 {
+			continue
+		}
+		l += lo[b]
+		h += hi[b]
+	}
+	return l, h
+}
+
 // Merge folds another state (same Fn and NoPred) into s. Merging is
 // commutative and associative for bucket-disjoint states; see the file
 // comment for the overlap caveat.
@@ -165,51 +235,33 @@ func (s *State) Merge(o *State) {
 	s.TableLen += o.TableLen
 	switch s.Fn {
 	case Min:
-		s.MinLo.merge(o.MinLo, lessF)
-		s.MinHiPlus.merge(o.MinHiPlus, lessF)
+		s.MinLo.merge(o.MinLo, o.MinLo.Val < s.MinLo.Val)
+		s.MinHiPlus.merge(o.MinHiPlus, o.MinHiPlus.Val < s.MinHiPlus.Val)
 	case Max:
-		s.MaxHi.merge(o.MaxHi, moreF)
-		s.MaxLoPlus.merge(o.MaxLoPlus, moreF)
+		s.MaxHi.merge(o.MaxHi, o.MaxHi.Val > s.MaxHi.Val)
+		s.MaxLoPlus.merge(o.MaxLoPlus, o.MaxLoPlus.Val > s.MaxLoPlus.Val)
 	case Sum:
-		for b := 0; b < relation.NumCanonicalBuckets; b++ {
-			if o.SumPresent&(1<<b) == 0 {
-				continue
-			}
-			if s.SumPresent&(1<<b) == 0 {
-				s.SumLo[b], s.SumHi[b] = o.SumLo[b], o.SumHi[b]
-			} else {
-				s.SumLo[b] += o.SumLo[b]
-				s.SumHi[b] += o.SumHi[b]
-			}
-			s.SumPresent |= 1 << b
-		}
+		mergeBuckets(&s.SumLo, &s.SumHi, &s.SumPresent, &o.SumLo, &o.SumHi, o.SumPresent)
 	case Count:
 		s.Plus += o.Plus
 		s.Maybe += o.Maybe
 	case Avg:
 		s.AvgAny = s.AvgAny || o.AvgAny
-		for b := 0; b < relation.NumCanonicalBuckets; b++ {
-			if o.AvgSeedPresent&(1<<b) == 0 {
-				continue
-			}
-			if s.AvgSeedPresent&(1<<b) == 0 {
-				s.AvgSeedLo[b], s.AvgSeedHi[b] = o.AvgSeedLo[b], o.AvgSeedHi[b]
-			} else {
-				s.AvgSeedLo[b] += o.AvgSeedLo[b]
-				s.AvgSeedHi[b] += o.AvgSeedHi[b]
-			}
-			s.AvgSeedPresent |= 1 << b
-		}
+		mergeBuckets(&s.AvgSeedLo, &s.AvgSeedHi, &s.AvgSeedPresent, &o.AvgSeedLo, &o.AvgSeedHi, o.AvgSeedPresent)
 		s.AvgK += o.AvgK
 		s.AvgMaybes = append(s.AvgMaybes, o.AvgMaybes...)
 	}
 }
 
-// Answer finalizes the fold into the bounded answer, with arithmetic
-// identical to foldAcc.answer / EvalInputs.
+// Answer finalizes the fold into the bounded answer. Conventions for
+// empty inputs follow the paper's min(∅) = +∞ / max(∅) = −∞: MIN/MAX/AVG
+// over a certainly empty selection return interval.Empty, an empty T+
+// leaves MIN unbounded above (MAX below), and SUM and COUNT return
+// [0, 0].
 func (s *State) Answer() interval.Interval {
 	switch s.Fn {
 	case Min:
+		// Sections 5.1 and 6.1: [min over T+∪T? of L, min over T+ of H].
 		if !s.MinLo.Valid {
 			return interval.Empty
 		}
@@ -218,6 +270,7 @@ func (s *State) Answer() interval.Interval {
 		}
 		return interval.Interval{Lo: s.MinLo.Val, Hi: s.MinHiPlus.Val}
 	case Max:
+		// Appendix C: [max over T+ of L, max over T+∪T? of H].
 		if !s.MaxHi.Valid {
 			return interval.Empty
 		}
@@ -226,90 +279,41 @@ func (s *State) Answer() interval.Interval {
 		}
 		return interval.Interval{Lo: s.MaxLoPlus.Val, Hi: s.MaxHi.Val}
 	case Sum:
-		var lo, hi float64
-		for b := 0; b < relation.NumCanonicalBuckets; b++ {
-			if s.SumPresent&(1<<b) == 0 {
-				continue
-			}
-			lo += s.SumLo[b]
-			hi += s.SumHi[b]
-		}
+		lo, hi := foldBuckets(&s.SumLo, &s.SumHi, s.SumPresent)
 		return interval.Interval{Lo: lo, Hi: hi}
 	case Count:
+		// Sections 5.3 and 6.3: the cached cardinality is exact without a
+		// predicate; with one, [|T+|, |T+| + |T?|].
 		if s.NoPred {
 			return interval.Point(float64(s.TableLen))
 		}
 		return interval.Interval{Lo: float64(s.Plus), Hi: float64(s.Plus + s.Maybe)}
-	default: // Avg
+	case Avg:
+		// Appendix E: start from the T+ endpoints' average and fold in T?
+		// endpoints while each lowers (raises) it. Without a predicate
+		// every tuple is T+ and this is [mean of L, mean of H].
 		if !s.AvgAny {
 			return interval.Empty
 		}
-		var sl, sh float64
-		for b := 0; b < relation.NumCanonicalBuckets; b++ {
-			if s.AvgSeedPresent&(1<<b) == 0 {
-				continue
-			}
-			sl += s.AvgSeedLo[b]
-			sh += s.AvgSeedHi[b]
+		sl, sh := foldBuckets(&s.AvgSeedLo, &s.AvgSeedHi, s.AvgSeedPresent)
+		return interval.Interval{
+			Lo: foldAvg(sl, s.AvgK, s.AvgMaybes, true),
+			Hi: foldAvg(sh, s.AvgK, s.AvgMaybes, false),
 		}
-		maybes := make([]Input, len(s.AvgMaybes))
-		for i, b := range s.AvgMaybes {
-			maybes[i] = Input{Bound: b, Class: predicate.Maybe}
-		}
-		lo := foldAvg(sl, s.AvgK, maybes, func(in Input) float64 { return in.Bound.Lo }, true)
-		hi := foldAvg(sh, s.AvgK, maybes, func(in Input) float64 { return in.Bound.Hi }, false)
-		return interval.Interval{Lo: lo, Hi: hi}
+	default:
+		panic(fmt.Sprintf("aggregate: unknown func %d", s.Fn))
 	}
 }
 
-// StateOf builds the state from pre-collected inputs (any order —
-// feeding is order-insensitive by construction).
+// StateOf folds pre-collected inputs, which must be in canonical order
+// (see Feed), into a state.
 func StateOf(inputs []Input, fn Func, noPred bool, tableLen int) State {
 	s := NewState(fn, noPred)
 	s.TableLen = tableLen
-	for _, in := range inputs {
-		s.Feed(in.Key, in.Bound, in.Class)
+	for i := range inputs {
+		s.Feed(inputs[i].Key, inputs[i].Bound, inputs[i].Class)
 	}
 	return s
-}
-
-// CollectState computes the state for the aggregate over column col of
-// the store under predicate p, in one streaming pass without
-// materializing inputs (the shrink refinement is applied, matching
-// Collect/EvalStoreStream).
-func CollectState(st *relation.Store, col int, fn Func, p predicate.Expr) State {
-	c := newCollector(col, p, true)
-	s := NewState(fn, predicate.IsTrivial(p))
-	for si := 0; si < st.NumShards(); si++ {
-		st.ViewShard(si, func(t *relation.Table) {
-			s.TableLen += t.Len()
-			c.scanState(t, &s)
-		})
-	}
-	return s
-}
-
-// scanState is scanFold feeding a State instead of a foldAcc.
-func (c collector) scanState(t *relation.Table, s *State) {
-	for i := 0; i < t.Len(); i++ {
-		tu := t.At(i)
-		cls := predicate.Plus
-		if !c.trivial {
-			cls = predicate.ClassifyTuple(c.p, tu)
-		}
-		if cls == predicate.Minus {
-			continue
-		}
-		b := tu.Bounds[c.col]
-		if cls == predicate.Maybe {
-			sh := b.Intersect(c.restr)
-			if sh.IsEmpty() {
-				continue
-			}
-			b = sh
-		}
-		s.Feed(tu.Key, b, cls)
-	}
 }
 
 // MergeInputs concatenates per-partition input snapshots into the

@@ -1,6 +1,7 @@
 package aggregate
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -75,36 +76,138 @@ func TestQuickMergedStateBitIdentical(t *testing.T) {
 	}
 }
 
-// TestQuickCollectStateMatchesStream: the streaming State collection
-// over a canonical store answers bit-identically to EvalStoreStream —
-// the single-node arithmetic the merged cluster fold must reproduce.
+// randEdgeTable builds a random two-bounded-column table whose endpoints
+// are drawn partly from edge values — ±0.0, ±Inf and small repeated
+// integers, so selections tie, straddle zero and overflow — under random
+// keys that spread over the canonical buckets.
+func randEdgeTable(r *rand.Rand, n int) *relation.Table {
+	edges := []float64{math.Copysign(0, -1), 0, math.Inf(-1), math.Inf(1), -2, -1, 1, 2}
+	endpoint := func() float64 {
+		if r.Intn(2) == 0 {
+			return edges[r.Intn(len(edges))]
+		}
+		return r.Float64()*60 - 30
+	}
+	bound := func() interval.Interval {
+		lo, hi := endpoint(), endpoint()
+		if r.Intn(4) == 0 {
+			hi = lo
+		}
+		if lo > hi {
+			lo, hi = hi, lo
+		}
+		return interval.Interval{Lo: lo, Hi: hi}
+	}
+	tab := relation.NewTable(relation.NewSchema(
+		relation.Column{Name: "a", Kind: relation.Bounded},
+		relation.Column{Name: "b", Kind: relation.Bounded},
+	))
+	for tab.Len() < n {
+		tu := relation.Tuple{Key: r.Int63n(1<<20) - 1<<19, Bounds: []interval.Interval{bound(), bound()}, Cost: 1}
+		if tab.ByKey(tu.Key) < 0 {
+			tab.MustInsert(tu)
+		}
+	}
+	return tab
+}
+
+// TestQuickCollectStateMatchesStream: State — fed by the streaming store
+// scan at every shard count, by a flat Collect, or merged from
+// bucket-disjoint partitions — answers bit-identically to a test-only
+// copy of the slice fold the engine used before State was its only
+// accumulator (reference_test.go), for every aggregate, over tables rich
+// in ±0.0, ±Inf, empty and T?-only selections. The run must hit each of
+// those cases.
 func TestQuickCollectStateMatchesStream(t *testing.T) {
 	fns := []Func{Min, Max, Sum, Count, Avg}
-	f := func(seed int64) bool {
+	var sawZeroTie, sawInf, sawEmpty, sawMaybeOnly int
+	for seed := int64(0); seed < 1000; seed++ {
 		r := rand.New(rand.NewSource(seed))
-		tab, _ := randTableAndMaster(r, 1+r.Intn(24))
-		st := relation.NewStore(tab.Schema(), 0)
-		for i := 0; i < tab.Len(); i++ {
-			st.MustInsert(tab.At(i).Clone())
-		}
+		tab := randEdgeTable(r, r.Intn(40))
 		p := randPred(r)
-		for _, fn := range fns {
-			for _, c := range []int{0, 1} {
-				want, _ := EvalStoreStream(st, c, fn, p)
-				cs := CollectState(st, c, fn, p)
-				got := cs.Answer()
-				if !bitsEqual(got, want) {
-					t.Logf("seed %d: %v col %d pred %v: state %v stream %v",
-						seed, fn, c, p, got, want)
-					return false
+		noPred := predicate.IsTrivial(p)
+		stores := map[string]*relation.Store{}
+		for _, ns := range []int{1, 4, 8, 16, 64} {
+			stores[fmt.Sprintf("%d shards", ns)] = storeOf(tab, ns, nil)
+		}
+		nparts := 1 + r.Intn(4)
+		owner := make([]int, relation.NumCanonicalBuckets)
+		for b := range owner {
+			owner[b] = r.Intn(nparts)
+		}
+		parts := make([]*relation.Store, nparts)
+		for pi := range parts {
+			parts[pi] = storeOf(tab, 0, func(key int64) bool { return owner[relation.CanonicalBucket(key)] == pi })
+		}
+		for _, c := range []int{0, 1} {
+			inputs := Collect(tab, c, p, true)
+			zeros, maybes := 0, 0
+			for _, in := range inputs {
+				if in.Bound.Lo == 0 || in.Bound.Hi == 0 {
+					zeros++
+				}
+				if math.IsInf(in.Bound.Lo, 0) || math.IsInf(in.Bound.Hi, 0) {
+					sawInf++
+				}
+				if in.Class == predicate.Maybe {
+					maybes++
 				}
 			}
+			if zeros > 1 {
+				sawZeroTie++
+			}
+			if len(inputs) == 0 {
+				sawEmpty++
+			} else if maybes == len(inputs) {
+				sawMaybeOnly++
+			}
+			for _, fn := range fns {
+				want := refEvalInputs(inputs, fn, noPred, tab.Len())
+				check := func(layout string, got interval.Interval) {
+					t.Helper()
+					if !bitsEqual(got, want) {
+						t.Fatalf("seed %d: %v col %d pred %v, %s: %v (bits %x/%x), reference %v (bits %x/%x)",
+							seed, fn, c, p, layout, got, math.Float64bits(got.Lo), math.Float64bits(got.Hi),
+							want, math.Float64bits(want.Lo), math.Float64bits(want.Hi))
+					}
+				}
+				check("flat", EvalInputs(inputs, fn, noPred, tab.Len()))
+				for name, st := range stores {
+					got, n := EvalStoreStream(st, c, fn, p)
+					if n != tab.Len() {
+						t.Fatalf("seed %d %s: scanned %d rows, want %d", seed, name, n, tab.Len())
+					}
+					check(name, got)
+					in, n := CollectStore(st, c, p, true, 2)
+					check(name+" collected", EvalInputs(in, fn, noPred, n))
+				}
+				states := make([]*State, nparts)
+				for pi, st := range parts {
+					s := CollectState(st, c, fn, p)
+					states[pi] = &s
+				}
+				r.Shuffle(len(states), func(i, j int) { states[i], states[j] = states[j], states[i] })
+				merged := MergeStates(fn, noPred, states)
+				check(fmt.Sprintf("%d merged partitions", nparts), merged.Answer())
+			}
 		}
-		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
+	if sawZeroTie == 0 || sawInf == 0 || sawEmpty == 0 || sawMaybeOnly == 0 {
+		t.Errorf("edge cases not reached: zero ties %d, infinities %d, empty %d, T?-only %d",
+			sawZeroTie, sawInf, sawEmpty, sawMaybeOnly)
 	}
+}
+
+// storeOf copies the table's tuples accepted by keep (all when nil) into
+// a store with nshards shards.
+func storeOf(tab *relation.Table, nshards int, keep func(int64) bool) *relation.Store {
+	st := relation.NewStore(tab.Schema(), nshards)
+	for i := 0; i < tab.Len(); i++ {
+		if keep == nil || keep(tab.At(i).Key) {
+			st.MustInsert(tab.At(i).Clone())
+		}
+	}
+	return st
 }
 
 // TestSignedZeroSelectionMerge pins the ±0.0 tie-break: when −0.0 and

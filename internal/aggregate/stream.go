@@ -6,183 +6,44 @@ import (
 	"trapp/internal/relation"
 )
 
-// This file implements the streaming store evaluation used by the query
-// processor's hot path: the bounded answer is folded tuple by tuple
+// This file is the store scan that feeds a State: the query processor's
+// step-1 fold, a cluster partition's local fold, and a standing query's
+// per-node fold all run it. The bounded answer is folded tuple by tuple
 // during the shard scans themselves, without materializing any Input
-// slice. A default-sharded store's scan order — shards in index order,
-// canonically sorted tuples within each shard — IS the canonical order
-// (relation.CanonicalLess), and the per-aggregate accumulation replays
-// EvalInputs' arithmetic operation for operation, so the streamed answer
-// is bit-identical to EvalInputs(CollectStore(...)) — the property the
-// differential tests pin down. A cache-answered query therefore
-// allocates nothing proportional to the table and holds only one shard
-// read lock at a time.
+// slice, so a cache-answered query allocates nothing proportional to the
+// table and holds only one shard read lock at a time. A store's scan
+// order — shards in index order, canonically sorted tuples within each
+// shard — IS the canonical order State.Feed requires (relation.NewStore
+// caps the shard count to make it so), so the streamed answer is
+// bit-identical to EvalInputs over Collect of a flat table holding the
+// same tuples.
+
+// CollectState folds the aggregate over column col of the store under
+// predicate p (with the Appendix D shrink) into a State in one streaming
+// pass.
+func CollectState(st *relation.Store, col int, fn Func, p predicate.Expr) State {
+	s := NewState(fn, predicate.IsTrivial(p))
+	s.scan(st, col, p)
+	return s
+}
 
 // EvalStoreStream computes the bounded answer for the aggregate over the
-// store — bit-identical to EvalStore — in one streaming pass. It returns
-// the answer and the store cardinality at scan time. Stores with a
-// non-default shard count (whose scan order is not canonical) take the
-// materializing path instead.
+// store in one streaming pass into a stack State. It returns the answer
+// and the store cardinality at scan time.
 func EvalStoreStream(st *relation.Store, col int, fn Func, p predicate.Expr) (interval.Interval, int) {
-	noPred := predicate.IsTrivial(p)
-	if !st.Canonical() {
-		inputs, tableLen := CollectStore(st, col, p, true, 1)
-		return EvalInputs(inputs, fn, noPred, tableLen), tableLen
-	}
-	c := newCollector(col, p, true)
-	acc := foldAcc{fn: fn, noPred: noPred}
-	acc.init()
-	tableLen := 0
+	s := NewState(fn, predicate.IsTrivial(p))
+	s.scan(st, col, p)
+	return s.Answer(), s.TableLen
+}
+
+// scan feeds every contributing tuple of the store, shard by shard under
+// each shard's read lock, and adds the scanned cardinality to TableLen.
+func (s *State) scan(st *relation.Store, col int, p predicate.Expr) {
+	c := NewClassifier(col, p, true)
 	for si := 0; si < st.NumShards(); si++ {
 		st.ViewShard(si, func(t *relation.Table) {
-			tableLen += t.Len()
-			c.scanFold(t, &acc)
+			s.TableLen += t.Len()
+			s.scanTable(t, c)
 		})
-	}
-	return acc.answer(tableLen), tableLen
-}
-
-// scanFold classifies t's tuples like scan but feeds each contributing
-// tuple straight into the accumulator instead of materializing an Input.
-func (c collector) scanFold(t *relation.Table, acc *foldAcc) {
-	for i := 0; i < t.Len(); i++ {
-		tu := t.At(i)
-		cls := predicate.Plus
-		if !c.trivial {
-			cls = predicate.ClassifyTuple(c.p, tu)
-		}
-		if cls == predicate.Minus {
-			continue
-		}
-		b := tu.Bounds[c.col]
-		if cls == predicate.Maybe {
-			s := b.Intersect(c.restr)
-			if s.IsEmpty() {
-				continue // cannot satisfy the restriction: effectively T−
-			}
-			b = s
-		}
-		acc.feed(tu.Key, b, cls)
-	}
-}
-
-// foldAcc accumulates one aggregate's bounded answer over contributions
-// fed in canonical order, mirroring the EvalInputs fold arithmetic
-// exactly.
-type foldAcc struct {
-	fn     Func
-	noPred bool
-
-	// MIN/MAX state (evalMin/evalMax replicas).
-	lo, hi interval.Interval
-
-	// SUM state (evalSum replica): per-bucket subtotals folded in
-	// ascending bucket order at finalization.
-	sums bucketSums
-
-	// COUNT state.
-	plus, maybe int
-
-	// AVG state (evalAvgTight replica): bucket-structured T+ endpoint
-	// seed sums and count, T? bounds retained for the prefix-averaging
-	// fold.
-	avgSeeds bucketSums
-	avgK     int
-	avgAny   bool
-	maybes   []Input
-}
-
-func (a *foldAcc) init() {
-	a.lo, a.hi = interval.Empty, interval.Empty
-}
-
-// feed folds one contributing (T+ or T?) bound for the keyed tuple.
-func (a *foldAcc) feed(key int64, b interval.Interval, cls predicate.Class) {
-	switch a.fn {
-	case Min:
-		if a.lo.IsEmpty() || b.Lo < a.lo.Lo {
-			a.lo = interval.Point(b.Lo)
-		}
-		if cls == predicate.Plus {
-			if a.hi.IsEmpty() || b.Hi < a.hi.Lo {
-				a.hi = interval.Point(b.Hi)
-			}
-		}
-	case Max:
-		if a.hi.IsEmpty() || b.Hi > a.hi.Lo {
-			a.hi = interval.Point(b.Hi)
-		}
-		if cls == predicate.Plus {
-			if a.lo.IsEmpty() || b.Lo > a.lo.Lo {
-				a.lo = interval.Point(b.Lo)
-			}
-		}
-	case Sum:
-		bk := relation.CanonicalBucket(key)
-		if a.noPred || cls == predicate.Plus {
-			a.sums.add(bk, b.Lo, b.Hi)
-			return
-		}
-		lo, hi := b.Lo, b.Hi
-		if lo >= 0 {
-			lo = 0
-		}
-		if hi <= 0 {
-			hi = 0
-		}
-		a.sums.add(bk, lo, hi)
-	case Count:
-		if cls == predicate.Plus {
-			a.plus++
-		} else {
-			a.maybe++
-		}
-	case Avg:
-		a.avgAny = true
-		if cls == predicate.Plus {
-			a.avgSeeds.add(relation.CanonicalBucket(key), b.Lo, b.Hi)
-			a.avgK++
-		} else {
-			a.maybes = append(a.maybes, Input{Key: key, Bound: b, Class: cls})
-		}
-	}
-}
-
-// answer finalizes the fold; tableLen is the cardinality at scan time
-// (COUNT without a predicate).
-func (a *foldAcc) answer(tableLen int) interval.Interval {
-	switch a.fn {
-	case Min:
-		if a.lo.IsEmpty() {
-			return interval.Empty
-		}
-		if a.hi.IsEmpty() {
-			return interval.Interval{Lo: a.lo.Lo, Hi: interval.Unbounded.Hi}
-		}
-		return interval.Interval{Lo: a.lo.Lo, Hi: a.hi.Lo}
-	case Max:
-		if a.hi.IsEmpty() {
-			return interval.Empty
-		}
-		if a.lo.IsEmpty() {
-			return interval.Interval{Lo: interval.Unbounded.Lo, Hi: a.hi.Lo}
-		}
-		return interval.Interval{Lo: a.lo.Lo, Hi: a.hi.Lo}
-	case Sum:
-		lo, hi := a.sums.fold()
-		return interval.Interval{Lo: lo, Hi: hi}
-	case Count:
-		if a.noPred {
-			return interval.Point(float64(tableLen))
-		}
-		return interval.Interval{Lo: float64(a.plus), Hi: float64(a.plus + a.maybe)}
-	default: // Avg
-		if !a.avgAny {
-			return interval.Empty
-		}
-		sl, sh := a.avgSeeds.fold()
-		lo := foldAvg(sl, a.avgK, a.maybes, func(in Input) float64 { return in.Bound.Lo }, true)
-		hi := foldAvg(sh, a.avgK, a.maybes, func(in Input) float64 { return in.Bound.Hi }, false)
-		return interval.Interval{Lo: lo, Hi: hi}
 	}
 }

@@ -21,13 +21,11 @@ import (
 // changed keys; answers are re-folded only for groups containing a
 // changed contribution.
 type view struct {
-	sig     string
-	table   string
-	agg     aggregate.Func
-	col     int
-	where   predicate.Expr
-	trivial bool              // no WHERE predicate
-	restr   interval.Interval // Appendix D restriction of where on col
+	sig        string
+	table      string
+	agg        aggregate.Func
+	trivial    bool // no WHERE predicate
+	classifier aggregate.Classifier
 
 	groupBy  []string
 	groupIdx []int // exact grouping columns, schema order
@@ -49,7 +47,6 @@ type view struct {
 // contrib is one object's tracked contribution to a view.
 type contrib struct {
 	gkey        string
-	class       predicate.Class
 	in          aggregate.Input
 	contributes bool // false for T− objects (tracked only for group row counts)
 }
@@ -68,21 +65,15 @@ type group struct {
 // newView builds an empty view for the query shape (constraint fields of
 // q are ignored; each subscription carries its own).
 func newView(sig string, q query.Query, col int, groupIdx []int) *view {
-	v := &view{
-		sig:      sig,
-		table:    q.Table,
-		agg:      q.Agg,
-		col:      col,
-		where:    q.Where,
-		trivial:  predicate.IsTrivial(q.Where),
-		restr:    interval.Unbounded,
-		groupBy:  append([]string(nil), q.GroupBy...),
-		groupIdx: groupIdx,
+	return &view{
+		sig:        sig,
+		table:      q.Table,
+		agg:        q.Agg,
+		trivial:    predicate.IsTrivial(q.Where),
+		classifier: aggregate.NewClassifier(col, q.Where, true),
+		groupBy:    append([]string(nil), q.GroupBy...),
+		groupIdx:   groupIdx,
 	}
-	if !v.trivial {
-		v.restr = predicate.Restriction(q.Where, col)
-	}
-	return v
 }
 
 // scalar reports whether the view has no GROUP BY.
@@ -99,28 +90,6 @@ func (v *view) groupOf(tu *relation.Tuple) (string, []float64) {
 		vals[i] = tu.Bounds[ci].Lo
 	}
 	return fmt.Sprint(vals), vals
-}
-
-// classify mirrors aggregate.Collect: predicate classification plus the
-// Appendix D shrink of T? bounds, reclassifying to T− when the shrunk
-// bound is empty.
-func (v *view) classify(tu *relation.Tuple) (predicate.Class, interval.Interval) {
-	cls := predicate.Plus
-	if !v.trivial {
-		cls = predicate.ClassifyTuple(v.where, tu)
-	}
-	if cls == predicate.Minus {
-		return predicate.Minus, interval.Interval{}
-	}
-	b := tu.Bounds[v.col]
-	if cls == predicate.Maybe {
-		s := b.Intersect(v.restr)
-		if s.IsEmpty() {
-			return predicate.Minus, interval.Interval{}
-		}
-		b = s
-	}
-	return cls, b
 }
 
 // reset clears the contribution state ahead of a rebuild. The engine
@@ -173,21 +142,20 @@ func (v *view) applyTuple(tu *relation.Tuple) {
 		g.rows++
 		g.dirty = true
 	}
-	cls, b := v.classify(tu)
-	if cls == predicate.Minus {
+	in, ok := v.classifier.Classify(tu)
+	if !ok {
 		if c.contributes {
 			delete(g.inputs, tu.Key)
 			g.dirty = true
 		}
-		c.class, c.contributes = cls, false
+		c.contributes = false
 		return
 	}
-	if c.contributes && c.class == cls && c.in.Bound == b && c.in.Cost == tu.Cost {
+	if c.contributes && c.in == in {
 		return // unchanged contribution: nothing to recompute
 	}
-	in := aggregate.Input{Key: tu.Key, Bound: b, Cost: tu.Cost, Class: cls}
 	g.inputs[tu.Key] = in
-	c.class, c.in, c.contributes = cls, in, true
+	c.in, c.contributes = in, true
 	g.dirty = true
 }
 
@@ -210,16 +178,18 @@ func (v *view) removeKey(key int64) {
 	}
 }
 
-// groupInputs materializes a group's contributions as a deterministic
-// (key-ordered) input slice for EvalInputs and ChooseFromInputs, so the
-// maintained answers are bit-identical to what the query processor would
-// compute over the same cache state.
+// groupInputs materializes a group's contributions as an input slice in
+// the canonical order (relation.CanonicalLess) — the order the query
+// processor's scans produce and State.Feed requires — for EvalInputs and
+// ChooseFromInputs, so the maintained answers and plans are
+// bit-identical to what the query processor would compute over the same
+// cache state, down to the sign of a ±0.0 MIN/MAX tie.
 func (v *view) groupInputs(g *group) []aggregate.Input {
 	out := make([]aggregate.Input, 0, len(g.inputs))
 	for _, in := range g.inputs {
 		out = append(out, in)
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Key < out[b].Key })
+	sort.Slice(out, func(a, b int) bool { return relation.CanonicalLess(out[a].Key, out[b].Key) })
 	for i := range out {
 		out[i].Index = i
 	}

@@ -78,16 +78,15 @@ func IndexSpeedup(sizes []int, seed int64, reps int) []IndexRow {
 	}
 	var rows []IndexRow
 	for _, n := range sizes {
-		quotes := workload.StockDay(n, seed)
-		tab := workload.StockTable(quotes)
-		price := tab.Schema().MustLookup("price")
-		lower := relation.NewIndex(tab, price, relation.LowerEndpoint)
-		upper := relation.NewIndex(tab, price, relation.UpperEndpoint)
+		st := relation.StoreOf(workload.StockTable(workload.StockDay(n, seed)))
+		price := st.Schema().MustLookup("price")
+		lower := relation.NewShardedIndex(st, price, relation.LowerEndpoint)
+		upper := relation.NewShardedIndex(st, price, relation.UpperEndpoint)
 		r := 5.0
 
 		start := time.Now()
 		for k := 0; k < reps; k++ {
-			if _, err := refresh.Choose(tab, price, aggregate.Min, nil, r, refresh.Options{}); err != nil {
+			if _, err := refresh.ChooseStore(st, price, aggregate.Min, nil, r, refresh.Options{}); err != nil {
 				panic(err)
 			}
 		}
@@ -95,7 +94,7 @@ func IndexSpeedup(sizes []int, seed int64, reps int) []IndexRow {
 
 		start = time.Now()
 		for k := 0; k < reps; k++ {
-			if _, err := refresh.ChooseMinIndexed(tab, lower, upper, r); err != nil {
+			if _, err := refresh.ChooseMinIndexedStore(st, lower, upper, r); err != nil {
 				panic(err)
 			}
 		}

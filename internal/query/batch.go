@@ -273,6 +273,10 @@ func finalizeBatchItem(it *batchItem, u *tableUnion, ctxErr error, budgetDual bo
 	}
 	patched := it.snap.inputs
 	if len(mine) > 0 {
+		// The patch classifies each refreshed tuple exactly as a full
+		// post-refresh rescan would, so the patched inputs are
+		// bit-identical to that rescan's.
+		cl := aggregate.NewClassifier(it.col, it.q.Where, true)
 		patched = make([]aggregate.Input, 0, len(it.snap.inputs))
 		for _, in := range it.snap.inputs {
 			if !mine[in.Key] {
@@ -282,7 +286,7 @@ func finalizeBatchItem(it *batchItem, u *tableUnion, ctxErr error, budgetDual bo
 			var ni aggregate.Input
 			contributes := false
 			present := it.e.viewTuple(in.Key, func(tu *relation.Tuple) {
-				ni, contributes = aggregate.CollectOne(tu, it.col, it.q.Where, true)
+				ni, contributes = cl.Classify(tu)
 			})
 			// A tuple dropped mid-flight, or reclassified to T− by its
 			// refreshed point values, no longer contributes.

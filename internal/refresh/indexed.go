@@ -12,88 +12,20 @@ import (
 // refresh set — all tuples with L_i < min_k(H_k) − R — can be found in
 // time sublinear in the table size: one index-minimum probe plus a range
 // scan that touches only the selected tuples. These helpers implement
-// that plan for predicate-free MIN and MAX queries; with a selection
-// predicate the candidate set depends on classification and the O(n)
-// scan in Choose applies.
+// that plan for predicate-free MIN and MAX queries over a store with a
+// relation.ShardedIndex pair; with a selection predicate the candidate
+// set depends on classification and the O(n) scan in ChooseStore
+// applies.
 
-// ChooseMinIndexed computes the CHOOSE_REFRESH set for a predicate-free
-// MIN query using endpoint indexes: lower must index the aggregation
-// column's lower endpoints and upper its upper endpoints. The returned
-// plan equals Choose's for the same query, at O(log n + |plan|) index
-// cost.
-func ChooseMinIndexed(t *relation.Table, lower, upper *relation.Index, r float64) (Plan, error) {
-	if r < 0 || math.IsNaN(r) {
-		return Plan{}, fmt.Errorf("refresh: invalid precision constraint %g", r)
-	}
-	if math.IsInf(r, 1) {
-		return Plan{}, nil
-	}
-	minH, _, ok := upper.Min()
-	if !ok {
-		return Plan{}, nil // empty table
-	}
-	return planFromKeys(t, lower.KeysLess(minH-r)), nil
-}
-
-// ChooseMaxIndexed is the symmetric MAX plan: all tuples with
-// H_i > max_k(L_k) + R, via the same two index probes.
-func ChooseMaxIndexed(t *relation.Table, lower, upper *relation.Index, r float64) (Plan, error) {
-	if r < 0 || math.IsNaN(r) {
-		return Plan{}, fmt.Errorf("refresh: invalid precision constraint %g", r)
-	}
-	if math.IsInf(r, 1) {
-		return Plan{}, nil
-	}
-	maxL, _, ok := lower.Max()
-	if !ok {
-		return Plan{}, nil
-	}
-	return planFromKeys(t, upper.KeysGreater(maxL+r)), nil
-}
-
-// ChooseUniformSumIndexed computes the uniform-cost SUM refresh set for
-// aggregation column col using a width index over that column (section
-// 5.2's special case): keep tuples in the knapsack by ascending width
-// until capacity R is exhausted; everything else is refreshed. The greedy
-// is optimal only when every tuple has the same refresh cost.
-func ChooseUniformSumIndexed(t *relation.Table, col int, width *relation.Index, r float64) (Plan, error) {
-	if r < 0 || math.IsNaN(r) {
-		return Plan{}, fmt.Errorf("refresh: invalid precision constraint %g", r)
-	}
-	if math.IsInf(r, 1) {
-		return Plan{}, nil
-	}
-	kept := make(map[int64]bool)
-	budget := r
-	// Ascend the width index; stop at the first tuple that overflows the
-	// budget (all remaining tuples are at least as wide).
-	for _, key := range width.FirstN(t.Len()) {
-		i := t.ByKey(key)
-		w := t.At(i).Bounds[col].Width()
-		if w > budget {
-			break
-		}
-		budget -= w
-		kept[key] = true
-	}
-	var keys []int64
-	for i := 0; i < t.Len(); i++ {
-		tu := t.At(i)
-		if !kept[tu.Key] {
-			keys = append(keys, tu.Key)
-		}
-	}
-	return planFromKeys(t, keys), nil
-}
-
-// ChooseMinIndexedStore is ChooseMinIndexed over a sharded store with a
-// ShardedIndex pair: one minimum probe per shard tree plus per-shard
-// range scans, touching only the selected tuples. The caller must not
-// hold any shard lock (plan materialization takes each key's shard read
-// lock internally) and must coordinate index maintenance with store
-// mutations, as with the flat Index. The returned plan's key set equals
-// ChooseMinIndexed's over a flat table with the same tuples; keys are
-// in ascending key order.
+// ChooseMinIndexedStore computes the CHOOSE_REFRESH set for a
+// predicate-free MIN query — all tuples with L_i < min_k(H_k) − R — from
+// endpoint indexes: lower must index the aggregation column's lower
+// endpoints and upper its upper endpoints. It costs one minimum probe
+// per shard tree plus per-shard range scans touching only the selected
+// tuples. The caller must not hold any shard lock (plan materialization
+// takes each key's shard read lock internally) and must coordinate index
+// maintenance with store mutations. The returned plan's key set equals
+// ChooseStore's for the same query, at any shard count.
 func ChooseMinIndexedStore(st *relation.Store, lower, upper *relation.ShardedIndex, r float64) (Plan, error) {
 	if r < 0 || math.IsNaN(r) {
 		return Plan{}, fmt.Errorf("refresh: invalid precision constraint %g", r)
@@ -108,7 +40,8 @@ func ChooseMinIndexedStore(st *relation.Store, lower, upper *relation.ShardedInd
 	return planFromStoreKeys(st, lower.KeysLess(minH-r)), nil
 }
 
-// ChooseMaxIndexedStore is the symmetric MAX plan over a sharded store.
+// ChooseMaxIndexedStore is the symmetric MAX plan: all tuples with
+// H_i > max_k(L_k) + R, via the same two index probes.
 func ChooseMaxIndexedStore(st *relation.Store, lower, upper *relation.ShardedIndex, r float64) (Plan, error) {
 	if r < 0 || math.IsNaN(r) {
 		return Plan{}, fmt.Errorf("refresh: invalid precision constraint %g", r)
@@ -121,21 +54,6 @@ func ChooseMaxIndexedStore(st *relation.Store, lower, upper *relation.ShardedInd
 		return Plan{}, nil
 	}
 	return planFromStoreKeys(st, upper.KeysGreater(maxL+r)), nil
-}
-
-// planFromKeys materializes a plan from tuple keys.
-func planFromKeys(t *relation.Table, keys []int64) Plan {
-	p := Plan{Keys: make([]int64, 0, len(keys)), Indexes: make([]int, 0, len(keys))}
-	for _, key := range keys {
-		i := t.ByKey(key)
-		if i < 0 {
-			continue
-		}
-		p.Keys = append(p.Keys, key)
-		p.Indexes = append(p.Indexes, i)
-		p.Cost += t.At(i).Cost
-	}
-	return p
 }
 
 // planFromStoreKeys materializes a plan from tuple keys of a sharded

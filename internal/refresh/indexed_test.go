@@ -12,14 +12,18 @@ import (
 	"trapp/internal/workload"
 )
 
-func stockWithIndexes(n int, seed int64) (*relation.Table, *relation.Index, *relation.Index, *relation.Index, int) {
-	quotes := workload.StockDay(n, seed)
-	tab := workload.StockTable(quotes)
-	price := tab.Schema().MustLookup("price")
-	lower := relation.NewIndex(tab, price, relation.LowerEndpoint)
-	upper := relation.NewIndex(tab, price, relation.UpperEndpoint)
-	width := relation.NewIndex(tab, price, relation.BoundWidth)
-	return tab, lower, upper, width, price
+// stockStoreWithIndexes loads a stock day into a store with nshards
+// shards plus lower/upper endpoint indexes over price.
+func stockStoreWithIndexes(n int, nshards int, seed int64) (*relation.Store, *relation.ShardedIndex, *relation.ShardedIndex, int) {
+	flat := workload.StockTable(workload.StockDay(n, seed))
+	st := relation.NewStore(flat.Schema(), nshards)
+	for i := 0; i < flat.Len(); i++ {
+		st.MustInsert(flat.At(i).Clone())
+	}
+	price := st.Schema().MustLookup("price")
+	lower := relation.NewShardedIndex(st, price, relation.LowerEndpoint)
+	upper := relation.NewShardedIndex(st, price, relation.UpperEndpoint)
+	return st, lower, upper, price
 }
 
 func sortedKeys(keys []int64) []int64 {
@@ -28,165 +32,159 @@ func sortedKeys(keys []int64) []int64 {
 	return out
 }
 
+// samePlan reports whether two plans select the same key set at the
+// same cost.
+func samePlan(a, b Plan) bool {
+	ka, kb := sortedKeys(a.Keys), sortedKeys(b.Keys)
+	if len(ka) != len(kb) || math.Abs(a.Cost-b.Cost) > 1e-9 {
+		return false
+	}
+	for i := range ka {
+		if ka[i] != kb[i] {
+			return false
+		}
+	}
+	return true
+}
+
 func TestChooseMinIndexedMatchesScan(t *testing.T) {
-	tab, lower, upper, _, price := stockWithIndexes(90, 7)
+	st, lower, upper, price := stockStoreWithIndexes(90, 0, 7)
 	for _, r := range []float64{0, 5, 20, 100} {
-		scan, err := Choose(tab, price, aggregate.Min, nil, r, Options{})
+		scan, err := ChooseStore(st, price, aggregate.Min, nil, r, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		idx, err := ChooseMinIndexed(tab, lower, upper, r)
+		idx, err := ChooseMinIndexedStore(st, lower, upper, r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, b := sortedKeys(scan.Keys), sortedKeys(idx.Keys)
-		if len(a) != len(b) {
-			t.Fatalf("R=%g: scan %d keys, indexed %d keys", r, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("R=%g: key sets differ: %v vs %v", r, a, b)
-			}
-		}
-		if math.Abs(scan.Cost-idx.Cost) > 1e-9 {
-			t.Errorf("R=%g: costs differ %g vs %g", r, scan.Cost, idx.Cost)
+		if !samePlan(scan, idx) {
+			t.Fatalf("R=%g: scan %v (cost %g), indexed %v (cost %g)", r, sortedKeys(scan.Keys), scan.Cost, sortedKeys(idx.Keys), idx.Cost)
 		}
 	}
 }
 
 func TestChooseMaxIndexedMatchesScan(t *testing.T) {
-	tab, lower, upper, _, price := stockWithIndexes(90, 9)
+	st, lower, upper, price := stockStoreWithIndexes(90, 0, 9)
 	for _, r := range []float64{0, 5, 20, 100} {
-		scan, err := Choose(tab, price, aggregate.Max, nil, r, Options{})
+		scan, err := ChooseStore(st, price, aggregate.Max, nil, r, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		idx, err := ChooseMaxIndexed(tab, lower, upper, r)
+		idx, err := ChooseMaxIndexedStore(st, lower, upper, r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, b := sortedKeys(scan.Keys), sortedKeys(idx.Keys)
-		if len(a) != len(b) {
-			t.Fatalf("R=%g: scan %d keys, indexed %d", r, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("R=%g: key sets differ", r)
-			}
-		}
-	}
-}
-
-func TestChooseUniformSumIndexedGuarantee(t *testing.T) {
-	// Uniform costs: the indexed greedy is optimal; verify residual width
-	// fits the budget and matches the scan-based GreedyUniform solver.
-	quotes := workload.StockDay(60, 3)
-	for i := range quotes {
-		quotes[i].Cost = 5
-	}
-	tab := workload.StockTable(quotes)
-	price := tab.Schema().MustLookup("price")
-	width := relation.NewIndex(tab, price, relation.BoundWidth)
-	for _, r := range []float64{0, 10, 50, 500} {
-		plan, err := ChooseUniformSumIndexed(tab, price, width, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		refreshed := map[int64]bool{}
-		for _, k := range plan.Keys {
-			refreshed[k] = true
-		}
-		var residual float64
-		for i := 0; i < tab.Len(); i++ {
-			tu := tab.At(i)
-			if !refreshed[tu.Key] {
-				residual += tu.Bounds[price].Width()
-			}
-		}
-		if residual > r+1e-9 {
-			t.Errorf("R=%g: residual %g", r, residual)
-		}
-		scan, err := Choose(tab, price, aggregate.Sum, nil, r, Options{Solver: SolverGreedyUniform})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(scan.Cost-plan.Cost) > 1e-9 {
-			t.Errorf("R=%g: cost %g vs scan %g", r, plan.Cost, scan.Cost)
+		if !samePlan(scan, idx) {
+			t.Fatalf("R=%g: scan %v, indexed %v", r, sortedKeys(scan.Keys), sortedKeys(idx.Keys))
 		}
 	}
 }
 
 func TestIndexedInfiniteAndEmpty(t *testing.T) {
-	tab, lower, upper, width, _ := stockWithIndexes(10, 1)
-	if p, err := ChooseMinIndexed(tab, lower, upper, math.Inf(1)); err != nil || p.Len() != 0 {
+	st, lower, upper, _ := stockStoreWithIndexes(10, 0, 1)
+	if p, err := ChooseMinIndexedStore(st, lower, upper, math.Inf(1)); err != nil || p.Len() != 0 {
 		t.Error("infinite R not empty plan")
 	}
-	if _, err := ChooseMinIndexed(tab, lower, upper, -1); err == nil {
+	if _, err := ChooseMinIndexedStore(st, lower, upper, -1); err == nil {
 		t.Error("negative R accepted")
 	}
-	if _, err := ChooseMaxIndexed(tab, lower, upper, math.NaN()); err == nil {
+	if _, err := ChooseMaxIndexedStore(st, lower, upper, math.NaN()); err == nil {
 		t.Error("NaN R accepted")
 	}
-	if _, err := ChooseUniformSumIndexed(tab, 1, width, -1); err == nil {
-		t.Error("negative R accepted for uniform sum")
-	}
 
-	empty := relation.NewTable(workload.StockSchema())
+	empty := relation.NewStore(workload.StockSchema(), 0)
 	price := empty.Schema().MustLookup("price")
-	el := relation.NewIndex(empty, price, relation.LowerEndpoint)
-	eu := relation.NewIndex(empty, price, relation.UpperEndpoint)
-	if p, err := ChooseMinIndexed(empty, el, eu, 5); err != nil || p.Len() != 0 {
-		t.Error("empty table plan not empty")
+	el := relation.NewShardedIndex(empty, price, relation.LowerEndpoint)
+	eu := relation.NewShardedIndex(empty, price, relation.UpperEndpoint)
+	if p, err := ChooseMinIndexedStore(empty, el, eu, 5); err != nil || p.Len() != 0 {
+		t.Error("empty store plan not empty")
 	}
-	if p, err := ChooseMaxIndexed(empty, el, eu, 5); err != nil || p.Len() != 0 {
-		t.Error("empty table max plan not empty")
+	if p, err := ChooseMaxIndexedStore(empty, el, eu, 5); err != nil || p.Len() != 0 {
+		t.Error("empty store max plan not empty")
 	}
 }
 
 // TestQuickIndexedEqualsScan compares indexed and scan plans on random
-// tables after random refresh churn (indexes updated incrementally).
+// stores after random refresh churn (indexes updated incrementally).
 func TestQuickIndexedEqualsScan(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		n := 1 + r.Intn(40)
-		quotes := workload.StockDay(n, seed)
-		tab := workload.StockTable(quotes)
-		price := tab.Schema().MustLookup("price")
-		lower := relation.NewIndex(tab, price, relation.LowerEndpoint)
-		upper := relation.NewIndex(tab, price, relation.UpperEndpoint)
+		st, lower, upper, price := stockStoreWithIndexes(1+r.Intn(40), 1<<r.Intn(4), seed)
+		keys := st.SortedKeys()
 		// Random churn: refresh a few tuples and update indexes.
 		for j := 0; j < r.Intn(5); j++ {
-			i := r.Intn(tab.Len())
-			tu := tab.At(i)
+			key := keys[r.Intn(len(keys))]
+			tu, _ := st.Get(key)
 			v := tu.Bounds[price].Lo + r.Float64()*tu.Bounds[price].Width()
-			if err := tab.Refresh(i, []float64{v}); err != nil {
+			if _, err := st.Refresh(key, []float64{v}); err != nil {
 				return false
 			}
-			if lower.Update(tu.Key) != nil || upper.Update(tu.Key) != nil {
+			if lower.Update(key) != nil || upper.Update(key) != nil {
 				return false
 			}
 		}
 		R := r.Float64() * 30
-		scan, err := Choose(tab, price, aggregate.Min, nil, R, Options{})
+		scan, err := ChooseStore(st, price, aggregate.Min, nil, R, Options{})
 		if err != nil {
 			return false
 		}
-		idx, err := ChooseMinIndexed(tab, lower, upper, R)
+		idx, err := ChooseMinIndexedStore(st, lower, upper, R)
 		if err != nil {
 			return false
 		}
-		a, b := sortedKeys(scan.Keys), sortedKeys(idx.Keys)
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		return true
+		return samePlan(scan, idx)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestChooseIndexedStoreMatchesFlat checks the indexed MIN/MAX planners
+// select the same key sets at equal cost over the flat single-shard
+// layout (relation.StoreOf) and an 8-shard store holding the same tuples.
+func TestChooseIndexedStoreMatchesFlat(t *testing.T) {
+	flat := relation.StoreOf(workload.StockTable(workload.StockDay(90, 7)))
+	price := flat.Schema().MustLookup("price")
+	flatLower := relation.NewShardedIndex(flat, price, relation.LowerEndpoint)
+	flatUpper := relation.NewShardedIndex(flat, price, relation.UpperEndpoint)
+	st, lower, upper, _ := stockStoreWithIndexes(90, 8, 7)
+	for _, r := range []float64{0, 5, 20, 100, math.Inf(1)} {
+		flatMin, err := ChooseMinIndexedStore(flat, flatLower, flatUpper, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shMin, err := ChooseMinIndexedStore(st, lower, upper, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !samePlan(flatMin, shMin) {
+			t.Fatalf("R=%g MIN: 1 shard %v (cost %g), 8 shards %v (cost %g)", r, sortedKeys(flatMin.Keys), flatMin.Cost, sortedKeys(shMin.Keys), shMin.Cost)
+		}
+		flatMax, err := ChooseMaxIndexedStore(flat, flatLower, flatUpper, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shMax, err := ChooseMaxIndexedStore(st, lower, upper, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !samePlan(flatMax, shMax) {
+			t.Fatalf("R=%g MAX: 1 shard %v, 8 shards %v", r, sortedKeys(flatMax.Keys), sortedKeys(shMax.Keys))
+		}
+	}
+	// The sharded planners also agree with the plain scans.
+	for _, r := range []float64{0, 5, 20} {
+		scan, err := ChooseStore(st, price, aggregate.Min, nil, r, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		idx, err := ChooseMinIndexedStore(st, lower, upper, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !samePlan(scan, idx) {
+			t.Fatalf("R=%g: scan vs indexed key sets differ", r)
+		}
 	}
 }

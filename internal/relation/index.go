@@ -1,10 +1,6 @@
 package relation
 
-import (
-	"fmt"
-
-	"trapp/internal/interval"
-)
+import "fmt"
 
 // EndpointKind selects which quantity of a bounded column an Index orders.
 type EndpointKind int8
@@ -14,24 +10,14 @@ const (
 	LowerEndpoint EndpointKind = iota
 	// UpperEndpoint indexes H_i, used to find min_k(H_k) and by MAX.
 	UpperEndpoint
-	// BoundWidth indexes H_i − L_i, used by the uniform-cost SUM greedy.
-	BoundWidth
-	// RefreshCost indexes C_i, used by CHOOSE_REFRESH for COUNT.
-	RefreshCost
 )
 
 // String names the endpoint kind.
 func (k EndpointKind) String() string {
-	switch k {
-	case LowerEndpoint:
+	if k == LowerEndpoint {
 		return "lower"
-	case UpperEndpoint:
-		return "upper"
-	case BoundWidth:
-		return "width"
-	default:
-		return "cost"
 	}
+	return "upper"
 }
 
 // Index is a maintained B-tree over one endpoint quantity of one column of
@@ -41,7 +27,7 @@ func (k EndpointKind) String() string {
 // Rebuild) to keep it consistent.
 type Index struct {
 	table *Table
-	col   int // -1 for RefreshCost
+	col   int
 	kind  EndpointKind
 	tree  *BTree
 	// current records each indexed tuple's current key so updates can
@@ -49,8 +35,7 @@ type Index struct {
 	current map[int64]float64
 }
 
-// NewIndex builds an index over the given column and endpoint kind. For
-// RefreshCost the column argument is ignored (pass -1).
+// NewIndex builds an index over the given column and endpoint kind.
 func NewIndex(t *Table, col int, kind EndpointKind) *Index {
 	idx := &Index{table: t, col: col, kind: kind, tree: NewBTree(16),
 		current: make(map[int64]float64)}
@@ -60,16 +45,10 @@ func NewIndex(t *Table, col int, kind EndpointKind) *Index {
 
 // quantity extracts the indexed quantity from a tuple.
 func (idx *Index) quantity(tu *Tuple) float64 {
-	switch idx.kind {
-	case LowerEndpoint:
+	if idx.kind == LowerEndpoint {
 		return tu.Bounds[idx.col].Lo
-	case UpperEndpoint:
-		return tu.Bounds[idx.col].Hi
-	case BoundWidth:
-		return tu.Bounds[idx.col].Width()
-	default:
-		return tu.Cost
 	}
+	return tu.Bounds[idx.col].Hi
 }
 
 // Rebuild reconstructs the index from scratch in O(n log n).
@@ -140,24 +119,4 @@ func (idx *Index) KeysGreater(pivot float64) []int64 {
 		return true
 	})
 	return out
-}
-
-// FirstN returns up to n keys in ascending quantity order — e.g. the n
-// cheapest tuples for the COUNT refresh algorithm.
-func (idx *Index) FirstN(n int) []int64 {
-	out := make([]int64, 0, n)
-	idx.tree.Ascend(func(_ float64, id int64) bool {
-		if len(out) == n {
-			return false
-		}
-		out = append(out, id)
-		return true
-	})
-	return out
-}
-
-// boundOf is a convenience for tests: the indexed column's bound of a key.
-func (idx *Index) boundOf(key int64) interval.Interval {
-	i := idx.table.ByKey(key)
-	return idx.table.At(i).Bounds[idx.col]
 }

@@ -66,21 +66,6 @@ func TestIndexUpperEndpoint(t *testing.T) {
 	}
 }
 
-func TestIndexWidthAndCost(t *testing.T) {
-	tab := indexTable(t)
-	lat := tab.Schema().MustLookup("latency")
-	widx := NewIndex(tab, lat, BoundWidth)
-	q, _, _ := widx.Min()
-	if q != 2 {
-		t.Errorf("min width = %g", q)
-	}
-	cidx := NewIndex(tab, -1, RefreshCost)
-	cheapest := cidx.FirstN(2)
-	if len(cheapest) != 2 || cheapest[0] != 6 || cheapest[1] != 1 {
-		t.Errorf("FirstN(2) = %v, want [6 1]", cheapest)
-	}
-}
-
 func TestIndexUpdateAfterRefresh(t *testing.T) {
 	tab := indexTable(t)
 	lat := tab.Schema().MustLookup("latency")
@@ -121,18 +106,8 @@ func TestIndexRemove(t *testing.T) {
 	}
 }
 
-func TestIndexBoundOf(t *testing.T) {
-	tab := indexTable(t)
-	lat := tab.Schema().MustLookup("latency")
-	idx := NewIndex(tab, lat, LowerEndpoint)
-	if got := idx.boundOf(3); !got.Equal(interval.New(12, 16)) {
-		t.Errorf("boundOf(3) = %v", got)
-	}
-}
-
 func TestEndpointKindString(t *testing.T) {
-	if LowerEndpoint.String() != "lower" || UpperEndpoint.String() != "upper" ||
-		BoundWidth.String() != "width" || RefreshCost.String() != "cost" {
+	if LowerEndpoint.String() != "lower" || UpperEndpoint.String() != "upper" {
 		t.Error("EndpointKind.String wrong")
 	}
 }

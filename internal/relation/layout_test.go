@@ -111,7 +111,7 @@ func randomPromise(rng *rand.Rand, tab *Table, i int, m *modelRow, now int64) {
 }
 
 func TestStoreLayoutMatchesModel(t *testing.T) {
-	for _, nshards := range []int{1, 4, 128} { // 128 > NumCanonicalBuckets: shards need not scan canonically, rows still sort
+	for _, nshards := range []int{1, 4, NumCanonicalBuckets} {
 		rng := rand.New(rand.NewSource(int64(nshards)))
 		st := NewStore(layoutSchema(), nshards)
 		model := make(map[int64]*modelRow)

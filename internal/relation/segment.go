@@ -393,7 +393,7 @@ func schemaEqual(a, b *Schema) bool {
 
 // ValueDigest hashes the durable identity of every tuple — key, source,
 // refresh cost, and the exact columns' values — over the store's natural
-// scan order (canonical for any shard count up to NumCanonicalBuckets).
+// scan order, which is canonical.
 // Bounded columns are deliberately excluded: their intervals are
 // re-widened on recovery (DESIGN.md §15), so two stores holding the same
 // mastered data digest equal no matter what bound state each carries.

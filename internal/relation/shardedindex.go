@@ -24,8 +24,7 @@ type ShardedIndex struct {
 }
 
 // NewShardedIndex builds one per-shard index over the given column and
-// endpoint kind (col is ignored for RefreshCost, pass -1). Each shard is
-// read-locked while its tree is built.
+// endpoint kind. Each shard is read-locked while its tree is built.
 func NewShardedIndex(st *Store, col int, kind EndpointKind) *ShardedIndex {
 	si := &ShardedIndex{store: st, col: col, kind: kind, idx: make([]*Index, st.NumShards())}
 	for i := range si.idx {

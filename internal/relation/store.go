@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -27,10 +28,10 @@ const fibMult = 0x9E3779B97F4A7C15
 //
 // Iteration is deterministic: shard membership depends only on the key
 // and the shard count, shards are always visited in ascending index
-// order, and the aggregation layer canonicalizes collected tuples into
-// the canonical (bucket, key) order — so bounded answers computed over a
-// Store are bit-identical to those computed over a flat reference table
-// holding the same tuples (see aggregate.Collect).
+// order, and that visit order is the canonical (bucket, key) order (see
+// CanonicalLess) — so bounded answers computed over a Store are
+// bit-identical to those computed over a flat reference table holding
+// the same tuples (see aggregate.Collect).
 type Store struct {
 	schema *Schema
 	shift  uint // 64 − log2(len(shards))
@@ -50,18 +51,11 @@ type storeShard struct {
 	tab *Table
 }
 
-// NewStore returns an empty sharded store. nshards is rounded up to the
-// next power of two; values ≤ 0 select DefaultShards.
+// NewStore returns an empty sharded store with shardCount(nshards)
+// shards.
 func NewStore(schema *Schema, nshards int) *Store {
-	if nshards <= 0 {
-		nshards = DefaultShards
-	}
-	n, shift := 1, uint(64)
-	for n < nshards {
-		n <<= 1
-		shift--
-	}
-	s := &Store{schema: schema, shift: shift, shards: make([]storeShard, n)}
+	n := shardCount(nshards)
+	s := &Store{schema: schema, shift: uint(64 - bits.Len(uint(n-1))), shards: make([]storeShard, n)}
 	for i := range s.shards {
 		s.shards[i].tab = newSortedTable(schema)
 	}
@@ -97,9 +91,23 @@ func (s *Store) ShardOf(key int64) int {
 // partition tier (a ring assigns whole buckets to nodes, so the bucket
 // count caps the cluster width and sets the rebalancing grain), while the
 // shard count stays small to keep the per-query fixed scan overhead low.
-// It must be a power of two no smaller than any store's shard count for
-// the natural-scan-order property below to hold.
+// It is a power of two, and shardCount caps every store at it, so the
+// natural-scan-order property of CanonicalLess holds for every store.
 const NumCanonicalBuckets = 64
+
+// shardCount is the shard count of a store asked for nshards: values ≤ 0
+// select DefaultShards; others round up to the next power of two, capped
+// at NumCanonicalBuckets.
+func shardCount(nshards int) int {
+	if nshards <= 0 {
+		return DefaultShards
+	}
+	n := 1
+	for n < nshards && n < NumCanonicalBuckets {
+		n <<= 1
+	}
+	return n
+}
 
 // canonicalShift is the hash shift selecting the top log2(NumCanonicalBuckets)
 // bits, used by the canonical order below.
@@ -125,12 +133,12 @@ func CanonicalBucket(key int64) int {
 // CanonicalLess is the canonical tuple order every order-sensitive fold
 // over a cached relation uses: ascending (canonical bucket, key). A
 // store's shard index is the top log2(nshards) hash bits — a prefix of
-// the bucket bits whenever nshards ≤ NumCanonicalBuckets — so visiting
+// the bucket bits, since nshards ≤ NumCanonicalBuckets — so visiting
 // shards in index order and each shard's canonically sorted tuples in
 // sequence IS canonical order: the hot path pays nothing for
-// determinism, while other layouts (the flat reference table) reorder
-// their scans to match. The order depends only on the key set, so
-// answers and refresh plans are bit-identical across physical layouts.
+// determinism, while the flat reference table reorders its scans to
+// match. The order depends only on the key set, so answers and refresh
+// plans are bit-identical across physical layouts.
 func CanonicalLess(a, b int64) bool {
 	sa := (uint64(a) * fibMult) >> canonicalShift
 	sb := (uint64(b) * fibMult) >> canonicalShift
@@ -139,13 +147,6 @@ func CanonicalLess(a, b int64) bool {
 	}
 	return a < b
 }
-
-// Canonical reports whether this store's natural scan order (shards in
-// index order, canonically sorted within each shard) is already the
-// canonical order — true whenever the shard index bits are a prefix of
-// the canonical bucket bits, i.e. for any shard count up to
-// NumCanonicalBuckets.
-func (s *Store) Canonical() bool { return len(s.shards) <= NumCanonicalBuckets }
 
 // Len returns the total number of tuples across all shards. Like the
 // flat Table's Len it equals the master cardinality, maintained as a

@@ -26,6 +26,7 @@ func storeTuple(key int64, lo, hi, cost float64) Tuple {
 func TestStoreShardCountRounding(t *testing.T) {
 	for _, tc := range []struct{ ask, want int }{
 		{0, DefaultShards}, {-3, DefaultShards}, {1, 1}, {2, 2}, {3, 4}, {5, 8}, {16, 16}, {17, 32},
+		{64, 64}, {65, 64}, {128, 64},
 	} {
 		st := NewStore(storeSchema(), tc.ask)
 		if st.NumShards() != tc.want {
@@ -177,7 +178,7 @@ func TestShardedIndexMatchesFlat(t *testing.T) {
 		st.MustInsert(tu)
 		tab.MustInsert(tu)
 	}
-	for _, kind := range []EndpointKind{LowerEndpoint, UpperEndpoint, BoundWidth} {
+	for _, kind := range []EndpointKind{LowerEndpoint, UpperEndpoint} {
 		flat := NewIndex(tab, 1, kind)
 		sharded := NewShardedIndex(st, 1, kind)
 		check := func(stage string) {

@@ -245,14 +245,7 @@ func syncDir(dir string) error {
 // bound before answering bounded queries (cache.RewidenRecovered).
 func OpenStore(dir string, schema *Schema, nshards int, opts WALOptions) (*Store, *WAL, RecoverInfo, error) {
 	var ri RecoverInfo
-	if nshards <= 0 {
-		nshards = DefaultShards
-	}
-	n := 1
-	for n < nshards {
-		n <<= 1
-	}
-	nshards = n
+	nshards = shardCount(nshards)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, ri, err
 	}
