@@ -217,20 +217,38 @@ func TestClusterCancelledCallSurfacesContextError(t *testing.T) {
 }
 
 // TestHardErrorStillAccountsPaidRefreshes is the embedded regression of
-// the same name over three partitions: an object removed at its source
-// under propagation slack makes that source's batch fail on one
-// partition, while every other batch — on that partition and the others
-// — was charged and installed. The result must report exactly what the
-// partitions' ledgers say was paid, the traced cost must agree, and the
-// error must still be returned.
+// the same name over three partitions, embedded and over loopback: an
+// object removed at its source under propagation slack makes that
+// source's batch fail on one partition, while every other batch — on
+// that partition and the others — was charged and installed. The result
+// must report exactly what the partitions' ledgers say was paid, the
+// traced cost must agree, and the error must still be returned. Over
+// the wire, the refresh error frame carries what was installed.
 func TestHardErrorStillAccountsPaidRefreshes(t *testing.T) {
-	_, _, parts, netP, ring := buildPair(t)
-	nodes := make([]partition.Node, len(parts))
-	for i, id := range experiment.PartitionIDs(len(parts)) {
-		nodes[i] = partition.NewLocalNode(id, parts[i])
+	legs := []struct {
+		name string
+		node func(t *testing.T, id string, sys *itrapp.System) partition.Node
+	}{
+		{"embedded", func(_ *testing.T, id string, sys *itrapp.System) partition.Node {
+			return partition.NewLocalNode(id, sys)
+		}},
+		{"remote", func(t *testing.T, id string, sys *itrapp.System) partition.Node {
+			return partition.NewRemoteNode(id, startPartitionServer(t, id, sys))
+		}},
 	}
-	cl := newCluster(t, nodes)
+	for _, leg := range legs {
+		t.Run(leg.name, func(t *testing.T) {
+			_, _, parts, netP, ring := buildPair(t)
+			nodes := make([]partition.Node, len(parts))
+			for i, id := range experiment.PartitionIDs(len(parts)) {
+				nodes[i] = leg.node(t, id, parts[i])
+			}
+			requirePaidRefreshesAccounted(t, newCluster(t, nodes), parts, netP, ring)
+		})
+	}
+}
 
+func requirePaidRefreshesAccounted(t *testing.T, cl *partition.Cluster, parts []*itrapp.System, netP *workload.Network, ring *partition.Ring) {
 	// Remove link 1 (source s1) at its owner, the delete held back.
 	victim := netP.Links[1]
 	owner := parts[ring.OwnerOfKey(victim.Key)]

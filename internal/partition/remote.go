@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"trapp/internal/aggregate"
+	"trapp/internal/codec"
 )
 
 // maxIdleConns bounds the per-node idle connection pool.
@@ -123,19 +124,22 @@ func remaining(ctx context.Context) int64 {
 }
 
 // roundTrip runs one request/response exchange on a pooled connection.
-// build appends the request frame; decode returns (opErr, protoErr):
-// an opErr is a clean node-side failure (connection stays pooled), a
-// protoErr poisons the connection. I/O failures surface ctx.Err() when
+// build appends the request frame and decode is the response type's
+// Decode*Resp. A remote error is a clean node-side failure: the
+// connection stays pooled and the error returns beside the decoded value
+// (a refresh error carries its outcome). A malformed or mismatched
+// response poisons the connection. I/O failures surface ctx.Err() when
 // the context was the cause.
-func (n *RemoteNode) roundTrip(ctx context.Context,
+func roundTrip[T any](ctx context.Context, n *RemoteNode,
 	build func(dst []byte, id uint32) []byte,
-	decode func(payload []byte, id uint32) (opErr, protoErr error)) error {
+	decode func(payload []byte) (uint32, T, error, error)) (T, error) {
+	var zero T
 	if err := ctx.Err(); err != nil {
-		return err
+		return zero, err
 	}
 	rc, err := n.get(ctx)
 	if err != nil {
-		return err
+		return zero, err
 	}
 	id := n.nextID.Add(1)
 	if dl, ok := ctx.Deadline(); ok {
@@ -149,52 +153,34 @@ func (n *RemoteNode) roundTrip(ctx context.Context,
 	var payload []byte
 	_, ioErr := rc.c.Write(rc.writeBuf)
 	if ioErr == nil {
-		payload, ioErr = readFrame(rc.br, &rc.readBuf)
+		payload, ioErr = codec.ReadFrame(rc.br, &rc.readBuf, maxRespFrame)
 	}
 	stop()
 	if ioErr != nil {
 		rc.c.Close()
 		if ce := ctx.Err(); ce != nil {
-			return ce
+			return zero, ce
 		}
-		return fmt.Errorf("partition: %s: %w", n.addr, ioErr)
+		return zero, fmt.Errorf("partition: %s: %w", n.addr, ioErr)
 	}
 	rc.c.SetDeadline(time.Time{})
-	opErr, protoErr := decode(payload, id)
-	if protoErr != nil {
+	rid, v, remoteErr, err := decode(payload)
+	if err == nil && rid != id {
+		// The connection's framing state is lost.
+		err = fmt.Errorf("partition: response id mismatch: got %d, want %d", rid, id)
+	}
+	if err != nil {
 		rc.c.Close()
-		return protoErr
+		return zero, err
 	}
 	n.put(rc)
-	return opErr
-}
-
-// checkID verifies the response echoes the request id; a mismatch means
-// the connection's framing state is lost.
-func checkID(got, want uint32) error {
-	if got != want {
-		return fmt.Errorf("partition: response id mismatch: got %d, want %d", got, want)
-	}
-	return nil
+	return v, remoteErr
 }
 
 // Hello implements Node, verifying the remote's identity matches the
 // configured partition id.
 func (n *RemoteNode) Hello(ctx context.Context) (Hello, error) {
-	var h Hello
-	err := n.roundTrip(ctx,
-		func(dst []byte, id uint32) []byte { return AppendHelloReq(dst, id) },
-		func(payload []byte, id uint32) (error, error) {
-			rid, hh, remoteErr, perr := DecodeHelloResp(payload)
-			if perr != nil {
-				return nil, perr
-			}
-			if err := checkID(rid, id); err != nil {
-				return nil, err
-			}
-			h = hh
-			return remoteErr, nil
-		})
+	h, err := roundTrip(ctx, n, AppendHelloReq, DecodeHelloResp)
 	if err != nil {
 		return Hello{}, err
 	}
@@ -206,62 +192,25 @@ func (n *RemoteNode) Hello(ctx context.Context) (Hello, error) {
 
 // State implements Node.
 func (n *RemoteNode) State(ctx context.Context, shape string) (aggregate.State, error) {
-	var st aggregate.State
-	err := n.roundTrip(ctx,
-		func(dst []byte, id uint32) []byte { return AppendStateReq(dst, id, remaining(ctx), shape) },
-		func(payload []byte, id uint32) (error, error) {
-			rid, s, remoteErr, perr := DecodeStateResp(payload)
-			if perr != nil {
-				return nil, perr
-			}
-			if err := checkID(rid, id); err != nil {
-				return nil, err
-			}
-			st = s
-			return remoteErr, nil
-		})
-	return st, err
+	return roundTrip(ctx, n, func(dst []byte, id uint32) []byte {
+		return AppendStateReq(dst, id, remaining(ctx), shape)
+	}, DecodeStateResp)
 }
 
 // Inputs implements Node.
 func (n *RemoteNode) Inputs(ctx context.Context, shape string) ([]aggregate.Input, int, error) {
-	var inputs []aggregate.Input
-	var tableLen int
-	err := n.roundTrip(ctx,
-		func(dst []byte, id uint32) []byte { return AppendInputsReq(dst, id, remaining(ctx), shape) },
-		func(payload []byte, id uint32) (error, error) {
-			rid, in, tl, remoteErr, perr := DecodeInputsResp(payload)
-			if perr != nil {
-				return nil, perr
-			}
-			if err := checkID(rid, id); err != nil {
-				return nil, err
-			}
-			inputs, tableLen = in, tl
-			return remoteErr, nil
-		})
-	return inputs, tableLen, err
+	s, err := roundTrip(ctx, n, func(dst []byte, id uint32) []byte {
+		return AppendInputsReq(dst, id, remaining(ctx), shape)
+	}, DecodeInputsResp)
+	return s.inputs, s.n, err
 }
 
-// Refresh implements Node.
+// Refresh implements Node. A refresh that failed on the node still
+// returns what it installed before failing, as LocalNode.Refresh does.
 func (n *RemoteNode) Refresh(ctx context.Context, shape string, keys []int64) (RefreshOutcome, error) {
-	var out RefreshOutcome
-	err := n.roundTrip(ctx,
-		func(dst []byte, id uint32) []byte {
-			return AppendRefreshReq(dst, id, remaining(ctx), shape, keys)
-		},
-		func(payload []byte, id uint32) (error, error) {
-			rid, o, remoteErr, perr := DecodeRefreshResp(payload)
-			if perr != nil {
-				return nil, perr
-			}
-			if err := checkID(rid, id); err != nil {
-				return nil, err
-			}
-			out = o
-			return remoteErr, nil
-		})
-	return out, err
+	return roundTrip(ctx, n, func(dst []byte, id uint32) []byte {
+		return AppendRefreshReq(dst, id, remaining(ctx), shape, keys)
+	}, DecodeRefreshResp)
 }
 
 // Subscribe implements Node: a dedicated connection streams update
@@ -305,7 +254,7 @@ func (n *RemoteNode) Subscribe(ctx context.Context, shape string, within float64
 		br := bufio.NewReaderSize(c, 1<<16)
 		var buf []byte
 		for {
-			payload, err := readFrame(br, &buf)
+			payload, err := codec.ReadFrame(br, &buf, maxRespFrame)
 			if err != nil {
 				return // stream over: peer closed, ctx canceled, or node down
 			}

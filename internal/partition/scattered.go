@@ -121,10 +121,6 @@ func (r *scatterRun) Fold(ctx context.Context, root *obs.Span, req query.Request
 // request — sound, since fewer refreshes only leave the answer wider.
 func (r *scatterRun) Snapshot(ctx context.Context, root *obs.Span, _ query.Request) ([]aggregate.Input, int, error) {
 	cl := r.cl
-	type snapshot struct {
-		inputs []aggregate.Input
-		n      int
-	}
 	sp := root.StartSpan("scatter-inputs")
 	defer sp.End()
 	snaps, errs := scatter(cl, ctx, nil, func(ctx context.Context, i int) (snapshot, error) {
@@ -157,10 +153,10 @@ func (r *scatterRun) Snapshot(ctx context.Context, root *obs.Span, _ query.Reque
 // concurrently. A partition's request is a subsequence of keys and its
 // Installed a subsequence of its request, so one cursor per partition
 // aligns the outcomes with keys. A partition whose refresh failed still
-// reports, beside the error, what it installed before failing (an
-// embedded node does; a remote error frame carries no outcome): those
-// refreshes were paid and are marked. Its wider step-1 state stays in
-// the final merge — conservative, therefore sound.
+// reports, beside the error, what it installed before failing (embedded,
+// or carried by the remote error frame): those refreshes were paid and
+// are marked. Its wider step-1 state stays in the final merge —
+// conservative, therefore sound.
 func (r *scatterRun) Refresh(ctx context.Context, _ query.Request, keys []int64) ([]bool, error, error) {
 	cl := r.cl
 	owner := make([]int, len(keys))

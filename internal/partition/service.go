@@ -34,11 +34,6 @@ func reqCtx(ctx context.Context, deadline int64) (context.Context, context.Cance
 	return ctx, func() {}
 }
 
-// getBuf starts a fresh response buffer. Responses are built per call
-// (connections dispatch concurrently) and handed to the server's
-// per-connection writer, which copies them out immediately.
-func (s *Service) getBuf() []byte { return nil }
-
 // ServeExtFrame implements server.FramedExtHandler. Unary operations
 // return a response frame for the connection's writer; subscribe takes
 // the connection over and streams updates until the peer hangs up.
@@ -51,9 +46,9 @@ func (s *Service) ServeExtFrame(ctx context.Context, payload []byte, conn net.Co
 		}
 		h, herr := s.node.Hello(ctx)
 		if herr != nil {
-			return AppendErrResp(s.getBuf(), frameHelloResp, id, herr), false, nil
+			return AppendErrResp(nil, frameHelloResp, id, herr), false, nil
 		}
-		return AppendHelloResp(s.getBuf(), id, &h), false, nil
+		return AppendHelloResp(nil, id, &h), false, nil
 
 	case frameStateReq:
 		id, deadline, shape, err := decodeStateReq(payload)
@@ -64,9 +59,9 @@ func (s *Service) ServeExtFrame(ctx context.Context, payload []byte, conn net.Co
 		st, serr := s.node.State(rctx, shape)
 		cancel()
 		if serr != nil {
-			return AppendErrResp(s.getBuf(), frameStateResp, id, serr), false, nil
+			return AppendErrResp(nil, frameStateResp, id, serr), false, nil
 		}
-		return AppendStateResp(s.getBuf(), id, &st), false, nil
+		return AppendStateResp(nil, id, &st), false, nil
 
 	case frameInputsReq:
 		id, deadline, shape, err := decodeInputsReq(payload)
@@ -77,9 +72,9 @@ func (s *Service) ServeExtFrame(ctx context.Context, payload []byte, conn net.Co
 		inputs, tableLen, ierr := s.node.Inputs(rctx, shape)
 		cancel()
 		if ierr != nil {
-			return AppendErrResp(s.getBuf(), frameInputsResp, id, ierr), false, nil
+			return AppendErrResp(nil, frameInputsResp, id, ierr), false, nil
 		}
-		return AppendInputsResp(s.getBuf(), id, inputs, tableLen), false, nil
+		return AppendInputsResp(nil, id, inputs, tableLen), false, nil
 
 	case frameRefreshReq:
 		id, deadline, shape, keys, err := decodeRefreshReq(payload)
@@ -89,10 +84,9 @@ func (s *Service) ServeExtFrame(ctx context.Context, payload []byte, conn net.Co
 		rctx, cancel := reqCtx(ctx, deadline)
 		out, rerr := s.node.Refresh(rctx, shape, keys)
 		cancel()
-		if rerr != nil {
-			return AppendErrResp(s.getBuf(), frameRefreshResp, id, rerr), false, nil
-		}
-		return AppendRefreshResp(s.getBuf(), id, &out), false, nil
+		// A failed refresh still reports what it installed: those
+		// refreshes were paid for.
+		return AppendRefreshResp(nil, id, &out, rerr), false, nil
 
 	case frameSubscribeReq:
 		return nil, true, s.serveSubscribe(ctx, payload, conn, bw)
@@ -117,7 +111,7 @@ func (s *Service) serveSubscribe(ctx context.Context, payload []byte, conn net.C
 	ch, serr := s.node.Subscribe(subCtx, shape, within)
 	if serr != nil {
 		// Terminal error frame; the peer treats the stream as dead.
-		out := AppendErrResp(s.getBuf(), frameSubUpdate, id, serr)
+		out := AppendErrResp(nil, frameSubUpdate, id, serr)
 		if _, werr := bw.Write(out); werr != nil {
 			return werr
 		}

@@ -1,33 +1,37 @@
 package partition
 
-// Wire codec for the partition coordination protocol.
+// Wire codec for the partition coordination protocol, written on
+// internal/codec.
 //
 // The protocol rides the server's persistent framed listener: frame
 // types at or above server.FrameExtBase are dispatched to the node-side
 // Service (service.go) instead of the core query decoder, so one
 // trappserver port carries both client queries and coordinator traffic.
-// The framing idiom matches internal/server/frame.go — 4-byte big-endian
-// length prefix, payload[0] is the type byte, floats travel as raw
-// IEEE-754 bits, strings are length-prefixed, decoding is strict and
-// bounds-checked — but the payload vocabulary is fold state, classified
-// inputs, and refresh outcomes rather than SQL results.
+// The framing is the server's — 4-byte little-endian length prefix,
+// payload[0] is the type byte, floats travel as raw IEEE-754 bits,
+// strings are length-prefixed — and so is the strictness: booleans are
+// 0 or 1, enum bytes are range-checked, the type byte must match, and
+// trailing bytes are rejected, so every accepted payload re-encodes
+// byte-identically (FuzzDecodePartitionFrame). The payload vocabulary is
+// fold state, classified inputs, and refresh outcomes rather than SQL
+// results.
 //
 // Requests carry the remaining request deadline as relative nanoseconds
 // (0 = none): absolute deadlines do not survive clock skew between
 // coordinator and partitions, remaining time does. Error responses carry
 // a kind byte so context errors reconstruct as the canonical
 // context.DeadlineExceeded / context.Canceled sentinels across the wire
-// — the coordinator's degradation taxonomy branches on them.
+// — the coordinator's degradation taxonomy branches on them. A refresh
+// error response also carries the partition's RefreshOutcome: what it
+// installed before failing was paid for, and the coordinator charges it.
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
-	"fmt"
-	"io"
 	"math"
 
 	"trapp/internal/aggregate"
+	"trapp/internal/codec"
 	"trapp/internal/interval"
 	"trapp/internal/predicate"
 	"trapp/internal/relation"
@@ -61,217 +65,88 @@ const (
 )
 
 // ---------------------------------------------------------------------
-// Append helpers (the server's are unexported; same idiom).
-
-func appendU16(dst []byte, v uint16) []byte { return binary.BigEndian.AppendUint16(dst, v) }
-func appendU32(dst []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(dst, v) }
-func appendU64(dst []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(dst, v) }
-
-func appendF64(dst []byte, v float64) []byte {
-	return binary.BigEndian.AppendUint64(dst, math.Float64bits(v))
-}
-
-func appendBool(dst []byte, v bool) []byte {
-	if v {
-		return append(dst, 1)
-	}
-	return append(dst, 0)
-}
-
-func appendStr16(dst []byte, s string) []byte {
-	dst = appendU16(dst, uint16(len(s)))
-	return append(dst, s...)
-}
-
-// finishFrame back-fills the 4-byte length prefix reserved at start.
-func finishFrame(dst []byte, start int) []byte {
-	binary.BigEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
-	return dst
-}
-
-// ---------------------------------------------------------------------
-// Bounds-checked payload reader.
-
-type wireReader struct {
-	b   []byte
-	off int
-}
-
-func (r *wireReader) fail(what string) error {
-	return fmt.Errorf("partition: truncated %s (at payload offset %d)", what, r.off)
-}
-
-func (r *wireReader) u8(what string) (byte, error) {
-	if r.off+1 > len(r.b) {
-		return 0, r.fail(what)
-	}
-	v := r.b[r.off]
-	r.off++
-	return v, nil
-}
-
-func (r *wireReader) u16(what string) (uint16, error) {
-	if r.off+2 > len(r.b) {
-		return 0, r.fail(what)
-	}
-	v := binary.BigEndian.Uint16(r.b[r.off:])
-	r.off += 2
-	return v, nil
-}
-
-func (r *wireReader) u32(what string) (uint32, error) {
-	if r.off+4 > len(r.b) {
-		return 0, r.fail(what)
-	}
-	v := binary.BigEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return v, nil
-}
-
-func (r *wireReader) u64(what string) (uint64, error) {
-	if r.off+8 > len(r.b) {
-		return 0, r.fail(what)
-	}
-	v := binary.BigEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v, nil
-}
-
-func (r *wireReader) f64(what string) (float64, error) {
-	v, err := r.u64(what)
-	return math.Float64frombits(v), err
-}
-
-func (r *wireReader) str16(what string) (string, error) {
-	n, err := r.u16(what + " length")
-	if err != nil {
-		return "", err
-	}
-	if r.off+int(n) > len(r.b) {
-		return "", r.fail(what)
-	}
-	v := string(r.b[r.off : r.off+int(n)])
-	r.off += int(n)
-	return v, nil
-}
-
-func (r *wireReader) str32(what string) (string, error) {
-	n, err := r.u32(what + " length")
-	if err != nil {
-		return "", err
-	}
-	if int(n) < 0 || r.off+int(n) > len(r.b) {
-		return "", r.fail(what)
-	}
-	v := string(r.b[r.off : r.off+int(n)])
-	r.off += int(n)
-	return v, nil
-}
-
-// count reads a u32 element count and rejects counts that cannot fit in
-// the remaining payload at elemSize bytes each (hostile-count guard).
-func (r *wireReader) count(elemSize int, what string) (int, error) {
-	n, err := r.u32(what)
-	if err != nil {
-		return 0, err
-	}
-	if int(n)*elemSize > len(r.b)-r.off {
-		return 0, fmt.Errorf("partition: %s %d exceeds payload (at payload offset %d)", what, n, r.off)
-	}
-	return int(n), nil
-}
-
-func (r *wireReader) done() error {
-	if r.off != len(r.b) {
-		return fmt.Errorf("partition: %d trailing bytes in frame", len(r.b)-r.off)
-	}
-	return nil
-}
-
-// ---------------------------------------------------------------------
 // Requests. Layout: [type][u32 id][u64 deadline-remaining-nanos]
-// [u32 shapeLen][shape] plus per-type operands. Hello has no shape or
-// deadline: [type][u32 id].
+// [u32 shapeLen][shape] plus per-type operands. Subscribe has no
+// deadline: [type][u32 id][u32 shapeLen][shape][f64 within]. Hello is
+// [type][u32 id].
 
-func appendShapeReq(dst []byte, typ byte, id uint32, deadline int64, shape string) []byte {
-	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0, typ)
-	dst = appendU32(dst, id)
-	dst = appendU64(dst, uint64(deadline))
-	dst = appendU32(dst, uint32(len(shape)))
-	dst = append(dst, shape...)
-	return finishFrame(dst, start)
+func appendReq(dst []byte, typ byte, id uint32) ([]byte, int) {
+	dst, start := codec.BeginFrame(dst, typ)
+	return codec.AppendU32(dst, id), start
+}
+
+func appendShapeReq(dst []byte, typ byte, id uint32, deadline int64, shape string) ([]byte, int) {
+	dst, start := appendReq(dst, typ, id)
+	dst = codec.AppendU64(dst, uint64(deadline))
+	return codec.AppendStr32(dst, shape), start
 }
 
 // AppendStateReq encodes a fold-state request.
 func AppendStateReq(dst []byte, id uint32, deadline int64, shape string) []byte {
-	return appendShapeReq(dst, frameStateReq, id, deadline, shape)
+	dst, start := appendShapeReq(dst, frameStateReq, id, deadline, shape)
+	return codec.FinishFrame(dst, start)
 }
 
 // AppendInputsReq encodes a classified-inputs request.
 func AppendInputsReq(dst []byte, id uint32, deadline int64, shape string) []byte {
-	return appendShapeReq(dst, frameInputsReq, id, deadline, shape)
+	dst, start := appendShapeReq(dst, frameInputsReq, id, deadline, shape)
+	return codec.FinishFrame(dst, start)
 }
 
 // AppendRefreshReq encodes a refresh fan-out request for the plan keys
 // this partition owns.
 func AppendRefreshReq(dst []byte, id uint32, deadline int64, shape string, keys []int64) []byte {
-	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0, frameRefreshReq)
-	dst = appendU32(dst, id)
-	dst = appendU64(dst, uint64(deadline))
-	dst = appendU32(dst, uint32(len(shape)))
-	dst = append(dst, shape...)
-	dst = appendU32(dst, uint32(len(keys)))
-	for _, k := range keys {
-		dst = appendU64(dst, uint64(k))
-	}
-	return finishFrame(dst, start)
+	dst, start := appendShapeReq(dst, frameRefreshReq, id, deadline, shape)
+	return codec.FinishFrame(appendKeys(dst, keys), start)
 }
 
 // AppendSubscribeReq encodes a standing-query registration; within is
 // the partition's pro-rata repair target.
 func AppendSubscribeReq(dst []byte, id uint32, shape string, within float64) []byte {
-	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0, frameSubscribeReq)
-	dst = appendU32(dst, id)
-	dst = appendU32(dst, uint32(len(shape)))
-	dst = append(dst, shape...)
-	dst = appendF64(dst, within)
-	return finishFrame(dst, start)
+	dst, start := appendReq(dst, frameSubscribeReq, id)
+	dst = codec.AppendStr32(dst, shape)
+	return codec.FinishFrame(codec.AppendF64(dst, within), start)
 }
 
 // AppendHelloReq encodes a topology handshake request.
 func AppendHelloReq(dst []byte, id uint32) []byte {
-	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0, frameHelloReq)
-	dst = appendU32(dst, id)
-	return finishFrame(dst, start)
+	dst, start := appendReq(dst, frameHelloReq, id)
+	return codec.FinishFrame(dst, start)
+}
+
+func appendKeys(dst []byte, keys []int64) []byte {
+	dst = codec.AppendU32(dst, uint32(len(keys)))
+	for _, k := range keys {
+		dst = codec.AppendU64(dst, uint64(k))
+	}
+	return dst
+}
+
+func readKeys(r *codec.Reader) []int64 {
+	n := r.Count(8)
+	if n == 0 {
+		return nil
+	}
+	keys := make([]int64, n)
+	for i := range keys {
+		keys[i] = int64(r.U64())
+	}
+	return keys
+}
+
+// openReq starts decoding a request of type typ, returning the reader
+// past the request id.
+func openReq(payload []byte, typ byte) (*codec.Reader, uint32) {
+	r := codec.NewReader(payload)
+	r.Expect(typ)
+	return r, r.U32()
 }
 
 func decodeShapeReq(payload []byte, typ byte) (id uint32, deadline int64, shape string, err error) {
-	r := &wireReader{b: payload}
-	t, err := r.u8("frame type")
-	if err != nil {
-		return 0, 0, "", err
-	}
-	if t != typ {
-		return 0, 0, "", fmt.Errorf("partition: unexpected frame type 0x%02x (want 0x%02x)", t, typ)
-	}
-	if id, err = r.u32("request id"); err != nil {
-		return 0, 0, "", err
-	}
-	d, err := r.u64("deadline")
-	if err != nil {
-		return id, 0, "", err
-	}
-	if shape, err = r.str32("shape"); err != nil {
-		return id, 0, "", err
-	}
-	if err = r.done(); err != nil {
-		return id, 0, "", err
-	}
-	return id, int64(d), shape, nil
+	r, id := openReq(payload, typ)
+	deadline = int64(r.U64())
+	shape = r.Str32()
+	return id, deadline, shape, r.Done()
 }
 
 func decodeStateReq(payload []byte) (uint32, int64, string, error) {
@@ -283,82 +158,43 @@ func decodeInputsReq(payload []byte) (uint32, int64, string, error) {
 }
 
 func decodeRefreshReq(payload []byte) (id uint32, deadline int64, shape string, keys []int64, err error) {
-	r := &wireReader{b: payload}
-	if _, err = r.u8("frame type"); err != nil {
-		return
-	}
-	if id, err = r.u32("request id"); err != nil {
-		return
-	}
-	d, err := r.u64("deadline")
-	if err != nil {
-		return id, 0, "", nil, err
-	}
-	deadline = int64(d)
-	if shape, err = r.str32("shape"); err != nil {
-		return
-	}
-	n, err := r.count(8, "key count")
-	if err != nil {
-		return
-	}
-	keys = make([]int64, n)
-	for i := range keys {
-		v, kerr := r.u64("key")
-		if kerr != nil {
-			return id, deadline, shape, nil, kerr
-		}
-		keys[i] = int64(v)
-	}
-	err = r.done()
-	return
+	r, id := openReq(payload, frameRefreshReq)
+	deadline = int64(r.U64())
+	shape = r.Str32()
+	keys = readKeys(r)
+	return id, deadline, shape, keys, r.Done()
 }
 
 func decodeSubscribeReq(payload []byte) (id uint32, shape string, within float64, err error) {
-	r := &wireReader{b: payload}
-	if _, err = r.u8("frame type"); err != nil {
-		return
-	}
-	if id, err = r.u32("request id"); err != nil {
-		return
-	}
-	if shape, err = r.str32("shape"); err != nil {
-		return
-	}
-	if within, err = r.f64("within"); err != nil {
-		return
-	}
-	err = r.done()
-	return
+	r, id := openReq(payload, frameSubscribeReq)
+	shape = r.Str32()
+	within = r.F64()
+	return id, shape, within, r.Done()
 }
 
-func decodeHelloReq(payload []byte) (id uint32, err error) {
-	r := &wireReader{b: payload}
-	if _, err = r.u8("frame type"); err != nil {
-		return
-	}
-	if id, err = r.u32("request id"); err != nil {
-		return
-	}
-	err = r.done()
-	return
+func decodeHelloReq(payload []byte) (uint32, error) {
+	r, id := openReq(payload, frameHelloReq)
+	return id, r.Done()
 }
 
 // ---------------------------------------------------------------------
 // Responses. Layout: [type][u32 id][u8 status]; status 1 is an error —
-// [u16 msgLen][msg][u8 kind] — status 0 is followed by the result body.
+// [u16 msgLen][msg][u8 kind] — and status 0 is followed by the result
+// body. A refresh error is followed by the body too: the outcome the
+// partition reached before failing.
 
-// AppendErrResp encodes an error response of the given type.
-func AppendErrResp(dst []byte, typ byte, id uint32, err error) []byte {
-	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0, typ)
-	dst = appendU32(dst, id)
-	dst = append(dst, 1)
+func appendResp(dst []byte, typ byte, id uint32, err error) ([]byte, int) {
+	dst, start := codec.BeginFrame(dst, typ)
+	dst = codec.AppendU32(dst, id)
+	dst = codec.AppendBool(dst, err != nil)
+	if err == nil {
+		return dst, start
+	}
 	msg := err.Error()
 	if len(msg) > math.MaxUint16 {
 		msg = msg[:math.MaxUint16]
 	}
-	dst = appendStr16(dst, msg)
+	dst = codec.AppendStr16(dst, msg)
 	kind := errKindGeneric
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
@@ -366,55 +202,35 @@ func AppendErrResp(dst []byte, typ byte, id uint32, err error) []byte {
 	case errors.Is(err, context.Canceled):
 		kind = errKindCanceled
 	}
-	dst = append(dst, kind)
-	return finishFrame(dst, start)
+	return append(dst, kind), start
 }
 
-func appendOKHeader(dst []byte, typ byte, id uint32) []byte {
-	dst = append(dst, 0, 0, 0, 0, typ)
-	dst = appendU32(dst, id)
-	return append(dst, 0)
+// AppendErrResp encodes an error response of the given type. A refresh
+// error goes through AppendRefreshResp, which carries the outcome.
+func AppendErrResp(dst []byte, typ byte, id uint32, err error) []byte {
+	dst, start := appendResp(dst, typ, id, err)
+	return codec.FinishFrame(dst, start)
 }
 
-// decodeRespHeader checks the type byte, extracts the id, and — for
-// error responses — reconstructs the remote error (context sentinels
-// survive the round trip via the kind byte). A nil reader with a nil
-// error means the payload was an error response.
-func decodeRespHeader(payload []byte, typ byte) (id uint32, r *wireReader, remoteErr error, err error) {
-	r = &wireReader{b: payload}
-	t, err := r.u8("frame type")
-	if err != nil {
-		return 0, nil, nil, err
+// decodeResp decodes a response of type typ: the header, then body for
+// a success (or for a refresh error, beside the reconstructed remote
+// error). A malformed payload returns err and nothing else.
+func decodeResp[T any](payload []byte, typ byte, body func(*codec.Reader) T) (id uint32, v T, remoteErr, err error) {
+	r := codec.NewReader(payload)
+	r.Expect(typ)
+	id = r.U32()
+	if r.Bool() {
+		msg := r.Str16()
+		remoteErr = reconstructErr(r.Enum(errKindCanceled), msg)
 	}
-	if t != typ {
-		return 0, nil, nil, fmt.Errorf("partition: unexpected frame type 0x%02x (want 0x%02x)", t, typ)
+	if remoteErr == nil || typ == frameRefreshResp {
+		v = body(r)
 	}
-	if id, err = r.u32("response id"); err != nil {
-		return 0, nil, nil, err
+	if err = r.Done(); err != nil {
+		var zero T
+		return id, zero, nil, err
 	}
-	status, err := r.u8("status")
-	if err != nil {
-		return id, nil, nil, err
-	}
-	switch status {
-	case 0:
-		return id, r, nil, nil
-	case 1:
-		msg, err := r.str16("error message")
-		if err != nil {
-			return id, nil, nil, err
-		}
-		kind, err := r.u8("error kind")
-		if err != nil {
-			return id, nil, nil, err
-		}
-		if err := r.done(); err != nil {
-			return id, nil, nil, err
-		}
-		return id, nil, reconstructErr(kind, msg), nil
-	default:
-		return id, nil, nil, fmt.Errorf("partition: unknown status byte 0x%02x", status)
-	}
+	return id, v, remoteErr, nil
 }
 
 // remoteErr carries a remote failure's exact message while unwrapping
@@ -453,154 +269,79 @@ func reconstructErr(kind byte, msg string) error {
 
 func appendState(dst []byte, s *aggregate.State) []byte {
 	dst = append(dst, byte(s.Fn))
-	dst = appendBool(dst, s.NoPred)
-	dst = appendU64(dst, uint64(s.TableLen))
-	for _, sel := range [4]aggregate.Selection{s.MinLo, s.MinHiPlus, s.MaxHi, s.MaxLoPlus} {
-		dst = appendBool(dst, sel.Valid)
-		dst = appendF64(dst, sel.Val)
-		dst = appendU64(dst, uint64(sel.Key))
+	dst = codec.AppendBool(dst, s.NoPred)
+	dst = codec.AppendU64(dst, uint64(s.TableLen))
+	for _, sel := range [4]*aggregate.Selection{&s.MinLo, &s.MinHiPlus, &s.MaxHi, &s.MaxLoPlus} {
+		dst = codec.AppendBool(dst, sel.Valid)
+		dst = codec.AppendF64(dst, sel.Val)
+		dst = codec.AppendU64(dst, uint64(sel.Key))
 	}
-	dst = appendU64(dst, s.SumPresent)
-	for _, v := range s.SumLo {
-		dst = appendF64(dst, v)
-	}
-	for _, v := range s.SumHi {
-		dst = appendF64(dst, v)
-	}
-	dst = appendU64(dst, uint64(s.Plus))
-	dst = appendU64(dst, uint64(s.Maybe))
-	dst = appendU64(dst, s.AvgSeedPresent)
-	for _, v := range s.AvgSeedLo {
-		dst = appendF64(dst, v)
-	}
-	for _, v := range s.AvgSeedHi {
-		dst = appendF64(dst, v)
-	}
-	dst = appendU64(dst, uint64(s.AvgK))
-	dst = appendBool(dst, s.AvgAny)
-	dst = appendU32(dst, uint32(len(s.AvgMaybes)))
+	dst = codec.AppendU64(dst, s.SumPresent)
+	dst = appendF64s(appendF64s(dst, s.SumLo[:]), s.SumHi[:])
+	dst = codec.AppendU64(dst, uint64(s.Plus))
+	dst = codec.AppendU64(dst, uint64(s.Maybe))
+	dst = codec.AppendU64(dst, s.AvgSeedPresent)
+	dst = appendF64s(appendF64s(dst, s.AvgSeedLo[:]), s.AvgSeedHi[:])
+	dst = codec.AppendU64(dst, uint64(s.AvgK))
+	dst = codec.AppendBool(dst, s.AvgAny)
+	dst = codec.AppendU32(dst, uint32(len(s.AvgMaybes)))
 	for _, iv := range s.AvgMaybes {
-		dst = appendF64(dst, iv.Lo)
-		dst = appendF64(dst, iv.Hi)
+		dst = codec.AppendInterval(dst, iv)
 	}
 	return dst
 }
 
-func decodeState(r *wireReader) (aggregate.State, error) {
-	var s aggregate.State
-	fn, err := r.u8("fn")
-	if err != nil {
-		return s, err
-	}
-	s.Fn = aggregate.Func(fn)
-	np, err := r.u8("noPred")
-	if err != nil {
-		return s, err
-	}
-	s.NoPred = np == 1
-	tl, err := r.u64("tableLen")
-	if err != nil {
-		return s, err
-	}
-	s.TableLen = int(tl)
+func decodeState(r *codec.Reader) (s aggregate.State) {
+	s.Fn = aggregate.Func(r.Enum(byte(aggregate.Avg)))
+	s.NoPred = r.Bool()
+	s.TableLen = int(r.U64())
 	for _, sel := range [4]*aggregate.Selection{&s.MinLo, &s.MinHiPlus, &s.MaxHi, &s.MaxLoPlus} {
-		v, err := r.u8("selection valid")
-		if err != nil {
-			return s, err
-		}
-		sel.Valid = v == 1
-		if sel.Val, err = r.f64("selection value"); err != nil {
-			return s, err
-		}
-		k, err := r.u64("selection key")
-		if err != nil {
-			return s, err
-		}
-		sel.Key = int64(k)
+		sel.Valid = r.Bool()
+		sel.Val = r.F64()
+		sel.Key = int64(r.U64())
 	}
-	if s.SumPresent, err = r.u64("sumPresent"); err != nil {
-		return s, err
-	}
-	for i := range s.SumLo {
-		if s.SumLo[i], err = r.f64("sumLo"); err != nil {
-			return s, err
-		}
-	}
-	for i := range s.SumHi {
-		if s.SumHi[i], err = r.f64("sumHi"); err != nil {
-			return s, err
-		}
-	}
-	plus, err := r.u64("plus")
-	if err != nil {
-		return s, err
-	}
-	s.Plus = int(plus)
-	maybe, err := r.u64("maybe")
-	if err != nil {
-		return s, err
-	}
-	s.Maybe = int(maybe)
-	if s.AvgSeedPresent, err = r.u64("avgSeedPresent"); err != nil {
-		return s, err
-	}
-	for i := range s.AvgSeedLo {
-		if s.AvgSeedLo[i], err = r.f64("avgSeedLo"); err != nil {
-			return s, err
-		}
-	}
-	for i := range s.AvgSeedHi {
-		if s.AvgSeedHi[i], err = r.f64("avgSeedHi"); err != nil {
-			return s, err
-		}
-	}
-	avgK, err := r.u64("avgK")
-	if err != nil {
-		return s, err
-	}
-	s.AvgK = int(avgK)
-	anyB, err := r.u8("avgAny")
-	if err != nil {
-		return s, err
-	}
-	s.AvgAny = anyB == 1
-	n, err := r.count(16, "avgMaybes count")
-	if err != nil {
-		return s, err
-	}
-	if n > 0 {
+	s.SumPresent = r.U64()
+	readF64s(r, s.SumLo[:])
+	readF64s(r, s.SumHi[:])
+	s.Plus = int(r.U64())
+	s.Maybe = int(r.U64())
+	s.AvgSeedPresent = r.U64()
+	readF64s(r, s.AvgSeedLo[:])
+	readF64s(r, s.AvgSeedHi[:])
+	s.AvgK = int(r.U64())
+	s.AvgAny = r.Bool()
+	if n := r.Count(16); n > 0 {
 		s.AvgMaybes = make([]interval.Interval, n)
 		for i := range s.AvgMaybes {
-			if s.AvgMaybes[i].Lo, err = r.f64("avgMaybe lo"); err != nil {
-				return s, err
-			}
-			if s.AvgMaybes[i].Hi, err = r.f64("avgMaybe hi"); err != nil {
-				return s, err
-			}
+			s.AvgMaybes[i] = r.Interval()
 		}
 	}
-	return s, nil
+	return s
+}
+
+func appendF64s(dst []byte, vs []float64) []byte {
+	for _, v := range vs {
+		dst = codec.AppendF64(dst, v)
+	}
+	return dst
+}
+
+func readF64s(r *codec.Reader, dst []float64) {
+	for i := range dst {
+		dst[i] = r.F64()
+	}
 }
 
 // AppendStateResp encodes a fold-state response.
 func AppendStateResp(dst []byte, id uint32, s *aggregate.State) []byte {
-	start := len(dst)
-	dst = appendOKHeader(dst, frameStateResp, id)
-	dst = appendState(dst, s)
-	return finishFrame(dst, start)
+	dst, start := appendResp(dst, frameStateResp, id, nil)
+	return codec.FinishFrame(appendState(dst, s), start)
 }
 
 // DecodeStateResp decodes a fold-state response; remoteErr carries a
 // reconstructed node-side failure.
 func DecodeStateResp(payload []byte) (id uint32, s aggregate.State, remoteErr, err error) {
-	id, r, remoteErr, err := decodeRespHeader(payload, frameStateResp)
-	if err != nil || remoteErr != nil {
-		return id, s, remoteErr, err
-	}
-	if s, err = decodeState(r); err != nil {
-		return id, s, nil, err
-	}
-	return id, s, nil, r.done()
+	return decodeResp(payload, frameStateResp, decodeState)
 }
 
 // ---------------------------------------------------------------------
@@ -608,115 +349,69 @@ func DecodeStateResp(payload []byte) (id uint32, s aggregate.State, remoteErr, e
 // (u64 key, f64 lo, f64 hi, f64 cost, u8 class). Index is omitted —
 // canonical positions are reassigned by aggregate.MergeInputs.
 
+// snapshot is one partition's classified inputs and its cardinality at
+// scan time.
+type snapshot struct {
+	inputs []aggregate.Input
+	n      int
+}
+
 // AppendInputsResp encodes a classified-inputs response.
 func AppendInputsResp(dst []byte, id uint32, inputs []aggregate.Input, tableLen int) []byte {
-	start := len(dst)
-	dst = appendOKHeader(dst, frameInputsResp, id)
-	dst = appendU64(dst, uint64(tableLen))
-	dst = appendU32(dst, uint32(len(inputs)))
+	dst, start := appendResp(dst, frameInputsResp, id, nil)
+	dst = codec.AppendU64(dst, uint64(tableLen))
+	dst = codec.AppendU32(dst, uint32(len(inputs)))
 	for i := range inputs {
 		in := &inputs[i]
-		dst = appendU64(dst, uint64(in.Key))
-		dst = appendF64(dst, in.Bound.Lo)
-		dst = appendF64(dst, in.Bound.Hi)
-		dst = appendF64(dst, in.Cost)
+		dst = codec.AppendU64(dst, uint64(in.Key))
+		dst = codec.AppendInterval(dst, in.Bound)
+		dst = codec.AppendF64(dst, in.Cost)
 		dst = append(dst, byte(in.Class))
 	}
-	return finishFrame(dst, start)
+	return codec.FinishFrame(dst, start)
 }
 
 // DecodeInputsResp decodes a classified-inputs response.
-func DecodeInputsResp(payload []byte) (id uint32, inputs []aggregate.Input, tableLen int, remoteErr, err error) {
-	id, r, remoteErr, err := decodeRespHeader(payload, frameInputsResp)
-	if err != nil || remoteErr != nil {
-		return id, nil, 0, remoteErr, err
-	}
-	tl, err := r.u64("tableLen")
-	if err != nil {
-		return id, nil, 0, nil, err
-	}
-	tableLen = int(tl)
-	n, err := r.count(33, "input count")
-	if err != nil {
-		return id, nil, 0, nil, err
-	}
-	if n > 0 {
-		inputs = make([]aggregate.Input, n)
-	}
-	for i := range inputs {
-		in := &inputs[i]
-		k, err := r.u64("input key")
-		if err != nil {
-			return id, nil, 0, nil, err
+func DecodeInputsResp(payload []byte) (id uint32, s snapshot, remoteErr, err error) {
+	return decodeResp(payload, frameInputsResp, func(r *codec.Reader) (s snapshot) {
+		s.n = int(r.U64())
+		if n := r.Count(33); n > 0 {
+			s.inputs = make([]aggregate.Input, n)
 		}
-		in.Key = int64(k)
-		if in.Bound.Lo, err = r.f64("input lo"); err != nil {
-			return id, nil, 0, nil, err
+		for i := range s.inputs {
+			in := &s.inputs[i]
+			in.Key = int64(r.U64())
+			in.Bound = r.Interval()
+			in.Cost = r.F64()
+			in.Class = predicate.Class(r.Enum(byte(predicate.Plus)))
 		}
-		if in.Bound.Hi, err = r.f64("input hi"); err != nil {
-			return id, nil, 0, nil, err
-		}
-		if in.Cost, err = r.f64("input cost"); err != nil {
-			return id, nil, 0, nil, err
-		}
-		cls, err := r.u8("input class")
-		if err != nil {
-			return id, nil, 0, nil, err
-		}
-		if cls > byte(predicate.Plus) {
-			return id, nil, 0, nil, fmt.Errorf("partition: unknown class byte 0x%02x", cls)
-		}
-		in.Class = predicate.Class(cls)
-	}
-	return id, inputs, tableLen, nil, r.done()
+		return s
+	})
 }
 
 // ---------------------------------------------------------------------
 // Refresh-outcome body: u8 cut, u32 nInstalled, installed keys, then
 // the post-refresh fold state.
 
-// AppendRefreshResp encodes a refresh outcome.
-func AppendRefreshResp(dst []byte, id uint32, out *RefreshOutcome) []byte {
-	start := len(dst)
-	dst = appendOKHeader(dst, frameRefreshResp, id)
-	dst = appendBool(dst, out.Cut)
-	dst = appendU32(dst, uint32(len(out.Installed)))
-	for _, k := range out.Installed {
-		dst = appendU64(dst, uint64(k))
-	}
-	dst = appendState(dst, &out.State)
-	return finishFrame(dst, start)
+// AppendRefreshResp encodes a refresh outcome. A non-nil err makes it an
+// error response that still carries the outcome, as LocalNode.Refresh
+// returns one beside its error.
+func AppendRefreshResp(dst []byte, id uint32, out *RefreshOutcome, err error) []byte {
+	dst, start := appendResp(dst, frameRefreshResp, id, err)
+	dst = codec.AppendBool(dst, out.Cut)
+	dst = appendKeys(dst, out.Installed)
+	return codec.FinishFrame(appendState(dst, &out.State), start)
 }
 
-// DecodeRefreshResp decodes a refresh outcome.
+// DecodeRefreshResp decodes a refresh outcome, beside the reconstructed
+// remote error when the partition's refresh failed.
 func DecodeRefreshResp(payload []byte) (id uint32, out RefreshOutcome, remoteErr, err error) {
-	id, r, remoteErr, err := decodeRespHeader(payload, frameRefreshResp)
-	if err != nil || remoteErr != nil {
-		return id, out, remoteErr, err
-	}
-	cut, err := r.u8("cut")
-	if err != nil {
-		return id, out, nil, err
-	}
-	out.Cut = cut == 1
-	n, err := r.count(8, "installed count")
-	if err != nil {
-		return id, out, nil, err
-	}
-	if n > 0 {
-		out.Installed = make([]int64, n)
-		for i := range out.Installed {
-			v, kerr := r.u64("installed key")
-			if kerr != nil {
-				return id, out, nil, kerr
-			}
-			out.Installed[i] = int64(v)
-		}
-	}
-	if out.State, err = decodeState(r); err != nil {
-		return id, out, nil, err
-	}
-	return id, out, nil, r.done()
+	return decodeResp(payload, frameRefreshResp, func(r *codec.Reader) (out RefreshOutcome) {
+		out.Cut = r.Bool()
+		out.Installed = readKeys(r)
+		out.State = decodeState(r)
+		return out
+	})
 }
 
 // ---------------------------------------------------------------------
@@ -725,34 +420,20 @@ func DecodeRefreshResp(payload []byte) (id uint32, out RefreshOutcome, remoteErr
 
 // AppendSubUpdate encodes one streamed subscription update.
 func AppendSubUpdate(dst []byte, id uint32, u *Update) []byte {
-	start := len(dst)
-	dst = appendOKHeader(dst, frameSubUpdate, id)
-	dst = appendU64(dst, uint64(u.Seq))
-	dst = appendU64(dst, uint64(u.At))
-	dst = appendState(dst, &u.State)
-	return finishFrame(dst, start)
+	dst, start := appendResp(dst, frameSubUpdate, id, nil)
+	dst = codec.AppendU64(dst, uint64(u.Seq))
+	dst = codec.AppendU64(dst, uint64(u.At))
+	return codec.FinishFrame(appendState(dst, &u.State), start)
 }
 
 // DecodeSubUpdate decodes one streamed subscription update.
 func DecodeSubUpdate(payload []byte) (id uint32, u Update, remoteErr, err error) {
-	id, r, remoteErr, err := decodeRespHeader(payload, frameSubUpdate)
-	if err != nil || remoteErr != nil {
-		return id, u, remoteErr, err
-	}
-	seq, err := r.u64("seq")
-	if err != nil {
-		return id, u, nil, err
-	}
-	u.Seq = int64(seq)
-	at, err := r.u64("at")
-	if err != nil {
-		return id, u, nil, err
-	}
-	u.At = int64(at)
-	if u.State, err = decodeState(r); err != nil {
-		return id, u, nil, err
-	}
-	return id, u, nil, r.done()
+	return decodeResp(payload, frameSubUpdate, func(r *codec.Reader) (u Update) {
+		u.Seq = int64(r.U64())
+		u.At = int64(r.U64())
+		u.State = decodeState(r)
+		return u
+	})
 }
 
 // ---------------------------------------------------------------------
@@ -760,89 +441,35 @@ func DecodeSubUpdate(payload []byte) (id uint32, u Update, remoteErr, err error)
 
 // AppendHelloResp encodes a topology handshake response.
 func AppendHelloResp(dst []byte, id uint32, h *Hello) []byte {
-	start := len(dst)
-	dst = appendOKHeader(dst, frameHelloResp, id)
-	dst = appendStr16(dst, h.ID)
-	dst = appendU16(dst, uint16(len(h.Tables)))
+	dst, start := appendResp(dst, frameHelloResp, id, nil)
+	dst = codec.AppendStr16(dst, h.ID)
+	dst = codec.AppendU16(dst, uint16(len(h.Tables)))
 	for _, t := range h.Tables {
-		dst = appendStr16(dst, t.Name)
-		dst = appendU16(dst, uint16(len(t.Columns)))
+		dst = codec.AppendStr16(dst, t.Name)
+		dst = codec.AppendU16(dst, uint16(len(t.Columns)))
 		for _, c := range t.Columns {
-			dst = appendStr16(dst, c.Name)
+			dst = codec.AppendStr16(dst, c.Name)
 			dst = append(dst, byte(c.Kind))
 		}
 	}
-	return finishFrame(dst, start)
+	return codec.FinishFrame(dst, start)
 }
 
 // DecodeHelloResp decodes a topology handshake response.
 func DecodeHelloResp(payload []byte) (id uint32, h Hello, remoteErr, err error) {
-	id, r, remoteErr, err := decodeRespHeader(payload, frameHelloResp)
-	if err != nil || remoteErr != nil {
-		return id, h, remoteErr, err
-	}
-	if h.ID, err = r.str16("node id"); err != nil {
-		return id, h, nil, err
-	}
-	nt, err := r.u16("table count")
-	if err != nil {
-		return id, h, nil, err
-	}
-	for i := 0; i < int(nt); i++ {
-		var t TableSchema
-		if t.Name, err = r.str16("table name"); err != nil {
-			return id, h, nil, err
-		}
-		nc, err := r.u16("column count")
-		if err != nil {
-			return id, h, nil, err
-		}
-		for j := 0; j < int(nc); j++ {
-			var c relation.Column
-			if c.Name, err = r.str16("column name"); err != nil {
-				return id, h, nil, err
+	return decodeResp(payload, frameHelloResp, func(r *codec.Reader) (h Hello) {
+		h.ID = r.Str16()
+		nt := int(r.U16())
+		for i := 0; i < nt && r.Err() == nil; i++ {
+			t := TableSchema{Name: r.Str16()}
+			nc := int(r.U16())
+			for j := 0; j < nc && r.Err() == nil; j++ {
+				c := relation.Column{Name: r.Str16()}
+				c.Kind = relation.Kind(r.Enum(byte(relation.Bounded)))
+				t.Columns = append(t.Columns, c)
 			}
-			kind, err := r.u8("column kind")
-			if err != nil {
-				return id, h, nil, err
-			}
-			if kind > byte(relation.Bounded) {
-				return id, h, nil, fmt.Errorf("partition: unknown column kind byte 0x%02x", kind)
-			}
-			c.Kind = relation.Kind(kind)
-			t.Columns = append(t.Columns, c)
+			h.Tables = append(h.Tables, t)
 		}
-		h.Tables = append(h.Tables, t)
-	}
-	return id, h, nil, r.done()
-}
-
-// ---------------------------------------------------------------------
-// Frame reading with the response-side cap.
-
-// readFrame reads one partition frame, allowing responses larger than
-// the server's request cap (inputs scale with partition cardinality).
-func readFrame(br io.Reader, buf *[]byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n == 0 {
-		return nil, errors.New("partition: empty frame")
-	}
-	if n > maxRespFrame {
-		return nil, fmt.Errorf("partition: frame of %d bytes exceeds cap %d", n, maxRespFrame)
-	}
-	if cap(*buf) < int(n) {
-		*buf = make([]byte, n)
-	}
-	p := (*buf)[:n]
-	if _, err := io.ReadFull(br, p); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, err
-	}
-	return p, nil
+		return h
+	})
 }

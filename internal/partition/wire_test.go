@@ -6,6 +6,7 @@ package partition
 // coordinator's degradation taxonomy branches on.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -15,6 +16,7 @@ import (
 	"testing"
 
 	"trapp/internal/aggregate"
+	"trapp/internal/codec"
 	"trapp/internal/interval"
 	"trapp/internal/predicate"
 	"trapp/internal/relation"
@@ -84,11 +86,11 @@ func TestWireInputsRoundTrip(t *testing.T) {
 		})
 	}
 	frame := AppendInputsResp(nil, 7, want, 321)
-	id, got, tableLen, remoteErr, err := DecodeInputsResp(frame[4:])
-	if err != nil || remoteErr != nil || id != 7 || tableLen != 321 {
-		t.Fatalf("decode: id=%d len=%d %v / %v", id, tableLen, err, remoteErr)
+	id, got, remoteErr, err := DecodeInputsResp(frame[4:])
+	if err != nil || remoteErr != nil || id != 7 || got.n != 321 {
+		t.Fatalf("decode: id=%d len=%d %v / %v", id, got.n, err, remoteErr)
 	}
-	if !reflect.DeepEqual(got, want) {
+	if !reflect.DeepEqual(got.inputs, want) {
 		t.Fatalf("inputs round trip diverged")
 	}
 }
@@ -96,13 +98,25 @@ func TestWireInputsRoundTrip(t *testing.T) {
 func TestWireRefreshRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	want := RefreshOutcome{Cut: true, Installed: []int64{3, 1, 4, 15}, State: randState(rng)}
-	frame := AppendRefreshResp(nil, 9, &want)
+	frame := AppendRefreshResp(nil, 9, &want, nil)
 	id, got, remoteErr, err := DecodeRefreshResp(frame[4:])
 	if err != nil || remoteErr != nil || id != 9 {
 		t.Fatalf("decode: %v / %v", err, remoteErr)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("refresh round trip diverged:\n got %+v\nwant %+v", got, want)
+	}
+
+	// A failed refresh carries its outcome beside the error: what the
+	// partition installed before failing was paid for.
+	want.Cut = false
+	frame = AppendRefreshResp(nil, 10, &want, errors.New("source s1: no object 7"))
+	id, got, remoteErr, err = DecodeRefreshResp(frame[4:])
+	if err != nil || id != 10 || remoteErr == nil || remoteErr.Error() != "source s1: no object 7" {
+		t.Fatalf("decode error outcome: id=%d %v / %v", id, err, remoteErr)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("refresh error outcome diverged:\n got %+v\nwant %+v", got, want)
 	}
 }
 
@@ -170,20 +184,154 @@ func TestWireErrorReconstruction(t *testing.T) {
 	}
 }
 
-func TestWireTruncationRejected(t *testing.T) {
+// wireCodecs decodes each partition message type and re-encodes what it
+// accepted, so a test can check both strictness and canonicality.
+var wireCodecs = map[byte]func(payload []byte) ([]byte, error){
+	frameStateReq: func(p []byte) ([]byte, error) {
+		id, dl, shape, err := decodeStateReq(p)
+		return AppendStateReq(nil, id, dl, shape), err
+	},
+	frameInputsReq: func(p []byte) ([]byte, error) {
+		id, dl, shape, err := decodeInputsReq(p)
+		return AppendInputsReq(nil, id, dl, shape), err
+	},
+	frameRefreshReq: func(p []byte) ([]byte, error) {
+		id, dl, shape, keys, err := decodeRefreshReq(p)
+		return AppendRefreshReq(nil, id, dl, shape, keys), err
+	},
+	frameSubscribeReq: func(p []byte) ([]byte, error) {
+		id, shape, within, err := decodeSubscribeReq(p)
+		return AppendSubscribeReq(nil, id, shape, within), err
+	},
+	frameHelloReq: func(p []byte) ([]byte, error) {
+		id, err := decodeHelloReq(p)
+		return AppendHelloReq(nil, id), err
+	},
+	frameStateResp: func(p []byte) ([]byte, error) {
+		id, s, remoteErr, err := DecodeStateResp(p)
+		if remoteErr != nil {
+			return AppendErrResp(nil, frameStateResp, id, remoteErr), err
+		}
+		return AppendStateResp(nil, id, &s), err
+	},
+	frameInputsResp: func(p []byte) ([]byte, error) {
+		id, s, remoteErr, err := DecodeInputsResp(p)
+		if remoteErr != nil {
+			return AppendErrResp(nil, frameInputsResp, id, remoteErr), err
+		}
+		return AppendInputsResp(nil, id, s.inputs, s.n), err
+	},
+	frameRefreshResp: func(p []byte) ([]byte, error) {
+		id, out, remoteErr, err := DecodeRefreshResp(p)
+		return AppendRefreshResp(nil, id, &out, remoteErr), err
+	},
+	frameSubUpdate: func(p []byte) ([]byte, error) {
+		id, u, remoteErr, err := DecodeSubUpdate(p)
+		if remoteErr != nil {
+			return AppendErrResp(nil, frameSubUpdate, id, remoteErr), err
+		}
+		return AppendSubUpdate(nil, id, &u), err
+	},
+	frameHelloResp: func(p []byte) ([]byte, error) {
+		id, h, remoteErr, err := DecodeHelloResp(p)
+		if remoteErr != nil {
+			return AppendErrResp(nil, frameHelloResp, id, remoteErr), err
+		}
+		return AppendHelloResp(nil, id, &h), err
+	},
+}
+
+// sampleFrames is one frame of every partition message type, plus the
+// error response of every response type and each error kind.
+func sampleFrames() map[string][]byte {
 	rng := rand.New(rand.NewSource(14))
 	st := randState(rng)
-	frame := AppendStateResp(nil, 1, &st)
-	payload := frame[4:]
-	for cut := 1; cut < len(payload); cut += 7 {
-		if _, _, remoteErr, err := DecodeStateResp(payload[:len(payload)-cut]); err == nil && remoteErr == nil {
-			t.Fatalf("truncation by %d accepted", cut)
+	inputs := []aggregate.Input{
+		{Key: 4, Bound: interval.Interval{Lo: 1, Hi: 2}, Cost: 3, Class: predicate.Plus},
+		{Key: 9, Bound: interval.Interval{Lo: -1, Hi: 5}, Cost: 1, Class: predicate.Maybe},
+	}
+	out := RefreshOutcome{Installed: []int64{4, 9}, State: randState(rng)}
+	hello := Hello{ID: "p0", Tables: []TableSchema{{Name: "links", Columns: []relation.Column{
+		{Name: "latency", Kind: relation.Bounded}, {Name: "from", Kind: relation.Exact}}}}}
+	return map[string][]byte{
+		"state req":            AppendStateReq(nil, 1, 1500, "SELECT SUM(latency) FROM links"),
+		"inputs req":           AppendInputsReq(nil, 2, 0, "SELECT MIN(latency) FROM links"),
+		"refresh req":          AppendRefreshReq(nil, 3, 99, "Q", []int64{8, 2, 5}),
+		"subscribe req":        AppendSubscribeReq(nil, 4, "S", 2.5),
+		"hello req":            AppendHelloReq(nil, 5),
+		"state resp":           AppendStateResp(nil, 6, &st),
+		"inputs resp":          AppendInputsResp(nil, 7, inputs, 321),
+		"refresh resp":         AppendRefreshResp(nil, 8, &out, nil),
+		"refresh err resp":     AppendRefreshResp(nil, 9, &out, errors.New("source s1: no object 9")),
+		"sub update":           AppendSubUpdate(nil, 10, &Update{Seq: 3, At: 17, State: st}),
+		"hello resp":           AppendHelloResp(nil, 11, &hello),
+		"state err resp":       AppendErrResp(nil, frameStateResp, 12, context.DeadlineExceeded),
+		"inputs err resp":      AppendErrResp(nil, frameInputsResp, 13, fmt.Errorf("cut: %w", context.Canceled)),
+		"sub update err resp":  AppendErrResp(nil, frameSubUpdate, 14, errors.New("unknown table")),
+		"hello err resp":       AppendErrResp(nil, frameHelloResp, 15, context.Canceled),
+		"refresh ctx err resp": AppendRefreshResp(nil, 16, &RefreshOutcome{}, context.DeadlineExceeded),
+	}
+}
+
+// TestWireTruncationRejected: for every message type, the whole payload
+// decodes and re-encodes identically, while every strict prefix and one
+// trailing byte are rejected at an offset inside the payload.
+func TestWireTruncationRejected(t *testing.T) {
+	for name, frame := range sampleFrames() {
+		payload := frame[4:]
+		roundTrip := wireCodecs[payload[0]]
+		if again, err := roundTrip(payload); err != nil || !bytes.Equal(again, frame) {
+			t.Fatalf("%s: round trip: %v", name, err)
+		}
+		for n := 0; n < len(payload); n++ {
+			if _, err := roundTrip(payload[:n]); !positioned(err, n) {
+				t.Fatalf("%s: truncation to %d bytes: error %v", name, n, err)
+			}
+		}
+		if _, err := roundTrip(append(payload[:len(payload):len(payload)], 0)); !positioned(err, len(payload)+1) {
+			t.Fatalf("%s: trailing byte: error %v", name, err)
 		}
 	}
-	// Trailing garbage must be rejected too.
-	if _, _, remoteErr, err := DecodeStateResp(append(append([]byte{}, payload...), 0)); err == nil && remoteErr == nil {
-		t.Fatal("trailing byte accepted")
+}
+
+// positioned reports whether err is a codec rejection inside a payload
+// of n bytes.
+func positioned(err error, n int) bool {
+	var ce *codec.Error
+	return errors.As(err, &ce) && ce.Offset >= 0 && ce.Offset <= n && ce.Msg != ""
+}
+
+// FuzzDecodePartitionFrame feeds arbitrary payloads to every partition
+// decoder: decoding must never panic, every rejection must be positioned
+// inside the payload, and every accepted payload must re-encode
+// byte-identically (the canonical-encoding invariant).
+func FuzzDecodePartitionFrame(f *testing.F) {
+	for _, frame := range sampleFrames() {
+		f.Add(frame[4:])
 	}
+	// A state response whose first selection's Valid byte is 2: not a
+	// boolean, so not canonical.
+	st := aggregate.State{}
+	bad := AppendStateResp(nil, 1, &st)[4:]
+	bad[1+4+1+1+1+8] = 2
+	f.Add(bad)
+	f.Add([]byte{})
+	f.Add([]byte{frameHelloReq, 0, 0, 0, 0})
+
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		for typ, roundTrip := range wireCodecs {
+			again, err := roundTrip(payload)
+			if err != nil {
+				if !positioned(err, len(payload)) {
+					t.Fatalf("type 0x%02x: malformed rejection %v for %x", typ, err, payload)
+				}
+				continue
+			}
+			if !bytes.Equal(again[4:], payload) {
+				t.Fatalf("type 0x%02x: re-encode differs:\n in %x\nout %x", typ, payload, again[4:])
+			}
+		}
+	})
 }
 
 func TestRingProperties(t *testing.T) {

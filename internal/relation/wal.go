@@ -11,6 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"trapp/internal/codec"
 	"trapp/internal/interval"
 )
 
@@ -174,9 +175,9 @@ const (
 )
 
 func writeMeta(dir string, schema *Schema, nshards int) error {
-	payload := appendWU32(nil, metaMagic)
-	payload = appendWU16(payload, metaVersion)
-	payload = appendWU16(payload, uint16(nshards))
+	payload := codec.AppendU32(nil, metaMagic)
+	payload = codec.AppendU16(payload, metaVersion)
+	payload = codec.AppendU16(payload, uint16(nshards))
 	payload = appendSchema(payload, schema)
 	tmp := filepath.Join(dir, "META.tmp")
 	if err := os.WriteFile(tmp, appendFrame(nil, payload), 0o644); err != nil {
@@ -193,30 +194,23 @@ func readMeta(path string) (*Schema, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	r := &segReader{b: b}
-	payload, ok, torn := r.nextFrame()
-	if !ok || torn || r.remaining() != 0 {
+	payload, next, ok := nextFrame(b, 0)
+	if !ok || next != len(b) {
 		return nil, 0, fmt.Errorf("relation: corrupt META file %s", path)
 	}
-	pr := &segReader{b: payload}
-	magic, err := pr.u64("META header") // u32 magic + u16 version + u16 nshards
-	if err != nil {
-		return nil, 0, err
-	}
-	if uint32(magic) != metaMagic {
+	r := codec.NewReader(payload)
+	magic := r.U32()
+	version := r.U16()
+	nshards := r.U16()
+	if r.Err() == nil && magic != metaMagic {
 		return nil, 0, fmt.Errorf("relation: %s is not a trapp data directory (bad magic)", path)
 	}
-	version := uint16(magic >> 32)
-	nshards := uint16(magic >> 48)
-	if version != metaVersion {
+	if r.Err() == nil && version != metaVersion {
 		return nil, 0, fmt.Errorf("relation: META version %d, this build reads %d", version, metaVersion)
 	}
-	schema, err := decodeSchema(pr)
-	if err != nil {
-		return nil, 0, err
-	}
-	if pr.remaining() != 0 {
-		return nil, 0, fmt.Errorf("relation: trailing bytes in META")
+	schema := decodeSchema(r)
+	if err := r.Done(); err != nil {
+		return nil, 0, fmt.Errorf("relation: corrupt META file %s: %w", path, err)
 	}
 	return schema, int(nshards), nil
 }
@@ -410,28 +404,28 @@ func loadSnapshot(st *Store, path string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	r := &segReader{b: b}
 	n := 0
-	for {
-		payload, ok, torn := r.nextFrame()
-		if torn {
-			return n, fmt.Errorf("relation: corrupt snapshot %s: torn frame at offset %d", path, r.off)
-		}
-		if !ok {
+	for off := 0; ; {
+		payload, next, ok := nextFrame(b, off)
+		switch {
+		case !ok && off == len(b):
 			return n, fmt.Errorf("relation: corrupt snapshot %s: missing trailer", path)
+		case !ok:
+			return n, fmt.Errorf("relation: corrupt snapshot %s: torn frame at offset %d", path, off)
 		}
-		if payload[0] == recSnapEnd {
-			pr := &segReader{b: payload[1:]}
-			count, err := pr.u64("snapshot count")
-			if err != nil {
-				return n, err
+		off = next
+		if len(payload) > 0 && payload[0] == recSnapEnd {
+			r := codec.NewReader(payload[1:])
+			count := r.U64()
+			if err := r.Done(); err != nil {
+				return n, fmt.Errorf("relation: corrupt snapshot %s: trailer: %w", path, err)
 			}
 			if int(count) != n {
 				return n, fmt.Errorf("relation: corrupt snapshot %s: trailer says %d tuples, holds %d",
 					path, count, n)
 			}
-			if r.remaining() != 0 {
-				return n, fmt.Errorf("relation: corrupt snapshot %s: %d bytes after trailer", path, r.remaining())
+			if off != len(b) {
+				return n, fmt.Errorf("relation: corrupt snapshot %s: %d bytes after trailer", path, len(b)-off)
 			}
 			return n, nil
 		}
@@ -451,19 +445,16 @@ func replayLog(st *Store, path string) (nrec int, torn bool, tornBytes int64, er
 	if rerr != nil {
 		return 0, false, 0, rerr
 	}
-	r := &segReader{b: b}
-	for {
-		payload, ok, isTorn := r.nextFrame()
-		if isTorn {
-			return nrec, true, int64(r.remaining()), nil
-		}
+	for off := 0; ; {
+		payload, next, ok := nextFrame(b, off)
 		if !ok {
-			return nrec, false, 0, nil
+			return nrec, off != len(b), int64(len(b) - off), nil
 		}
 		if err := applyRecord(st, payload); err != nil {
 			return nrec, false, 0, fmt.Errorf("relation: log %s record %d: %w", path, nrec, err)
 		}
 		nrec++
+		off = next
 	}
 }
 
@@ -682,7 +673,7 @@ func (w *WAL) writeSnapshot(st *Store, gen uint64) error {
 			}
 		}
 		scratch = append(scratch[:0], recSnapEnd)
-		scratch = appendWU64(scratch, uint64(count))
+		scratch = codec.AppendU64(scratch, uint64(count))
 		if _, err := bw.Write(appendFrame(nil, scratch)); err != nil {
 			return err
 		}

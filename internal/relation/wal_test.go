@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
+	"trapp/internal/codec"
 	"trapp/internal/interval"
 )
 
@@ -243,16 +245,13 @@ func TestWALPowerCutEveryByte(t *testing.T) {
 	}
 	// Frame boundaries: ends[i] = offset after the i'th record.
 	ends := []int{0}
-	r := &segReader{b: full}
-	for {
-		_, ok, torn := r.nextFrame()
-		if torn {
+	for off := 0; off < len(full); {
+		_, next, ok := nextFrame(full, off)
+		if !ok {
 			t.Fatal("seed log itself torn")
 		}
-		if !ok {
-			break
-		}
-		ends = append(ends, r.off)
+		ends = append(ends, next)
+		off = next
 	}
 	if len(ends) != len(states) {
 		t.Fatalf("%d records on disk, %d ops scripted", len(ends)-1, len(states)-1)
@@ -307,12 +306,13 @@ func TestWALCorruptMidFileStopsPrefix(t *testing.T) {
 	logPath := filepath.Join(seedDir, logName(1, 0))
 	full, _ := os.ReadFile(logPath)
 	ends := []int{0}
-	r := &segReader{b: full}
-	for {
-		if _, ok, _ := r.nextFrame(); !ok {
+	for off := 0; ; {
+		_, next, ok := nextFrame(full, off)
+		if !ok {
 			break
 		}
-		ends = append(ends, r.off)
+		ends = append(ends, next)
+		off = next
 	}
 	// Flip a byte inside record 3's payload.
 	mut := append([]byte(nil), full...)
@@ -514,6 +514,27 @@ func TestWALMetaMismatchRejected(t *testing.T) {
 	other := NewSchema(Column{Name: "x", Kind: Bounded})
 	if _, _, _, err := OpenStore(dir, other, 4, WALOptions{}); err == nil {
 		t.Fatal("schema mismatch accepted")
+	}
+}
+
+// TestWALCorruptMetaRejected: a CRC-valid META whose schema has an
+// unknown column kind or a repeated column name is corruption, reported
+// as an error, not a schema mismatch or a panic.
+func TestWALCorruptMetaRejected(t *testing.T) {
+	for name, cols := range map[string][]byte{
+		"unknown kind":  {1, 0, 1, 0, 'x', 7},
+		"repeated name": {2, 0, 1, 0, 'x', 1, 1, 0, 'x', 0},
+	} {
+		dir := t.TempDir()
+		payload := codec.AppendU16(codec.AppendU16(codec.AppendU32(nil, metaMagic), metaVersion), 1)
+		meta := appendFrame(nil, append(payload, cols...))
+		if err := os.WriteFile(filepath.Join(dir, "META"), meta, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		schema := NewSchema(Column{Name: "x", Kind: Bounded})
+		if _, _, _, err := OpenStore(dir, schema, 1, WALOptions{}); err == nil || !strings.Contains(err.Error(), "corrupt META") {
+			t.Errorf("%s: open error %v, want a corrupt META", name, err)
+		}
 	}
 }
 

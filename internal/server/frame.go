@@ -1,30 +1,32 @@
 package server
 
-// Binary frame codec for the persistent wire protocol (DESIGN.md §13).
+// Binary frame codec for the persistent wire protocol (DESIGN.md §13),
+// written on internal/codec.
 //
-// A frame is a 4-byte big-endian payload length followed by the payload;
-// the payload's first byte is the frame type. Requests and responses are
-// fixed-layout binary: intervals and costs travel as raw IEEE-754 bits
-// (bit-exact by construction, no float formatting or parsing anywhere on
-// the path), strings are length-prefixed, and optional fields are
-// declared by flag bits. Encoding appends into caller-owned buffers —
-// the encoder itself never allocates — and decoding is strict and
-// canonical: every accepted payload re-encodes to exactly the same
-// bytes (the FuzzDecodeFrame invariant), every rejection is a typed
-// *FrameError, and no input can panic the decoder. Strictness is what
-// buys canonicality: redundant encodings (undefined flag bits, a
-// zero deadline with its flag set, non-minimal trailing bytes) are
-// rejected rather than normalized.
+// A frame is a 4-byte little-endian payload length followed by the
+// payload; the payload's first byte is the frame type. Requests and
+// responses are fixed-layout binary: intervals and costs travel as raw
+// IEEE-754 bits (bit-exact by construction, no float formatting or
+// parsing anywhere on the path), strings are length-prefixed, and
+// optional fields are declared by flag bits. Encoding appends into
+// caller-owned buffers — the encoder itself never allocates — and
+// decoding is strict and canonical: every accepted payload re-encodes to
+// exactly the same bytes (the FuzzDecodeFrame invariant), every rejection
+// is a *FrameError positioned in the payload, and no input can panic the
+// decoder. Strictness is what buys canonicality: redundant encodings
+// (undefined flag bits, a zero deadline with its flag set, a boolean byte
+// other than 0 or 1, trailing bytes) are rejected rather than normalized.
 //
 // Traces do not travel over frames: EXPLAIN ANALYZE and the trace flag
 // are HTTP-only (span trees are deep JSON; the framed path exists to
 // avoid exactly that).
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
+
+	"trapp/internal/codec"
 )
 
 // Frame layout constants.
@@ -59,75 +61,40 @@ const (
 // FrameError is the structured decode failure: every malformed input is
 // rejected with one (never a panic), positioned at the payload offset
 // where decoding failed.
-type FrameError struct {
-	Offset int
-	Msg    string
-}
+type FrameError = codec.Error
 
-func (e *FrameError) Error() string {
-	return fmt.Sprintf("frame: %s (at payload offset %d)", e.Msg, e.Offset)
-}
+// Enum tables: a name's wire byte is its index, and byte 0 is reserved
+// as invalid. The sets are closed: the encoder only produces these, and
+// the decoder rejects bytes outside them.
+var (
+	frameCodeNames = []string{"", CodeParse, CodeUnknownTable, CodeUnknownColumn, CodeNoOracle,
+		CodeUnsupported, CodeInvalid, CodePrecisionUnmet, CodeBudgetExhausted, CodeDeadline,
+		CodeCanceled, CodeOverCapacity, CodeDraining, CodeClosed, CodeInternal}
+	frameModeNames   = []string{"", "bounded", "precise", "imprecise"}
+	frameSolverNames = []string{"", "auto", "exact-dp", "approx", "greedy-uniform", "greedy-density"}
+)
 
-// frameCodes maps wire error codes to their frame enum bytes (and back
-// via frameCodeNames). The set is closed: EncodeError only produces
-// these, and the decoder rejects bytes outside the table.
-var frameCodes = map[string]byte{
-	CodeParse:           1,
-	CodeUnknownTable:    2,
-	CodeUnknownColumn:   3,
-	CodeNoOracle:        4,
-	CodeUnsupported:     5,
-	CodeInvalid:         6,
-	CodePrecisionUnmet:  7,
-	CodeBudgetExhausted: 8,
-	CodeDeadline:        9,
-	CodeCanceled:        10,
-	CodeOverCapacity:    11,
-	CodeDraining:        12,
-	CodeClosed:          13,
-	CodeInternal:        14,
-}
-
-var frameCodeNames = func() map[byte]string {
-	m := make(map[byte]string, len(frameCodes))
-	for name, b := range frameCodes {
-		m[b] = name
+// enumByte returns name's wire byte in names, or 0 when it has none.
+func enumByte(names []string, name string) byte {
+	for i := 1; i < len(names); i++ {
+		if names[i] == name {
+			return byte(i)
+		}
 	}
-	return m
-}()
-
-// Mode enum bytes (1-based; 0 is reserved as invalid).
-var frameModes = map[string]byte{"bounded": 1, "precise": 2, "imprecise": 3}
-var frameModeNames = map[byte]string{1: "bounded", 2: "precise", 3: "imprecise"}
-
-// Solver enum bytes.
-var frameSolvers = map[string]byte{
-	"auto": 1, "exact-dp": 2, "approx": 3, "greedy-uniform": 4, "greedy-density": 5,
+	return 0
 }
-var frameSolverNames = map[byte]string{
-	1: "auto", 2: "exact-dp", 3: "approx", 4: "greedy-uniform", 5: "greedy-density",
+
+// readEnum reads one enum byte and returns its name.
+func readEnum(r *codec.Reader, names []string) string {
+	name := names[r.Enum(byte(len(names)-1))]
+	if name == "" {
+		r.Failf("reserved enum byte 0x00")
+	}
+	return name
 }
 
 // ---------------------------------------------------------------------
-// Encoding. All Append* helpers grow dst in place and never allocate
-// beyond the slice growth the caller's buffer amortizes away.
-
-func appendU16(dst []byte, v uint16) []byte { return binary.BigEndian.AppendUint16(dst, v) }
-func appendU32(dst []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(dst, v) }
-func appendU64(dst []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(dst, v) }
-
-// appendF64 appends a float64 as its raw IEEE-754 bits — the zero-alloc
-// interval encoder (compare Float.MarshalJSON, which formats and
-// allocates per field and needs a parse on the other side).
-func appendF64(dst []byte, v float64) []byte {
-	return binary.BigEndian.AppendUint64(dst, math.Float64bits(v))
-}
-
-// finishFrame back-fills the 4-byte length prefix reserved at start.
-func finishFrame(dst []byte, start int) []byte {
-	binary.BigEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
-	return dst
-}
+// Encoding.
 
 // AppendRequest appends one framed query request to dst and returns the
 // extended slice. Unencodable requests (trace flags, unknown mode or
@@ -145,33 +112,28 @@ func AppendRequest(dst []byte, id uint32, req QueryRequest) ([]byte, error) {
 	}
 	var modeB, solverB byte
 	if req.Mode != "" {
-		b, ok := frameModes[req.Mode]
-		if !ok {
+		if modeB = enumByte(frameModeNames, req.Mode); modeB == 0 {
 			return dst, fmt.Errorf("frame: unknown mode %q", req.Mode)
 		}
 		flags |= reqFlagMode
-		modeB = b
 	}
 	if req.Solver != "" {
-		b, ok := frameSolvers[req.Solver]
-		if !ok {
+		if solverB = enumByte(frameSolverNames, req.Solver); solverB == 0 {
 			return dst, fmt.Errorf("frame: unknown solver %q", req.Solver)
 		}
 		flags |= reqFlagSolver
-		solverB = b
 	}
 	if len(req.SQL) > MaxFrameLen-64 {
 		return dst, fmt.Errorf("frame: sql too large (%d bytes)", len(req.SQL))
 	}
-	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0, FrameRequest)
-	dst = appendU32(dst, id)
+	dst, start := codec.BeginFrame(dst, FrameRequest)
+	dst = codec.AppendU32(dst, id)
 	dst = append(dst, flags)
 	if flags&reqFlagDeadline != 0 {
-		dst = appendU64(dst, uint64(req.DeadlineMillis))
+		dst = codec.AppendU64(dst, uint64(req.DeadlineMillis))
 	}
 	if flags&reqFlagBudget != 0 {
-		dst = appendF64(dst, float64(*req.Budget))
+		dst = codec.AppendF64(dst, float64(*req.Budget))
 	}
 	if flags&reqFlagMode != 0 {
 		dst = append(dst, modeB)
@@ -179,22 +141,20 @@ func AppendRequest(dst []byte, id uint32, req QueryRequest) ([]byte, error) {
 	if flags&reqFlagSolver != 0 {
 		dst = append(dst, solverB)
 	}
-	dst = appendU32(dst, uint32(len(req.SQL)))
-	dst = append(dst, req.SQL...)
-	return finishFrame(dst, start), nil
+	dst = codec.AppendStr32(dst, req.SQL)
+	return codec.FinishFrame(dst, start), nil
 }
 
 // appendErrRecord appends one error record (shared by request-level and
 // per-result errors).
 func appendErrRecord(dst []byte, we *WireError) ([]byte, error) {
-	code, ok := frameCodes[we.Code]
-	if !ok {
+	code := enumByte(frameCodeNames, we.Code)
+	if code == 0 {
 		return dst, fmt.Errorf("frame: unknown error code %q", we.Code)
 	}
 	if len(we.Message) > math.MaxUint16 {
 		return dst, fmt.Errorf("frame: error message too large (%d bytes)", len(we.Message))
 	}
-	var causeB byte
 	var mask byte
 	if we.Pos != nil {
 		mask |= errFieldPos
@@ -208,30 +168,28 @@ func appendErrRecord(dst []byte, we *WireError) ([]byte, error) {
 	if we.Budget != nil {
 		mask |= errFieldBudget
 	}
+	var causeB byte
 	if we.Cause != "" {
-		b, ok := frameCodes[we.Cause]
-		if !ok {
+		if causeB = enumByte(frameCodeNames, we.Cause); causeB == 0 {
 			return dst, fmt.Errorf("frame: unknown cause %q", we.Cause)
 		}
 		mask |= errFieldCause
-		causeB = b
 	}
 	dst = append(dst, code)
-	dst = appendU16(dst, uint16(len(we.Message)))
-	dst = append(dst, we.Message...)
+	dst = codec.AppendStr16(dst, we.Message)
 	dst = append(dst, mask)
 	if mask&errFieldPos != 0 {
-		dst = appendU32(dst, uint32(*we.Pos))
+		dst = codec.AppendU32(dst, uint32(*we.Pos))
 	}
 	if mask&errFieldAchieved != 0 {
-		dst = appendF64(dst, float64(we.Achieved.Lo))
-		dst = appendF64(dst, float64(we.Achieved.Hi))
+		dst = codec.AppendF64(dst, float64(we.Achieved.Lo))
+		dst = codec.AppendF64(dst, float64(we.Achieved.Hi))
 	}
 	if mask&errFieldSpent != 0 {
-		dst = appendF64(dst, float64(*we.Spent))
+		dst = codec.AppendF64(dst, float64(*we.Spent))
 	}
 	if mask&errFieldBudget != 0 {
-		dst = appendF64(dst, float64(*we.Budget))
+		dst = codec.AppendF64(dst, float64(*we.Budget))
 	}
 	if mask&errFieldCause != 0 {
 		dst = append(dst, causeB)
@@ -242,396 +200,160 @@ func appendErrRecord(dst []byte, we *WireError) ([]byte, error) {
 // AppendResponse appends one framed query response to dst. Responses
 // carrying traces are unencodable (the framed path never produces them).
 func AppendResponse(dst []byte, id uint32, resp QueryResponse) ([]byte, error) {
-	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0, FrameResponse)
-	dst = appendU32(dst, id)
+	dst, start := codec.BeginFrame(dst, FrameResponse)
+	dst = codec.AppendU32(dst, id)
 	if resp.Error != nil {
 		dst = append(dst, 1)
 		var err error
-		dst, err = appendErrRecord(dst, resp.Error)
-		if err != nil {
+		if dst, err = appendErrRecord(dst, resp.Error); err != nil {
 			return dst[:start], err
 		}
-		return finishFrame(dst, start), nil
+		return codec.FinishFrame(dst, start), nil
 	}
 	if len(resp.Results) > math.MaxUint16 {
 		return dst[:start], fmt.Errorf("frame: too many results (%d)", len(resp.Results))
 	}
 	dst = append(dst, 0)
-	dst = appendU16(dst, uint16(len(resp.Results)))
+	dst = codec.AppendU16(dst, uint16(len(resp.Results)))
 	for i := range resp.Results {
 		r := &resp.Results[i]
 		if r.Trace != nil {
 			return dst[:start], fmt.Errorf("frame: traces are not supported over the framed protocol")
 		}
-		dst = appendF64(dst, float64(r.Answer.Lo))
-		dst = appendF64(dst, float64(r.Answer.Hi))
-		dst = appendF64(dst, float64(r.Initial.Lo))
-		dst = appendF64(dst, float64(r.Initial.Hi))
-		dst = appendU32(dst, uint32(r.Refreshed))
-		dst = appendF64(dst, float64(r.RefreshCost))
-		if r.Met {
-			dst = append(dst, 1)
-		} else {
-			dst = append(dst, 0)
-		}
-		dst = appendU64(dst, uint64(r.ChooseTimeNS))
+		dst = codec.AppendF64(dst, float64(r.Answer.Lo))
+		dst = codec.AppendF64(dst, float64(r.Answer.Hi))
+		dst = codec.AppendF64(dst, float64(r.Initial.Lo))
+		dst = codec.AppendF64(dst, float64(r.Initial.Hi))
+		dst = codec.AppendU32(dst, uint32(r.Refreshed))
+		dst = codec.AppendF64(dst, float64(r.RefreshCost))
+		dst = codec.AppendBool(dst, r.Met)
+		dst = codec.AppendU64(dst, uint64(r.ChooseTimeNS))
+		dst = codec.AppendBool(dst, r.Error != nil)
 		if r.Error != nil {
-			dst = append(dst, 1)
 			var err error
-			dst, err = appendErrRecord(dst, r.Error)
-			if err != nil {
+			if dst, err = appendErrRecord(dst, r.Error); err != nil {
 				return dst[:start], err
 			}
-		} else {
-			dst = append(dst, 0)
 		}
 	}
+	dst = codec.AppendBool(dst, resp.BudgetRemaining != nil)
 	if resp.BudgetRemaining != nil {
-		dst = append(dst, 1)
-		dst = appendF64(dst, float64(*resp.BudgetRemaining))
-	} else {
-		dst = append(dst, 0)
+		dst = codec.AppendF64(dst, float64(*resp.BudgetRemaining))
 	}
-	return finishFrame(dst, start), nil
+	return codec.FinishFrame(dst, start), nil
 }
 
 // ---------------------------------------------------------------------
-// Decoding.
+// Decoding: each decoder reads its message top to bottom and checks the
+// reader once.
 
-// frameReader walks a payload with bounds-checked reads.
-type frameReader struct {
-	b   []byte
-	off int
+// done ends a decode with the reader's first rejection, if any.
+func done(r *codec.Reader) *FrameError {
+	ferr, _ := r.Done().(*FrameError)
+	return ferr
 }
 
-func (r *frameReader) fail(msg string) *FrameError { return &FrameError{Offset: r.off, Msg: msg} }
-
-func (r *frameReader) u8(what string) (byte, *FrameError) {
-	if r.off+1 > len(r.b) {
-		return 0, r.fail("truncated " + what)
-	}
-	v := r.b[r.off]
-	r.off++
-	return v, nil
+func readFloat(r *codec.Reader) *Float {
+	f := Float(r.F64())
+	return &f
 }
 
-func (r *frameReader) u16(what string) (uint16, *FrameError) {
-	if r.off+2 > len(r.b) {
-		return 0, r.fail("truncated " + what)
-	}
-	v := binary.BigEndian.Uint16(r.b[r.off:])
-	r.off += 2
-	return v, nil
-}
-
-func (r *frameReader) u32(what string) (uint32, *FrameError) {
-	if r.off+4 > len(r.b) {
-		return 0, r.fail("truncated " + what)
-	}
-	v := binary.BigEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return v, nil
-}
-
-func (r *frameReader) u64(what string) (uint64, *FrameError) {
-	if r.off+8 > len(r.b) {
-		return 0, r.fail("truncated " + what)
-	}
-	v := binary.BigEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v, nil
-}
-
-func (r *frameReader) f64(what string) (float64, *FrameError) {
-	v, err := r.u64(what)
-	return math.Float64frombits(v), err
-}
-
-func (r *frameReader) bytes(n int, what string) ([]byte, *FrameError) {
-	if n < 0 || r.off+n > len(r.b) {
-		return nil, r.fail("truncated " + what)
-	}
-	v := r.b[r.off : r.off+n]
-	r.off += n
-	return v, nil
-}
-
-func (r *frameReader) done() *FrameError {
-	if r.off != len(r.b) {
-		return r.fail(fmt.Sprintf("%d trailing bytes", len(r.b)-r.off))
-	}
-	return nil
+func readInterval(r *codec.Reader) WireInterval {
+	return WireInterval{Lo: Float(r.F64()), Hi: Float(r.F64())}
 }
 
 // DecodeRequest decodes a request payload (type byte included).
 func DecodeRequest(payload []byte) (id uint32, req QueryRequest, ferr *FrameError) {
-	r := &frameReader{b: payload}
-	t, ferr := r.u8("frame type")
-	if ferr != nil {
-		return 0, req, ferr
-	}
-	if t != FrameRequest {
-		return 0, req, r.fail(fmt.Sprintf("unexpected frame type 0x%02x", t))
-	}
-	if id, ferr = r.u32("request id"); ferr != nil {
-		return 0, req, ferr
-	}
-	flags, ferr := r.u8("flags")
-	if ferr != nil {
-		return id, req, ferr
-	}
+	r := codec.NewReader(payload)
+	r.Expect(FrameRequest)
+	id = r.U32()
+	flags := r.U8()
 	if flags&^reqFlagsKnown != 0 {
-		return id, req, r.fail(fmt.Sprintf("undefined flag bits 0x%02x", flags&^reqFlagsKnown))
+		r.Failf("undefined flag bits 0x%02x", flags&^reqFlagsKnown)
 	}
 	if flags&reqFlagDeadline != 0 {
-		v, err := r.u64("deadline")
-		if err != nil {
-			return id, req, err
-		}
-		req.DeadlineMillis = int64(v)
-		if req.DeadlineMillis == 0 {
-			return id, req, r.fail("deadline flag set with zero deadline")
+		if req.DeadlineMillis = int64(r.U64()); req.DeadlineMillis == 0 {
+			r.Failf("deadline flag set with zero deadline")
 		}
 	}
 	if flags&reqFlagBudget != 0 {
-		v, err := r.f64("budget")
-		if err != nil {
-			return id, req, err
-		}
-		b := Float(v)
-		req.Budget = &b
+		req.Budget = readFloat(r)
 	}
 	if flags&reqFlagMode != 0 {
-		b, err := r.u8("mode")
-		if err != nil {
-			return id, req, err
-		}
-		name, ok := frameModeNames[b]
-		if !ok {
-			return id, req, r.fail(fmt.Sprintf("unknown mode byte 0x%02x", b))
-		}
-		req.Mode = name
+		req.Mode = readEnum(r, frameModeNames)
 	}
 	if flags&reqFlagSolver != 0 {
-		b, err := r.u8("solver")
-		if err != nil {
-			return id, req, err
-		}
-		name, ok := frameSolverNames[b]
-		if !ok {
-			return id, req, r.fail(fmt.Sprintf("unknown solver byte 0x%02x", b))
-		}
-		req.Solver = name
+		req.Solver = readEnum(r, frameSolverNames)
 	}
-	n, ferr := r.u32("sql length")
-	if ferr != nil {
-		return id, req, ferr
-	}
-	sql, ferr := r.bytes(int(n), "sql")
-	if ferr != nil {
-		return id, req, ferr
-	}
-	req.SQL = string(sql)
-	if ferr = r.done(); ferr != nil {
-		return id, req, ferr
-	}
-	return id, req, nil
+	req.SQL = r.Str32()
+	return id, req, done(r)
 }
 
 // decodeErrRecord decodes one error record.
-func decodeErrRecord(r *frameReader) (*WireError, *FrameError) {
-	code, ferr := r.u8("error code")
-	if ferr != nil {
-		return nil, ferr
-	}
-	name, ok := frameCodeNames[code]
-	if !ok {
-		return nil, r.fail(fmt.Sprintf("unknown error code byte 0x%02x", code))
-	}
-	n, ferr := r.u16("error message length")
-	if ferr != nil {
-		return nil, ferr
-	}
-	msg, ferr := r.bytes(int(n), "error message")
-	if ferr != nil {
-		return nil, ferr
-	}
-	we := &WireError{Code: name, Message: string(msg)}
-	mask, ferr := r.u8("error field mask")
-	if ferr != nil {
-		return nil, ferr
-	}
+func decodeErrRecord(r *codec.Reader) *WireError {
+	we := &WireError{Code: readEnum(r, frameCodeNames), Message: r.Str16()}
+	mask := r.U8()
 	if mask&^errFieldsKnown != 0 {
-		return nil, r.fail(fmt.Sprintf("undefined error field bits 0x%02x", mask&^errFieldsKnown))
+		r.Failf("undefined error field bits 0x%02x", mask&^errFieldsKnown)
 	}
 	if mask&errFieldPos != 0 {
-		v, err := r.u32("error position")
-		if err != nil {
-			return nil, err
-		}
-		pos := int(v)
+		pos := int(r.U32())
 		we.Pos = &pos
 	}
 	if mask&errFieldAchieved != 0 {
-		lo, err := r.f64("achieved lo")
-		if err != nil {
-			return nil, err
-		}
-		hi, err := r.f64("achieved hi")
-		if err != nil {
-			return nil, err
-		}
-		we.Achieved = &WireInterval{Lo: Float(lo), Hi: Float(hi)}
+		iv := readInterval(r)
+		we.Achieved = &iv
 	}
 	if mask&errFieldSpent != 0 {
-		v, err := r.f64("spent")
-		if err != nil {
-			return nil, err
-		}
-		f := Float(v)
-		we.Spent = &f
+		we.Spent = readFloat(r)
 	}
 	if mask&errFieldBudget != 0 {
-		v, err := r.f64("budget")
-		if err != nil {
-			return nil, err
-		}
-		f := Float(v)
-		we.Budget = &f
+		we.Budget = readFloat(r)
 	}
 	if mask&errFieldCause != 0 {
-		b, err := r.u8("cause")
-		if err != nil {
-			return nil, err
-		}
-		cause, ok := frameCodeNames[b]
-		if !ok {
-			return nil, r.fail(fmt.Sprintf("unknown cause byte 0x%02x", b))
-		}
-		we.Cause = cause
+		we.Cause = readEnum(r, frameCodeNames)
 	}
-	return we, nil
+	return we
 }
+
+// minResultLen is the encoded size of a result without an error record.
+const minResultLen = 46
 
 // DecodeResponse decodes a response payload (type byte included).
 func DecodeResponse(payload []byte) (id uint32, resp QueryResponse, ferr *FrameError) {
-	r := &frameReader{b: payload}
-	t, ferr := r.u8("frame type")
-	if ferr != nil {
-		return 0, resp, ferr
+	r := codec.NewReader(payload)
+	r.Expect(FrameResponse)
+	id = r.U32()
+	if r.Bool() {
+		resp.Error = decodeErrRecord(r)
+		return id, resp, done(r)
 	}
-	if t != FrameResponse {
-		return 0, resp, r.fail(fmt.Sprintf("unexpected frame type 0x%02x", t))
-	}
-	if id, ferr = r.u32("response id"); ferr != nil {
-		return 0, resp, ferr
-	}
-	kind, ferr := r.u8("response kind")
-	if ferr != nil {
-		return id, resp, ferr
-	}
-	switch kind {
-	case 1:
-		we, err := decodeErrRecord(r)
-		if err != nil {
-			return id, resp, err
-		}
-		resp.Error = we
-		if err := r.done(); err != nil {
-			return id, resp, err
-		}
-		return id, resp, nil
-	case 0:
-	default:
-		return id, resp, r.fail(fmt.Sprintf("unknown response kind 0x%02x", kind))
-	}
-	n, ferr := r.u16("result count")
-	if ferr != nil {
-		return id, resp, ferr
-	}
-	// A result needs ≥ 46 bytes; pre-check so a hostile count cannot
-	// force a huge allocation before the truncation is noticed.
-	if int(n)*46 > len(r.b)-r.off {
-		return id, resp, r.fail("result count exceeds payload")
+	// Pre-check the count so a hostile one cannot force a huge
+	// allocation before the truncation is noticed.
+	n := int(r.U16())
+	if n*minResultLen > r.Len() {
+		r.Failf("result count %d exceeds payload", n)
+		n = 0
 	}
 	if n > 0 {
-		resp.Results = make([]WireResult, 0, n)
+		resp.Results = make([]WireResult, n)
 	}
-	for i := 0; i < int(n); i++ {
-		var w WireResult
-		fields := []struct {
-			dst  *Float
-			what string
-		}{
-			{&w.Answer.Lo, "answer lo"}, {&w.Answer.Hi, "answer hi"},
-			{&w.Initial.Lo, "initial lo"}, {&w.Initial.Hi, "initial hi"},
+	for i := range resp.Results {
+		w := &resp.Results[i]
+		w.Answer = readInterval(r)
+		w.Initial = readInterval(r)
+		w.Refreshed = int(r.U32())
+		w.RefreshCost = Float(r.F64())
+		w.Met = r.Bool()
+		w.ChooseTimeNS = int64(r.U64())
+		if r.Bool() {
+			w.Error = decodeErrRecord(r)
 		}
-		for _, f := range fields {
-			v, err := r.f64(f.what)
-			if err != nil {
-				return id, resp, err
-			}
-			*f.dst = Float(v)
-		}
-		refreshed, err := r.u32("refreshed")
-		if err != nil {
-			return id, resp, err
-		}
-		w.Refreshed = int(refreshed)
-		cost, err := r.f64("refresh cost")
-		if err != nil {
-			return id, resp, err
-		}
-		w.RefreshCost = Float(cost)
-		met, err := r.u8("met")
-		if err != nil {
-			return id, resp, err
-		}
-		if met > 1 {
-			return id, resp, r.fail(fmt.Sprintf("non-boolean met byte 0x%02x", met))
-		}
-		w.Met = met == 1
-		chooseNS, err := r.u64("choose time")
-		if err != nil {
-			return id, resp, err
-		}
-		w.ChooseTimeNS = int64(chooseNS)
-		hasErr, err := r.u8("result error flag")
-		if err != nil {
-			return id, resp, err
-		}
-		if hasErr > 1 {
-			return id, resp, r.fail(fmt.Sprintf("non-boolean error flag 0x%02x", hasErr))
-		}
-		if hasErr == 1 {
-			we, err := decodeErrRecord(r)
-			if err != nil {
-				return id, resp, err
-			}
-			w.Error = we
-		}
-		resp.Results = append(resp.Results, w)
 	}
-	hasBudget, ferr := r.u8("budget flag")
-	if ferr != nil {
-		return id, resp, ferr
+	if r.Bool() {
+		resp.BudgetRemaining = readFloat(r)
 	}
-	if hasBudget > 1 {
-		return id, resp, r.fail(fmt.Sprintf("non-boolean budget flag 0x%02x", hasBudget))
-	}
-	if hasBudget == 1 {
-		v, err := r.f64("budget remaining")
-		if err != nil {
-			return id, resp, err
-		}
-		f := Float(v)
-		resp.BudgetRemaining = &f
-	}
-	if ferr = r.done(); ferr != nil {
-		return id, resp, ferr
-	}
-	return id, resp, nil
+	return id, resp, done(r)
 }
 
 // ReadFrame reads one length-prefixed frame payload from br into buf
@@ -640,26 +362,5 @@ func DecodeResponse(payload []byte) (id uint32, resp QueryResponse, ferr *FrameE
 // unrecoverable framing violation (the connection must close, since the
 // byte stream can no longer be delimited).
 func ReadFrame(br io.Reader, buf *[]byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n == 0 {
-		return nil, &FrameError{Msg: "empty frame"}
-	}
-	if n > MaxFrameLen {
-		return nil, &FrameError{Msg: fmt.Sprintf("frame of %d bytes exceeds cap %d", n, MaxFrameLen)}
-	}
-	if cap(*buf) < int(n) {
-		*buf = make([]byte, n)
-	}
-	p := (*buf)[:n]
-	if _, err := io.ReadFull(br, p); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, err
-	}
-	return p, nil
+	return codec.ReadFrame(br, buf, MaxFrameLen)
 }

@@ -146,6 +146,45 @@ func TestFrameStrictness(t *testing.T) {
 	}
 }
 
+// TestFrameTruncationRejected: for every sample request and response,
+// every strict prefix and one trailing byte are rejected at an offset
+// inside the payload.
+func TestFrameTruncationRejected(t *testing.T) {
+	type sample struct {
+		payload []byte
+		decode  func(p []byte) *FrameError
+	}
+	var samples []sample
+	for i, req := range sampleRequests() {
+		frame, err := AppendRequest(nil, uint32(i), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		samples = append(samples, sample{frame[4:], func(p []byte) *FrameError { _, _, ferr := DecodeRequest(p); return ferr }})
+	}
+	for i, resp := range sampleResponses() {
+		frame, err := AppendResponse(nil, uint32(i), resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		samples = append(samples, sample{frame[4:], func(p []byte) *FrameError { _, _, ferr := DecodeResponse(p); return ferr }})
+	}
+	for i, s := range samples {
+		if ferr := s.decode(s.payload); ferr != nil {
+			t.Fatalf("sample %d: %v", i, ferr)
+		}
+		for n := 0; n < len(s.payload); n++ {
+			if ferr := s.decode(s.payload[:n]); ferr == nil || ferr.Offset > n {
+				t.Fatalf("sample %d truncated to %d bytes: %v", i, n, ferr)
+			}
+		}
+		trailing := append(s.payload[:len(s.payload):len(s.payload)], 0)
+		if ferr := s.decode(trailing); ferr == nil || ferr.Offset != len(s.payload) {
+			t.Fatalf("sample %d with a trailing byte: %v", i, ferr)
+		}
+	}
+}
+
 func TestReadFrame(t *testing.T) {
 	var frames []byte
 	var err error

@@ -175,7 +175,7 @@ func TestFramedMalformedTraffic(t *testing.T) {
 	t.Run("oversized frame closes the connection", func(t *testing.T) {
 		conn, br := dialTestFramed(t, srv)
 		var hdr [4]byte
-		binary.BigEndian.PutUint32(hdr[:], MaxFrameLen+1)
+		binary.LittleEndian.PutUint32(hdr[:], MaxFrameLen+1)
 		if _, err := conn.Write(hdr[:]); err != nil {
 			t.Fatal(err)
 		}
@@ -236,7 +236,7 @@ func TestFramedLatencyCoversEveryFrame(t *testing.T) {
 	// A request-typed frame with a truncated body: DecodeRequest fails,
 	// the server answers an error frame and keeps the connection.
 	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], 1)
+	binary.LittleEndian.PutUint32(hdr[:], 1)
 	if _, err := conn.Write(append(hdr[:], FrameRequest)); err != nil {
 		t.Fatal(err)
 	}
