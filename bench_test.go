@@ -126,14 +126,14 @@ func BenchmarkKnapsackSolvers(b *testing.B) {
 // sections 5–6.
 func BenchmarkChooseRefresh(b *testing.B) {
 	quotes := workload.StockDay(90, experiment.DefaultSeed)
-	tab := workload.StockTable(quotes)
+	tab := workload.StockStore(quotes)
 	price := tab.Schema().MustLookup("price")
-	initial := aggregate.Eval(tab, price, aggregate.Sum, nil)
+	initial, _ := aggregate.EvalStoreStream(tab, price, aggregate.Sum, nil)
 	r := initial.Width() / 10
 	for _, fn := range []aggregate.Func{aggregate.Min, aggregate.Max, aggregate.Sum, aggregate.Avg} {
 		b.Run(fn.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := refresh.Choose(tab, price, fn, nil, r, refresh.Options{}); err != nil {
+				if _, err := refresh.ChooseStore(tab, price, fn, nil, r, refresh.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -145,13 +145,13 @@ func BenchmarkChooseRefresh(b *testing.B) {
 // including classification and the Appendix F AVG reduction.
 func BenchmarkChooseRefreshWithPredicate(b *testing.B) {
 	quotes := workload.StockDay(90, experiment.DefaultSeed)
-	tab := workload.StockTable(quotes)
+	tab := workload.StockStore(quotes)
 	price := tab.Schema().MustLookup("price")
 	p := predicate.NewCmp(predicate.Column(price, "price"), predicate.Gt, predicate.Const(100))
 	for _, fn := range []aggregate.Func{aggregate.Min, aggregate.Sum, aggregate.Count, aggregate.Avg} {
 		b.Run(fn.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := refresh.Choose(tab, price, fn, p, 20, refresh.Options{}); err != nil {
+				if _, err := refresh.ChooseStore(tab, price, fn, p, 20, refresh.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -163,27 +163,29 @@ func BenchmarkChooseRefreshWithPredicate(b *testing.B) {
 // (steps 1/3 of query execution), including the tight Appendix E AVG.
 func BenchmarkBoundedAnswer(b *testing.B) {
 	quotes := workload.StockDay(1000, experiment.DefaultSeed)
-	tab := workload.StockTable(quotes)
+	tab := workload.StockStore(quotes)
 	price := tab.Schema().MustLookup("price")
 	p := predicate.NewCmp(predicate.Column(price, "price"), predicate.Gt, predicate.Const(100))
 	for _, fn := range []aggregate.Func{aggregate.Min, aggregate.Max, aggregate.Sum, aggregate.Count, aggregate.Avg} {
 		b.Run(fn.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				aggregate.Eval(tab, price, fn, p)
+				aggregate.EvalStoreStream(tab, price, fn, p)
 			}
 		})
 	}
 	b.Run("AVG-loose", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			aggregate.EvalLooseAvg(tab, price, p)
+			inputs, n := aggregate.CollectStore(tab, price, p, true, 1)
+			aggregate.EvalLooseAvgInputs(inputs, false, n)
 		}
 	})
 }
 
-// BenchmarkClassify measures T+/T?/T− classification throughput.
+// BenchmarkClassify measures T+/T?/T− classification throughput (the
+// serial input scan, without the Appendix D shrink).
 func BenchmarkClassify(b *testing.B) {
 	quotes := workload.StockDay(1000, experiment.DefaultSeed)
-	tab := workload.StockTable(quotes)
+	tab := workload.StockStore(quotes)
 	price := tab.Schema().MustLookup("price")
 	p := predicate.NewAnd(
 		predicate.NewCmp(predicate.Column(price, "price"), predicate.Gt, predicate.Const(60)),
@@ -191,7 +193,7 @@ func BenchmarkClassify(b *testing.B) {
 	)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		predicate.Classify(tab, p)
+		aggregate.CollectStore(tab, price, p, false, 1)
 	}
 }
 
@@ -224,7 +226,7 @@ func BenchmarkBTreeIndex(b *testing.B) {
 
 // BenchmarkJoinPlanners is extension E9: the two join refresh planners.
 func BenchmarkJoinPlanners(b *testing.B) {
-	mkSpec := func(left *relation.Table) join.Spec {
+	mkSpec := func(left *relation.Store) join.Spec {
 		return join.Spec{
 			Agg:     aggregate.Sum,
 			AggSide: join.Right, AggColumn: 1,
@@ -254,7 +256,7 @@ func BenchmarkJoinPlanners(b *testing.B) {
 }
 
 // BenchmarkEndToEndQuery measures the full three-step execution over a
-// fresh cache each iteration (table clone included, subtracted via timer).
+// fresh cache each iteration (store rebuild excluded via timers).
 func BenchmarkEndToEndQuery(b *testing.B) {
 	quotes := workload.StockDay(90, experiment.DefaultSeed)
 	master := workload.StockMaster(quotes)
@@ -262,7 +264,7 @@ func BenchmarkEndToEndQuery(b *testing.B) {
 		b.Run(fmt.Sprintf("R=%.0f", r), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				tab := workload.StockTable(quotes)
+				tab := workload.StockStore(quotes)
 				proc := newBenchProcessor(tab, master)
 				b.StartTimer()
 				q := benchQuery(r)
@@ -278,7 +280,7 @@ func BenchmarkEndToEndQuery(b *testing.B) {
 // scan versus B-tree endpoint indexes (sections 5.1 and 8.3).
 func BenchmarkIndexedVsScanMin(b *testing.B) {
 	for _, n := range []int{100, 10000} {
-		st := relation.StoreOf(workload.StockTable(workload.StockDay(n, experiment.DefaultSeed)))
+		st := workload.StockStore(workload.StockDay(n, experiment.DefaultSeed))
 		price := st.Schema().MustLookup("price")
 		lower := relation.NewShardedIndex(st, price, relation.LowerEndpoint)
 		upper := relation.NewShardedIndex(st, price, relation.UpperEndpoint)
@@ -303,7 +305,7 @@ func BenchmarkIndexedVsScanMin(b *testing.B) {
 // statistic (section 8.1).
 func BenchmarkBoundedMedian(b *testing.B) {
 	quotes := workload.StockDay(1000, experiment.DefaultSeed)
-	tab := workload.StockTable(quotes)
+	tab := workload.StockStore(quotes)
 	price := tab.Schema().MustLookup("price")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -319,7 +321,7 @@ func BenchmarkIterativeVsBatch(b *testing.B) {
 	b.Run("batch", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			proc := newBenchProcessor(workload.StockTable(quotes), master)
+			proc := newBenchProcessor(workload.StockStore(quotes), master)
 			b.StartTimer()
 			if _, err := proc.ExecuteCtx(context.Background(), benchQuery(500)); err != nil {
 				b.Fatal(err)
@@ -329,7 +331,7 @@ func BenchmarkIterativeVsBatch(b *testing.B) {
 	b.Run("iterative", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			proc := newBenchProcessor(workload.StockTable(quotes), master)
+			proc := newBenchProcessor(workload.StockStore(quotes), master)
 			b.StartTimer()
 			if _, err := proc.ExecuteIterative(benchQuery(500)); err != nil {
 				b.Fatal(err)
@@ -339,7 +341,7 @@ func BenchmarkIterativeVsBatch(b *testing.B) {
 }
 
 // benchJoinTables builds deterministic join tables sized n per side.
-func benchJoinTables(n int) (*relation.Table, *relation.Table, workload.MapOracle, workload.MapOracle) {
+func benchJoinTables(n int) (*relation.Store, *relation.Store, workload.MapOracle, workload.MapOracle) {
 	ls := relation.NewSchema(
 		relation.Column{Name: "node", Kind: relation.Exact},
 		relation.Column{Name: "load", Kind: relation.Bounded},
@@ -348,7 +350,7 @@ func benchJoinTables(n int) (*relation.Table, *relation.Table, workload.MapOracl
 		relation.Column{Name: "from", Kind: relation.Exact},
 		relation.Column{Name: "latency", Kind: relation.Bounded},
 	)
-	left, right := relation.NewTable(ls), relation.NewTable(rs)
+	left, right := relation.NewStore(ls, 1), relation.NewStore(rs, 1)
 	lm, rm := workload.MapOracle{}, workload.MapOracle{}
 	for i := 0; i < n; i++ {
 		lo := 30 + float64((i*37)%40)
@@ -373,10 +375,10 @@ func benchJoinTables(n int) (*relation.Table, *relation.Table, workload.MapOracl
 	return left, right, lm, rm
 }
 
-// newBenchProcessor registers the stock table for end-to-end benchmarks.
-func newBenchProcessor(tab *relation.Table, master workload.MapOracle) *query.Processor {
+// newBenchProcessor registers the stock store for end-to-end benchmarks.
+func newBenchProcessor(st *relation.Store, master workload.MapOracle) *query.Processor {
 	proc := query.NewProcessor(refresh.Options{Epsilon: 0.1})
-	proc.RegisterStore("stocks", relation.StoreOf(tab), master)
+	proc.RegisterStore("stocks", st, master)
 	return proc
 }
 

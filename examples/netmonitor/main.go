@@ -50,13 +50,13 @@ func main() {
 	for _, s := range steps {
 		// Each query starts from the paper's original cached bounds, so
 		// the worked examples reproduce exactly.
-		table := workload.Figure2Table()
+		links := workload.Figure2Store()
 		if s.pathOnly {
-			table.Delete(3)
-			table.Delete(4)
+			links.Delete(3)
+			links.Delete(4)
 		}
 		proc := trapp.NewProcessor(trapp.Options{Solver: trapp.SolverExactDP})
-		proc.RegisterStore("links", trapp.StoreOf(table), workload.MapOracle(workload.Figure2Master()))
+		proc.RegisterStore("links", links, workload.MapOracle(workload.Figure2Master()))
 
 		q, err := trapp.ParseQueryWith(s.sql, schemas)
 		if err != nil {

@@ -34,7 +34,7 @@ func main() {
 	for _, r := range []float64{1000, 500, 200, 100, 50, 20, 5, 0} {
 		// Fresh cache per constraint so runs are comparable.
 		proc := trapp.NewProcessor(trapp.Options{Epsilon: 0.1})
-		proc.RegisterStore("stocks", trapp.StoreOf(workload.StockTable(quotes)), workload.StockMaster(quotes))
+		proc.RegisterStore("stocks", workload.StockStore(quotes), workload.StockMaster(quotes))
 
 		sql := fmt.Sprintf("SELECT SUM(price) WITHIN %g FROM stocks", r)
 		query, err := trapp.ParseQueryWith(sql, map[string]*trapp.Schema{

@@ -12,8 +12,7 @@
 // State's — the streaming store scan (stream.go), a pre-collected Input
 // slice (EvalInputs), and a cluster's merge of per-partition states
 // alike. This file holds the tuple classification rule (Classifier),
-// the materializing Input scans that refresh planning needs, and the
-// exact ground truth.
+// and the materializing Input scan that refresh planning needs.
 package aggregate
 
 import (
@@ -80,9 +79,10 @@ func ParseFunc(name string) (Func, error) {
 // Input is the per-tuple view consumed by bounded-answer computation and
 // by the CHOOSE_REFRESH algorithms: the tuple's (possibly shrunk) bound on
 // the aggregation column, its refresh cost, its predicate classification,
-// and its index in the table.
+// and its position among the collected inputs.
 type Input struct {
-	// Index is the tuple's position in the table.
+	// Index is the input's position among the inputs it was collected
+	// with, in canonical order.
 	Index int
 	// Key is the tuple's object key.
 	Key int64
@@ -187,32 +187,21 @@ func sortCanonical(inputs []Input) {
 	})
 }
 
-// Collect classifies the table's tuples against the predicate and returns
-// the T+ and T? tuples' inputs for aggregation over column col, in the
-// canonical ascending-key order (each Input.Index still records the
-// tuple's physical table position). T− tuples are omitted: they
-// contribute to no aggregate. When shrink is true the Appendix D
-// refinement is applied: T? bounds are intersected with the predicate's
-// restriction on the aggregation column. Tuples whose shrunk bound would
-// be empty are reclassified as T− (their bound cannot satisfy the
-// predicate's restriction on the aggregation column).
-func Collect(t *relation.Table, col int, p predicate.Expr, shrink bool) []Input {
-	c := NewClassifier(col, p, shrink)
-	inputs := c.scan(t, make([]Input, 0, t.Len()))
-	sortCanonical(inputs)
-	return inputs
-}
-
-// CollectStore is Collect over a sharded store: the classification scan
-// runs shard-natively — up to workers goroutines (0 means GOMAXPROCS),
-// each scanning whole shards under their read locks — and concatenates
-// the shard runs in index order, which is the canonical order for every
-// store (relation.NewStore), so the inputs (and every answer or refresh
-// plan computed from them) are bit-identical to a flat-table scan over
-// the same tuples without a sort. Input.Index holds the input's position
-// in the canonical order, since a sharded store has no global physical
-// positions. The returned tableLen is the store cardinality at scan
-// time, consistent with the scanned shards.
+// CollectStore classifies the store's tuples against the predicate and
+// returns the T+ and T? tuples' inputs for aggregation over column col.
+// T− tuples are omitted: they contribute to no aggregate. When shrink is
+// true the Appendix D refinement is applied: T? bounds are intersected
+// with the predicate's restriction on the aggregation column, and tuples
+// whose shrunk bound would be empty are reclassified as T−.
+//
+// The scan runs shard-natively — up to workers goroutines (0 means
+// GOMAXPROCS), each scanning whole shards under their read locks — and
+// concatenates the shard runs in index order, which is the canonical
+// order for every store (relation.NewStore), so the inputs (and every
+// answer or refresh plan computed from them) are bit-identical across
+// shard counts without a sort. Input.Index holds the input's position in
+// the canonical order. The returned tableLen is the store cardinality at
+// scan time, consistent with the scanned shards.
 func CollectStore(st *relation.Store, col int, p predicate.Expr, shrink bool, workers int) (inputs []Input, tableLen int) {
 	c := NewClassifier(col, p, shrink)
 	ns := st.NumShards()
@@ -254,24 +243,16 @@ func CollectStore(st *relation.Store, col int, p predicate.Expr, shrink bool, wo
 	return inputs, tableLen
 }
 
-// Eval computes the bounded answer for the aggregate over column col of
-// table t under predicate p (TruePred or nil for no predicate). For AVG
-// with a predicate the tight O(n log n) bound of Appendix E is used; see
-// EvalLooseAvg for the linear-time loose variant.
+// EvalInputs computes the bounded answer from pre-collected inputs in
+// canonical order (CollectStore): it is StateOf(...).Answer().
+// noPredicate selects the section 5 formulas (all tuples count as T+);
+// tableLen is the full table cardinality, needed by COUNT without a
+// predicate. For AVG with a predicate it is the tight O(n log n) bound of
+// Appendix E; EvalLooseAvgInputs is the linear-time loose variant.
 //
 // Conventions for empty inputs follow the paper's min(∅) = +∞ /
 // max(∅) = −∞: MIN/MAX/AVG over a certainly empty selection return
 // interval.Empty; SUM returns [0, 0]; COUNT returns [0, 0].
-func Eval(t *relation.Table, col int, fn Func, p predicate.Expr) interval.Interval {
-	inputs := Collect(t, col, p, true)
-	return EvalInputs(inputs, fn, predicate.IsTrivial(p), t.Len())
-}
-
-// EvalInputs computes the bounded answer from pre-collected inputs in
-// canonical order (Collect, CollectStore): it is StateOf(...).Answer().
-// noPredicate selects the section 5 formulas (all tuples count as T+);
-// tableLen is the full table cardinality, needed by COUNT without a
-// predicate.
 func EvalInputs(inputs []Input, fn Func, noPredicate bool, tableLen int) interval.Interval {
 	s := StateOf(inputs, fn, noPredicate, tableLen)
 	return s.Answer()
@@ -341,19 +322,13 @@ func foldAvg(s float64, k int, maybes []interval.Interval, minimize bool) float6
 	return s / float64(k)
 }
 
-// EvalLooseAvg computes the linear-time loose AVG bound of section 6.4.1:
-// divide the SUM bound endpoints by the COUNT bound endpoints and take the
-// widest combination. When the count lower bound is zero (possibly empty
-// selection) the division degenerates, so the bound falls back to
-// [min of L, max of H] over contributing tuples — sound because an average
-// always lies between the minimum and maximum element.
-func EvalLooseAvg(t *relation.Table, col int, p predicate.Expr) interval.Interval {
-	inputs := Collect(t, col, p, true)
-	return EvalLooseAvgInputs(inputs, predicate.IsTrivial(p), t.Len())
-}
-
-// EvalLooseAvgInputs is EvalLooseAvg over pre-collected inputs in
-// canonical order; the SUM and COUNT bounds are their States' answers.
+// EvalLooseAvgInputs computes the linear-time loose AVG bound of section
+// 6.4.1 over pre-collected inputs in canonical order: divide the SUM bound
+// endpoints (its State's answer) by the COUNT bound endpoints and take
+// the widest combination. When the count lower bound is zero (possibly
+// empty selection) the division degenerates, so the bound falls back to
+// [min of L, max of H] over contributing tuples — sound because an
+// average always lies between the minimum and maximum element.
 func EvalLooseAvgInputs(inputs []Input, noPredicate bool, tableLen int) interval.Interval {
 	if len(inputs) == 0 {
 		return interval.Empty
@@ -377,69 +352,4 @@ func EvalLooseAvgInputs(inputs []Input, noPredicate bool, tableLen int) interval
 		ha = v
 	}
 	return interval.Interval{Lo: la, Hi: ha}
-}
-
-// Exact computes the precise aggregate from master values, the ground
-// truth used by tests and by precise-mode baselines. The master map holds,
-// for each tuple key, exact values for the table's bounded columns in
-// schema order; exact columns take their cached point values. ok is false
-// when the aggregate is undefined (MIN/MAX/AVG over an empty selection).
-func Exact(t *relation.Table, col int, fn Func, p predicate.Expr, master map[int64][]float64) (result float64, ok bool) {
-	schema := t.Schema()
-	bcols := schema.BoundedColumns()
-	bpos := make(map[int]int, len(bcols))
-	for j, c := range bcols {
-		bpos[c] = j
-	}
-	var vals []float64
-	count := 0
-	var sum float64
-	best := 0.0
-	haveBest := false
-	for i := range t.Tuples() {
-		tu := t.At(i)
-		mv := master[tu.Key]
-		if vals == nil {
-			vals = make([]float64, schema.NumColumns())
-		}
-		for c := 0; c < schema.NumColumns(); c++ {
-			if j, isBounded := bpos[c]; isBounded {
-				vals[c] = mv[j]
-			} else {
-				vals[c] = tu.Bounds[c].Lo
-			}
-		}
-		if p != nil && !p.EvalExact(vals) {
-			continue
-		}
-		v := vals[col]
-		count++
-		sum += v
-		switch fn {
-		case Min:
-			if !haveBest || v < best {
-				best, haveBest = v, true
-			}
-		case Max:
-			if !haveBest || v > best {
-				best, haveBest = v, true
-			}
-		}
-	}
-	switch fn {
-	case Count:
-		return float64(count), true
-	case Sum:
-		return sum, true
-	case Avg:
-		if count == 0 {
-			return 0, false
-		}
-		return sum / float64(count), true
-	default: // Min, Max
-		if !haveBest {
-			return 0, false
-		}
-		return best, true
-	}
 }

@@ -10,14 +10,14 @@ import (
 	"trapp/internal/relation"
 )
 
-// randTableAndMaster builds a random two-bounded-column table plus master
-// values consistent with the cached bounds.
-func randTableAndMaster(r *rand.Rand, n int) (*relation.Table, map[int64][]float64) {
+// randTableAndMaster builds a random two-bounded-column one-shard store
+// plus master values consistent with the cached bounds.
+func randTableAndMaster(r *rand.Rand, n int) (*relation.Store, map[int64][]float64) {
 	s := relation.NewSchema(
 		relation.Column{Name: "a", Kind: relation.Bounded},
 		relation.Column{Name: "b", Kind: relation.Bounded},
 	)
-	tab := relation.NewTable(s)
+	tab := relation.NewStore(s, 1)
 	master := make(map[int64][]float64, n)
 	for i := 0; i < n; i++ {
 		mk := func() (interval.Interval, float64) {
@@ -76,7 +76,7 @@ func TestQuickBoundedAnswerContainsExact(t *testing.T) {
 		p := randPred(r)
 		for _, fn := range fns {
 			for _, c := range []int{0, 1} {
-				bounded := Eval(tab, c, fn, p)
+				bounded := eval(tab, c, fn, p)
 				exact, ok := Exact(tab, c, fn, p, master)
 				if !ok {
 					continue // undefined aggregate; any bound is vacuous
@@ -105,8 +105,8 @@ func TestQuickLooseAvgContainsTight(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		tab, master := randTableAndMaster(r, 1+r.Intn(20))
 		p := randPred(r)
-		tight := Eval(tab, 0, Avg, p)
-		loose := EvalLooseAvg(tab, 0, p)
+		tight := eval(tab, 0, Avg, p)
+		loose := evalLooseAvg(tab, 0, p)
 		if tight.IsEmpty() != loose.IsEmpty() {
 			return false
 		}
@@ -138,13 +138,13 @@ func TestQuickRefreshCollapsesAnswers(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		tab, master := randTableAndMaster(r, 1+r.Intn(15))
 		p := randPred(r)
-		for i := 0; i < tab.Len(); i++ {
-			if err := tab.Refresh(i, master[tab.At(i).Key]); err != nil {
+		for key, vals := range master {
+			if _, err := tab.Refresh(key, vals); err != nil {
 				return false
 			}
 		}
 		for _, fn := range fns {
-			bounded := Eval(tab, 0, fn, p)
+			bounded := eval(tab, 0, fn, p)
 			exact, ok := Exact(tab, 0, fn, p, master)
 			if !ok {
 				continue

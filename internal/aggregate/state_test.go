@@ -40,12 +40,12 @@ func TestQuickMergedStateBitIdentical(t *testing.T) {
 		// owner, contributing or not (a partition's TableLen is its local
 		// store cardinality).
 		partLen := make([]int, nparts)
-		for i := 0; i < tab.Len(); i++ {
-			partLen[owner[relation.CanonicalBucket(tab.At(i).Key)]]++
+		for _, key := range tab.SortedKeys() {
+			partLen[owner[relation.CanonicalBucket(key)]]++
 		}
 		for _, fn := range fns {
 			for _, c := range []int{0, 1} {
-				inputs := Collect(tab, c, p, true)
+				inputs := collect(tab, c, p, true)
 				want := EvalInputs(inputs, fn, noPred, tab.Len())
 
 				parts := make([][]Input, nparts)
@@ -80,7 +80,7 @@ func TestQuickMergedStateBitIdentical(t *testing.T) {
 // are drawn partly from edge values — ±0.0, ±Inf and small repeated
 // integers, so selections tie, straddle zero and overflow — under random
 // keys that spread over the canonical buckets.
-func randEdgeTable(r *rand.Rand, n int) *relation.Table {
+func randEdgeTable(r *rand.Rand, n int) *relation.Store {
 	edges := []float64{math.Copysign(0, -1), 0, math.Inf(-1), math.Inf(1), -2, -1, 1, 2}
 	endpoint := func() float64 {
 		if r.Intn(2) == 0 {
@@ -98,13 +98,13 @@ func randEdgeTable(r *rand.Rand, n int) *relation.Table {
 		}
 		return interval.Interval{Lo: lo, Hi: hi}
 	}
-	tab := relation.NewTable(relation.NewSchema(
+	tab := relation.NewStore(relation.NewSchema(
 		relation.Column{Name: "a", Kind: relation.Bounded},
 		relation.Column{Name: "b", Kind: relation.Bounded},
-	))
+	), 1)
 	for tab.Len() < n {
 		tu := relation.Tuple{Key: r.Int63n(1<<20) - 1<<19, Bounds: []interval.Interval{bound(), bound()}, Cost: 1}
-		if tab.ByKey(tu.Key) < 0 {
+		if _, dup := tab.Get(tu.Key); !dup {
 			tab.MustInsert(tu)
 		}
 	}
@@ -112,7 +112,7 @@ func randEdgeTable(r *rand.Rand, n int) *relation.Table {
 }
 
 // TestQuickCollectStateMatchesStream: State — fed by the streaming store
-// scan at every shard count, by a flat Collect, or merged from
+// scan at every shard count, by a one-shard CollectStore, or merged from
 // bucket-disjoint partitions — answers bit-identically to a test-only
 // copy of the slice fold the engine used before State was its only
 // accumulator (reference_test.go), for every aggregate, over tables rich
@@ -140,7 +140,7 @@ func TestQuickCollectStateMatchesStream(t *testing.T) {
 			parts[pi] = storeOf(tab, 0, func(key int64) bool { return owner[relation.CanonicalBucket(key)] == pi })
 		}
 		for _, c := range []int{0, 1} {
-			inputs := Collect(tab, c, p, true)
+			inputs := collect(tab, c, p, true)
 			zeros, maybes := 0, 0
 			for _, in := range inputs {
 				if in.Bound.Lo == 0 || in.Bound.Hi == 0 {
@@ -171,7 +171,7 @@ func TestQuickCollectStateMatchesStream(t *testing.T) {
 							want, math.Float64bits(want.Lo), math.Float64bits(want.Hi))
 					}
 				}
-				check("flat", EvalInputs(inputs, fn, noPred, tab.Len()))
+				check("one-shard collected", EvalInputs(inputs, fn, noPred, tab.Len()))
 				for name, st := range stores {
 					got, n := EvalStoreStream(st, c, fn, p)
 					if n != tab.Len() {
@@ -198,13 +198,14 @@ func TestQuickCollectStateMatchesStream(t *testing.T) {
 	}
 }
 
-// storeOf copies the table's tuples accepted by keep (all when nil) into
+// storeOf copies the store's tuples accepted by keep (all when nil) into
 // a store with nshards shards.
-func storeOf(tab *relation.Table, nshards int, keep func(int64) bool) *relation.Store {
+func storeOf(tab *relation.Store, nshards int, keep func(int64) bool) *relation.Store {
 	st := relation.NewStore(tab.Schema(), nshards)
-	for i := 0; i < tab.Len(); i++ {
-		if keep == nil || keep(tab.At(i).Key) {
-			st.MustInsert(tab.At(i).Clone())
+	for _, key := range tab.SortedKeys() {
+		if keep == nil || keep(key) {
+			tu, _ := tab.Get(key)
+			st.MustInsert(tu)
 		}
 	}
 	return st
@@ -218,7 +219,7 @@ func TestSignedZeroSelectionMerge(t *testing.T) {
 	s := relation.NewSchema(relation.Column{Name: "v", Kind: relation.Bounded})
 	negZero := math.Copysign(0, -1)
 	for swap := 0; swap < 2; swap++ {
-		tab := relation.NewTable(s)
+		tab := relation.NewStore(s, 1)
 		vals := []float64{negZero, 0}
 		if swap == 1 {
 			vals[0], vals[1] = vals[1], vals[0]
@@ -231,7 +232,7 @@ func TestSignedZeroSelectionMerge(t *testing.T) {
 			})
 		}
 		for _, fn := range []Func{Min, Max, Sum} {
-			inputs := Collect(tab, 0, nil, true)
+			inputs := collect(tab, 0, nil, true)
 			want := EvalInputs(inputs, fn, true, tab.Len())
 			var states []*State
 			for _, in := range inputs {

@@ -15,7 +15,7 @@ import (
 // order — shards in index order, canonically sorted tuples within each
 // shard — IS the canonical order State.Feed requires (relation.NewStore
 // caps the shard count to make it so), so the streamed answer is
-// bit-identical to EvalInputs over Collect of a flat table holding the
+// bit-identical to EvalInputs over CollectStore of any store holding the
 // same tuples.
 
 // CollectState folds the aggregate over column col of the store under

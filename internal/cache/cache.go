@@ -177,9 +177,9 @@ func New(id string, clock *netsim.Clock, schema *relation.Schema) *Cache {
 }
 
 // NewSharded is New with an explicit shard count (rounded up to a power
-// of two; ≤ 0 selects relation.DefaultShards). A single shard degrades
-// to the flat store layout — one set of row arrays, one lock —
-// which the differential tests use as the reference.
+// of two; ≤ 0 selects relation.DefaultShards). A single shard — one set
+// of row arrays, one lock — is the reference layout of the differential
+// tests; answers do not depend on the shard count.
 func NewSharded(id string, clock *netsim.Clock, schema *relation.Schema, nshards int) *Cache {
 	return newCache(id, clock, relation.NewStore(schema, nshards), nil)
 }

@@ -20,6 +20,7 @@ import (
 	"trapp/internal/knapsack"
 	"trapp/internal/netsim"
 	"trapp/internal/predicate"
+	"trapp/internal/query"
 	"trapp/internal/refresh"
 	"trapp/internal/relation"
 	"trapp/internal/source"
@@ -164,16 +165,15 @@ func Modes(n int, seed int64) []ModeRow {
 	fns := []aggregate.Func{aggregate.Min, aggregate.Max, aggregate.Sum, aggregate.Avg}
 	var rows []ModeRow
 	for _, fn := range fns {
-		quotes := workload.StockDay(n, seed)
-		tab := workload.StockTable(quotes)
-		price := tab.Schema().MustLookup("price")
-		initial := aggregate.Eval(tab, price, fn, nil)
+		st := workload.StockStore(workload.StockDay(n, seed))
+		price := st.Schema().MustLookup("price")
+		initial, _ := aggregate.EvalStoreStream(st, price, fn, nil)
 		midR := initial.Width() / 4
-		plan, err := refresh.Choose(tab, price, fn, nil, midR, refresh.Options{})
+		plan, err := refresh.ChooseStore(st, price, fn, nil, midR, refresh.Options{})
 		if err != nil {
 			continue
 		}
-		full, err := refresh.Choose(tab, price, fn, nil, 0, refresh.Options{})
+		full, err := refresh.ChooseStore(st, price, fn, nil, 0, refresh.Options{})
 		if err != nil {
 			continue
 		}
@@ -199,20 +199,25 @@ type AvgBoundRow struct {
 // AvgBounds sweeps predicate selectivity over the stock workload and
 // reports both AVG bound widths; the tight bound is never wider.
 func AvgBounds(n int, seed int64) []AvgBoundRow {
-	quotes := workload.StockDay(n, seed)
-	tab := workload.StockTable(quotes)
-	price := tab.Schema().MustLookup("price")
+	st := workload.StockStore(workload.StockDay(n, seed))
+	price := st.Schema().MustLookup("price")
 	var rows []AvgBoundRow
 	for _, thresh := range []float64{40, 80, 120, 160} {
 		p := predicate.NewCmp(predicate.Column(price, "price"), predicate.Gt, predicate.Const(thresh))
-		cls := predicate.Classify(tab, p)
-		tight := aggregate.Eval(tab, price, aggregate.Avg, p)
-		loose := aggregate.EvalLooseAvg(tab, price, p)
+		inputs, tableLen := aggregate.CollectStore(st, price, p, true, 1)
+		tight := aggregate.EvalInputs(inputs, aggregate.Avg, false, tableLen)
+		loose := aggregate.EvalLooseAvgInputs(inputs, false, tableLen)
 		if tight.IsEmpty() {
 			continue
 		}
+		plus := 0
+		for _, in := range inputs {
+			if in.Class == predicate.Plus {
+				plus++
+			}
+		}
 		rows = append(rows, AvgBoundRow{
-			Selectivity: float64(len(cls.Plus)) / float64(tab.Len()),
+			Selectivity: float64(plus) / float64(tableLen),
 			TightWidth:  tight.Width(),
 			LooseWidth:  loose.Width(),
 		})
@@ -310,40 +315,43 @@ type JoinRow struct {
 // Joins runs an equi-join aggregation with a bounded selection under both
 // planners on a random instance.
 func Joins(n int, r float64, seed int64) []JoinRow {
-	build := func() (*relation.Table, *relation.Table, workload.MapOracle, workload.MapOracle, join.Spec) {
-		left, right, lm, rm := joinTables(n, seed)
-		spec := join.Spec{
-			Agg:     aggregate.Sum,
-			AggSide: join.Right, AggColumn: 1,
-			Pred: predicate.NewAnd(
-				predicate.NewCmp(predicate.Column(0, "node"), predicate.Eq,
-					predicate.Column(join.ShiftColumn(left.Schema(), 0), "from")),
-				predicate.NewCmp(predicate.Column(1, "load"), predicate.Gt, predicate.Const(50)),
-			),
-			Within: r,
-		}
-		return left, right, lm, rm, spec
-	}
 	var rows []JoinRow
-	{
-		left, right, lm, rm, spec := build()
-		res, err := join.Execute(left, right, spec, lm, rm)
+	for _, planner := range joinPlanners {
+		left, right, lm, rm := joinTables(n, seed)
+		res, err := planner.run(left, right, joinSpec(left, r), lm, rm)
 		if err == nil {
-			rows = append(rows, JoinRow{"batch-greedy", res.RefreshCost, res.Refreshed, res.Answer.Width()})
-		}
-	}
-	{
-		left, right, lm, rm, spec := build()
-		res, err := join.ExecuteIterative(left, right, spec, lm, rm)
-		if err == nil {
-			rows = append(rows, JoinRow{"iterative", res.RefreshCost, res.Refreshed, res.Answer.Width()})
+			rows = append(rows, JoinRow{planner.name, res.RefreshCost, res.Refreshed, res.Answer.Width()})
 		}
 	}
 	return rows
 }
 
+// joinPlanners are the two join executors E9 compares.
+var joinPlanners = []struct {
+	name string
+	run  func(left, right *relation.Store, spec join.Spec, lo, ro query.Oracle) (join.Result, error)
+}{
+	{"batch-greedy", join.Execute},
+	{"iterative", join.ExecuteIterative},
+}
+
+// joinSpec is E9's query over joinTables' stores: SUM of the right side's
+// latency over node = from pairs whose load exceeds 50, within r.
+func joinSpec(left *relation.Store, r float64) join.Spec {
+	return join.Spec{
+		Agg:     aggregate.Sum,
+		AggSide: join.Right, AggColumn: 1,
+		Pred: predicate.NewAnd(
+			predicate.NewCmp(predicate.Column(0, "node"), predicate.Eq,
+				predicate.Column(join.ShiftColumn(left.Schema(), 0), "from")),
+			predicate.NewCmp(predicate.Column(1, "load"), predicate.Gt, predicate.Const(50)),
+		),
+		Within: r,
+	}
+}
+
 // joinTables builds the random two-table join instance for E9.
-func joinTables(n int, seed int64) (*relation.Table, *relation.Table, workload.MapOracle, workload.MapOracle) {
+func joinTables(n int, seed int64) (*relation.Store, *relation.Store, workload.MapOracle, workload.MapOracle) {
 	ls := relation.NewSchema(
 		relation.Column{Name: "node", Kind: relation.Exact},
 		relation.Column{Name: "load", Kind: relation.Bounded},
@@ -352,7 +360,7 @@ func joinTables(n int, seed int64) (*relation.Table, *relation.Table, workload.M
 		relation.Column{Name: "from", Kind: relation.Exact},
 		relation.Column{Name: "latency", Kind: relation.Bounded},
 	)
-	left, right := relation.NewTable(ls), relation.NewTable(rs)
+	left, right := relation.NewStore(ls, 1), relation.NewStore(rs, 1)
 	lm, rm := workload.MapOracle{}, workload.MapOracle{}
 	w := newWalkState(0, seed)
 	for i := 0; i < n; i++ {

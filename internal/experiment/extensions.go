@@ -32,12 +32,12 @@ func IterativeVsBatch(n int, seed int64) []IterBatchRow {
 	quotes := workload.StockDay(n, seed)
 	master := workload.StockMaster(quotes)
 	for _, fn := range fns {
-		probe := workload.StockTable(quotes)
-		price := probe.Schema().MustLookup("price")
-		r := aggregate.Eval(probe, price, fn, nil).Width() / 4
+		probe := workload.StockStore(quotes)
+		initial, _ := aggregate.EvalStoreStream(probe, probe.Schema().MustLookup("price"), fn, nil)
+		r := initial.Width() / 4
 
 		bp := query.NewProcessor(refresh.Options{})
-		bp.RegisterStore("stocks", relation.StoreOf(workload.StockTable(quotes)), master)
+		bp.RegisterStore("stocks", workload.StockStore(quotes), master)
 		q := query.NewQuery("stocks", fn, "price")
 		q.Within = r
 		batch, err := bp.ExecuteCtx(context.Background(), q)
@@ -45,7 +45,7 @@ func IterativeVsBatch(n int, seed int64) []IterBatchRow {
 			continue
 		}
 		ip := query.NewProcessor(refresh.Options{})
-		ip.RegisterStore("stocks", relation.StoreOf(workload.StockTable(quotes)), master)
+		ip.RegisterStore("stocks", workload.StockStore(quotes), master)
 		iter, err := ip.ExecuteIterative(q)
 		if err != nil || !iter.Met {
 			continue
@@ -78,7 +78,7 @@ func IndexSpeedup(sizes []int, seed int64, reps int) []IndexRow {
 	}
 	var rows []IndexRow
 	for _, n := range sizes {
-		st := relation.StoreOf(workload.StockTable(workload.StockDay(n, seed)))
+		st := workload.StockStore(workload.StockDay(n, seed))
 		price := st.Schema().MustLookup("price")
 		lower := relation.NewShardedIndex(st, price, relation.LowerEndpoint)
 		upper := relation.NewShardedIndex(st, price, relation.UpperEndpoint)
@@ -121,9 +121,8 @@ func Medians(rs []float64, n int, seed int64) []MedianRow {
 	quotes := workload.StockDay(n, seed)
 	master := workload.StockMaster(quotes)
 	for _, r := range rs {
-		tab := workload.StockTable(quotes)
-		price := tab.Schema().MustLookup("price")
-		res, err := quantile.ExecuteMedian(tab, price, r, master)
+		st := workload.StockStore(quotes)
+		res, err := quantile.ExecuteMedian(st, st.Schema().MustLookup("price"), r, master)
 		if err != nil || !res.Met {
 			continue
 		}

@@ -80,8 +80,23 @@ func ShiftColumn(leftSchema *relation.Schema, rightCol int) int {
 	return leftSchema.NumColumns() + rightCol
 }
 
-// pair is one joined tuple: indexes into the two base tables plus the
-// concatenated-bounds tuple used for classification.
+// tuples returns copies of the store's tuples in ascending key order, the
+// order every scan here uses: pair enumeration and the planners'
+// tie-breaks then depend only on the tuple sets, not on the stores'
+// layouts.
+func tuples(st *relation.Store) []relation.Tuple {
+	keys := st.SortedKeys()
+	out := make([]relation.Tuple, 0, len(keys))
+	for _, key := range keys {
+		if tu, ok := st.Get(key); ok {
+			out = append(out, tu)
+		}
+	}
+	return out
+}
+
+// pair is one joined tuple: indexes into the two base-table snapshots
+// (see tuples), its classification and its aggregation-column bound.
 type pair struct {
 	li, ri int
 	class  predicate.Class
@@ -93,17 +108,14 @@ type pair struct {
 // paper's simulation scale this is adequate, and the classification
 // predicates could be pushed into standard join algorithms as the paper
 // notes.
-func classifyPairs(left, right *relation.Table, spec Spec) []pair {
-	nl := left.Schema().NumColumns()
-	nr := right.Schema().NumColumns()
-	combined := make([]interval.Interval, nl+nr)
+func classifyPairs(left, right []relation.Tuple, spec Spec) []pair {
+	var combined []interval.Interval
 	var pairs []pair
-	for li := 0; li < left.Len(); li++ {
-		lt := left.At(li)
-		copy(combined[:nl], lt.Bounds)
-		for ri := 0; ri < right.Len(); ri++ {
-			rt := right.At(ri)
-			copy(combined[nl:], rt.Bounds)
+	for li := range left {
+		lt := &left[li]
+		for ri := range right {
+			rt := &right[ri]
+			combined = append(append(combined[:0], lt.Bounds...), rt.Bounds...)
 			tu := relation.Tuple{Bounds: combined}
 			cls := predicate.ClassifyTuple(spec.Pred, &tu)
 			if cls == predicate.Minus {
@@ -121,13 +133,18 @@ func classifyPairs(left, right *relation.Table, spec Spec) []pair {
 
 // Eval computes the bounded answer for the join query from cached bounds,
 // applying the section 6 aggregation formulas to the classified pairs.
-func Eval(left, right *relation.Table, spec Spec) interval.Interval {
+func Eval(left, right *relation.Store, spec Spec) interval.Interval {
+	return eval(tuples(left), tuples(right), spec)
+}
+
+// eval is Eval over base-table snapshots.
+func eval(left, right []relation.Tuple, spec Spec) interval.Interval {
 	pairs := classifyPairs(left, right, spec)
 	inputs := make([]aggregate.Input, len(pairs))
 	for i, p := range pairs {
 		inputs[i] = aggregate.Input{Index: i, Bound: p.bound, Class: p.class}
 	}
-	return aggregate.EvalInputs(inputs, spec.Agg, false, left.Len()*right.Len())
+	return aggregate.EvalInputs(inputs, spec.Agg, false, len(left)*len(right))
 }
 
 // Plan is a refresh selection over the two base tables.
@@ -141,7 +158,8 @@ type Plan struct {
 // Len returns the total number of base-tuple refreshes.
 func (p Plan) Len() int { return len(p.LeftKeys) + len(p.RightKeys) }
 
-// baseRef identifies one base tuple.
+// baseRef identifies one base tuple by its position in its side's
+// snapshot.
 type baseRef struct {
 	side Side
 	idx  int
@@ -155,14 +173,19 @@ type baseRef struct {
 // aggregation-side tuple is refreshed also stops contributing for SUM/AVG.
 // Greedily, the base tuple with the largest worst-case width reduction per
 // unit cost is added until the modelled width is within R.
-func BatchGreedy(left, right *relation.Table, spec Spec) (Plan, error) {
+func BatchGreedy(left, right *relation.Store, spec Spec) (Plan, error) {
+	return batchGreedy(tuples(left), tuples(right), spec)
+}
+
+// batchGreedy is BatchGreedy over base-table snapshots.
+func batchGreedy(left, right []relation.Tuple, spec Spec) (Plan, error) {
 	if spec.Within < 0 || math.IsNaN(spec.Within) {
 		return Plan{}, fmt.Errorf("join: invalid precision constraint %g", spec.Within)
 	}
 	pairs := classifyPairs(left, right, spec)
 	chosen := make(map[baseRef]bool)
 
-	width := func() float64 { return worstWidth(pairs, chosen, spec, left, right) }
+	width := func() float64 { return worstWidth(pairs, chosen, spec) }
 	if math.IsInf(spec.Within, 1) {
 		return Plan{}, nil
 	}
@@ -173,7 +196,7 @@ func BatchGreedy(left, right *relation.Table, spec Spec) (Plan, error) {
 			chosen[cand] = true
 			reduced := width()
 			delete(chosen, cand)
-			gain := worstWidth(pairs, chosen, spec, left, right) - reduced
+			gain := worstWidth(pairs, chosen, spec) - reduced
 			score := gain / math.Max(cost, 1e-9)
 			if score > bestScore {
 				best, bestScore = cand, score
@@ -210,7 +233,7 @@ func candidates(pairs []pair, chosen map[baseRef]bool) []baseRef {
 
 // cheapestBlocking finds the cheapest unchosen tuple among pairs that are
 // not fully resolved.
-func cheapestBlocking(pairs []pair, chosen map[baseRef]bool, left, right *relation.Table) baseRef {
+func cheapestBlocking(pairs []pair, chosen map[baseRef]bool, left, right []relation.Tuple) baseRef {
 	best, bestCost := baseRef{}, math.Inf(1)
 	for _, p := range pairs {
 		if chosen[baseRef{Left, p.li}] && chosen[baseRef{Right, p.ri}] {
@@ -229,17 +252,17 @@ func cheapestBlocking(pairs []pair, chosen map[baseRef]bool, left, right *relati
 }
 
 // refreshCost returns the cost of refreshing a base tuple.
-func refreshCost(left, right *relation.Table, ref baseRef) float64 {
+func refreshCost(left, right []relation.Tuple, ref baseRef) float64 {
 	if ref.side == Left {
-		return left.At(ref.idx).Cost
+		return left[ref.idx].Cost
 	}
-	return right.At(ref.idx).Cost
+	return right[ref.idx].Cost
 }
 
 // worstWidth computes the conservative post-refresh answer width for the
 // current chosen set: pairs with both sides chosen are resolved; remaining
 // pairs contribute their current (membership-extended) uncertainty.
-func worstWidth(pairs []pair, chosen map[baseRef]bool, spec Spec, left, right *relation.Table) float64 {
+func worstWidth(pairs []pair, chosen map[baseRef]bool, spec Spec) float64 {
 	inputs := make([]aggregate.Input, 0, len(pairs))
 	for i, p := range pairs {
 		lDone := chosen[baseRef{Left, p.li}]
@@ -296,15 +319,15 @@ func worstWidth(pairs []pair, chosen map[baseRef]bool, spec Spec, left, right *r
 }
 
 // materialize converts the chosen set into a Plan.
-func materialize(left, right *relation.Table, chosen map[baseRef]bool) Plan {
+func materialize(left, right []relation.Tuple, chosen map[baseRef]bool) Plan {
 	var plan Plan
 	for ref := range chosen {
 		if ref.side == Left {
-			tu := left.At(ref.idx)
+			tu := &left[ref.idx]
 			plan.LeftKeys = append(plan.LeftKeys, tu.Key)
 			plan.Cost += tu.Cost
 		} else {
-			tu := right.At(ref.idx)
+			tu := &right[ref.idx]
 			plan.RightKeys = append(plan.RightKeys, tu.Key)
 			plan.Cost += tu.Cost
 		}
@@ -330,15 +353,16 @@ type Result struct {
 
 // Execute runs a join query end to end with the BatchGreedy planner,
 // refreshing from the two oracles.
-func Execute(left, right *relation.Table, spec Spec, leftOracle, rightOracle query.Oracle) (Result, error) {
+func Execute(left, right *relation.Store, spec Spec, leftOracle, rightOracle query.Oracle) (Result, error) {
 	var res Result
-	res.Initial = Eval(left, right, spec)
+	l, r := tuples(left), tuples(right)
+	res.Initial = eval(l, r, spec)
 	res.Answer = res.Initial
 	if res.Answer.IsEmpty() || res.Answer.Width() <= spec.Within+1e-9 {
 		res.Met = true
 		return res, nil
 	}
-	plan, err := BatchGreedy(left, right, spec)
+	plan, err := batchGreedy(l, r, spec)
 	if err != nil {
 		return res, err
 	}
@@ -357,10 +381,11 @@ func Execute(left, right *relation.Table, spec Spec, leftOracle, rightOracle que
 
 // ExecuteIterative runs the section 8.2 style online loop: repeatedly
 // refresh the single cheapest base tuple participating in an unresolved
-// pair and recompute, stopping when the constraint is met. Unlike
-// BatchGreedy it exploits the actual refreshed values, typically paying
-// less total cost at the price of sequential refresh rounds.
-func ExecuteIterative(left, right *relation.Table, spec Spec, leftOracle, rightOracle query.Oracle) (Result, error) {
+// pair (the first in pair order among equally cheap ones) and recompute,
+// stopping when the constraint is met. Unlike BatchGreedy it exploits the
+// actual refreshed values, typically paying less total cost at the price
+// of sequential refresh rounds.
+func ExecuteIterative(left, right *relation.Store, spec Spec, leftOracle, rightOracle query.Oracle) (Result, error) {
 	var res Result
 	res.Initial = Eval(left, right, spec)
 	res.Answer = res.Initial
@@ -371,7 +396,8 @@ func ExecuteIterative(left, right *relation.Table, spec Spec, leftOracle, rightO
 			res.Met = true
 			return res, nil
 		}
-		pairs := classifyPairs(left, right, spec)
+		l, r := tuples(left), tuples(right)
+		pairs := classifyPairs(l, r, spec)
 		best, bestCost := baseRef{}, math.Inf(1)
 		found := false
 		for _, p := range pairs {
@@ -383,16 +409,16 @@ func ExecuteIterative(left, right *relation.Table, spec Spec, leftOracle, rightO
 				var key int64
 				var done map[int64]bool
 				if ref.side == Left {
-					key = left.At(ref.idx).Key
+					key = l[ref.idx].Key
 					done = refreshedL
 				} else {
-					key = right.At(ref.idx).Key
+					key = r[ref.idx].Key
 					done = refreshedR
 				}
 				if done[key] {
 					continue
 				}
-				if c := refreshCost(left, right, ref); c < bestCost {
+				if c := refreshCost(l, r, ref); c < bestCost {
 					best, bestCost, found = ref, c, true
 				}
 			}
@@ -406,23 +432,15 @@ func ExecuteIterative(left, right *relation.Table, spec Spec, leftOracle, rightO
 			}
 			return res, nil
 		}
-		var t *relation.Table
-		var o query.Oracle
-		var done map[int64]bool
-		if best.side == Left {
-			t, o, done = left, leftOracle, refreshedL
-		} else {
-			t, o, done = right, rightOracle, refreshedR
+		st, ts, o, done := left, l, leftOracle, refreshedL
+		if best.side == Right {
+			st, ts, o, done = right, r, rightOracle, refreshedR
 		}
-		tu := t.At(best.idx)
-		vals, ok := o.Master(tu.Key)
-		if !ok {
-			return res, fmt.Errorf("join: oracle missing key %d", tu.Key)
-		}
-		if err := t.Refresh(best.idx, vals); err != nil {
+		key := ts[best.idx].Key
+		if err := applyPlan(st, []int64{key}, o); err != nil {
 			return res, err
 		}
-		done[tu.Key] = true
+		done[key] = true
 		res.Refreshed++
 		res.RefreshCost += bestCost
 		res.Answer = Eval(left, right, spec)
@@ -430,14 +448,16 @@ func ExecuteIterative(left, right *relation.Table, spec Spec, leftOracle, rightO
 }
 
 // applyPlan refreshes the listed keys from the oracle.
-func applyPlan(t *relation.Table, keys []int64, o query.Oracle) error {
+func applyPlan(st *relation.Store, keys []int64, o query.Oracle) error {
 	for _, key := range keys {
 		vals, ok := o.Master(key)
 		if !ok {
 			return fmt.Errorf("join: oracle missing key %d", key)
 		}
-		if err := t.Refresh(t.ByKey(key), vals); err != nil {
+		if present, err := st.Refresh(key, vals); err != nil {
 			return err
+		} else if !present {
+			return fmt.Errorf("join: key %d left the store", key)
 		}
 	}
 	return nil

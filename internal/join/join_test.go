@@ -15,12 +15,12 @@ import (
 
 // twoTables builds small left ("nodes": key, load) and right ("links":
 // from, latency) tables with master values for join tests.
-func twoTables() (left, right *relation.Table, lm, rm workload.MapOracle) {
+func twoTables() (left, right *relation.Store, lm, rm workload.MapOracle) {
 	ls := relation.NewSchema(
 		relation.Column{Name: "node", Kind: relation.Exact},
 		relation.Column{Name: "load", Kind: relation.Bounded},
 	)
-	left = relation.NewTable(ls)
+	left = relation.NewStore(ls, 1)
 	lm = workload.MapOracle{}
 	leftRows := []struct {
 		key  int64
@@ -46,7 +46,7 @@ func twoTables() (left, right *relation.Table, lm, rm workload.MapOracle) {
 		relation.Column{Name: "from", Kind: relation.Exact},
 		relation.Column{Name: "latency", Kind: relation.Bounded},
 	)
-	right = relation.NewTable(rs)
+	right = relation.NewStore(rs, 1)
 	rm = workload.MapOracle{}
 	rightRows := []struct {
 		key  int64
@@ -72,7 +72,7 @@ func twoTables() (left, right *relation.Table, lm, rm workload.MapOracle) {
 
 // equiJoinPred builds node = from as the join predicate, optionally ANDed
 // with load > k.
-func equiJoinPred(left *relation.Table, loadGt float64) predicate.Expr {
+func equiJoinPred(left *relation.Store, loadGt float64) predicate.Expr {
 	nodeCol := left.Schema().MustLookup("node")
 	fromCol := ShiftColumn(left.Schema(), 0)
 	join := predicate.NewCmp(
@@ -252,7 +252,7 @@ func TestQuickJoinExecuteMeetsConstraint(t *testing.T) {
 			Pred:   randJoinPred(r, left),
 			Within: r.Float64() * 10,
 		}
-		l2, r2 := left.Clone(), right.Clone()
+		l2, r2 := clone(left), clone(right)
 		res, err := Execute(left, right, spec, lm, rm)
 		if err != nil || !res.Met {
 			t.Logf("seed %d batch: err=%v met=%v answer=%v", seed, err, res.Met, res.Answer)
@@ -270,8 +270,17 @@ func TestQuickJoinExecuteMeetsConstraint(t *testing.T) {
 	}
 }
 
+// clone copies the store's tuples into a new one-shard store.
+func clone(st *relation.Store) *relation.Store {
+	c := relation.NewStore(st.Schema(), 1)
+	for _, tu := range tuples(st) {
+		c.MustInsert(tu)
+	}
+	return c
+}
+
 // randJoinTables builds random compatible tables with 2-5 rows each.
-func randJoinTables(r *rand.Rand) (left, right *relation.Table, lm, rm workload.MapOracle) {
+func randJoinTables(r *rand.Rand) (left, right *relation.Store, lm, rm workload.MapOracle) {
 	ls := relation.NewSchema(
 		relation.Column{Name: "node", Kind: relation.Exact},
 		relation.Column{Name: "load", Kind: relation.Bounded},
@@ -280,7 +289,7 @@ func randJoinTables(r *rand.Rand) (left, right *relation.Table, lm, rm workload.
 		relation.Column{Name: "from", Kind: relation.Exact},
 		relation.Column{Name: "latency", Kind: relation.Bounded},
 	)
-	left, right = relation.NewTable(ls), relation.NewTable(rs)
+	left, right = relation.NewStore(ls, 1), relation.NewStore(rs, 1)
 	lm, rm = workload.MapOracle{}, workload.MapOracle{}
 	nl, nr := 2+r.Intn(4), 2+r.Intn(4)
 	for i := 0; i < nl; i++ {
@@ -307,7 +316,7 @@ func randJoinTables(r *rand.Rand) (left, right *relation.Table, lm, rm workload.
 }
 
 // randJoinPred returns node = from, possibly with a bounded selection.
-func randJoinPred(r *rand.Rand, left *relation.Table) predicate.Expr {
+func randJoinPred(r *rand.Rand, left *relation.Store) predicate.Expr {
 	join := predicate.NewCmp(
 		predicate.Column(0, "node"), predicate.Eq,
 		predicate.Column(ShiftColumn(left.Schema(), 0), "from"))
@@ -319,18 +328,16 @@ func randJoinPred(r *rand.Rand, left *relation.Table) predicate.Expr {
 }
 
 // exactJoin computes the ground-truth join aggregate from master values.
-func exactJoin(left, right *relation.Table, spec Spec, lm, rm workload.MapOracle) (float64, bool) {
+func exactJoin(left, right *relation.Store, spec Spec, lm, rm workload.MapOracle) (float64, bool) {
 	nl := left.Schema().NumColumns()
 	nr := right.Schema().NumColumns()
 	vals := make([]float64, nl+nr)
 	var agg []float64
-	for li := 0; li < left.Len(); li++ {
-		lt := left.At(li)
+	for _, lt := range tuples(left) {
 		lv, _ := lm.Master(lt.Key)
 		vals[0] = lt.Bounds[0].Lo
 		vals[1] = lv[0]
-		for ri := 0; ri < right.Len(); ri++ {
-			rt := right.At(ri)
+		for _, rt := range tuples(right) {
 			rv, _ := rm.Master(rt.Key)
 			vals[nl] = rt.Bounds[0].Lo
 			vals[nl+1] = rv[0]

@@ -45,39 +45,6 @@ func ClassifyTuple(p Expr, tu *relation.Tuple) Class {
 	}
 }
 
-// Classification partitions a table's tuple indexes into T+, T?, and T−.
-type Classification struct {
-	// Plus holds indexes of tuples guaranteed to satisfy the predicate.
-	Plus []int
-	// Maybe holds indexes of tuples that may satisfy the predicate.
-	Maybe []int
-	// Minus holds indexes of tuples that cannot satisfy the predicate.
-	Minus []int
-}
-
-// Classify partitions every tuple of the table. The scan is O(n); with
-// endpoint indexes the Plus/Maybe filters could run sublinearly as
-// discussed in section 8.3, but classification cost is not part of the
-// paper's reported metrics.
-func Classify(t *relation.Table, p Expr) Classification {
-	var c Classification
-	for i := range t.Tuples() {
-		switch ClassifyTuple(p, t.At(i)) {
-		case Plus:
-			c.Plus = append(c.Plus, i)
-		case Maybe:
-			c.Maybe = append(c.Maybe, i)
-		default:
-			c.Minus = append(c.Minus, i)
-		}
-	}
-	return c
-}
-
-// PossibleCount returns |T+| + |T?|, the number of tuples that might
-// contribute to an aggregate.
-func (c Classification) PossibleCount() int { return len(c.Plus) + len(c.Maybe) }
-
 // Restriction computes an interval I such that whenever the predicate
 // holds for a tuple, the tuple's value in column col lies in I. It returns
 // interval.Unbounded when the predicate imposes no (derivable) restriction.
@@ -143,19 +110,4 @@ func cmpRestriction(c *Cmp, col int) interval.Interval {
 	default: // Ne: no useful interval restriction
 		return interval.Unbounded
 	}
-}
-
-// ShrinkBound applies the Appendix D refinement to one tuple bound: it
-// intersects the bound for the aggregation column with the predicate's
-// restriction on that column. If the intersection is empty the tuple
-// cannot both satisfy the predicate and contribute, so the caller may
-// treat it as T− for aggregation purposes; ShrinkBound then returns the
-// original bound unchanged along with ok=false.
-func ShrinkBound(p Expr, col int, b interval.Interval) (shrunk interval.Interval, ok bool) {
-	r := Restriction(p, col)
-	s := b.Intersect(r)
-	if s.IsEmpty() {
-		return b, false
-	}
-	return s, true
 }

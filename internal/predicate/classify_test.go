@@ -65,17 +65,15 @@ func TestShrinkBoundPaperExample(t *testing.T) {
 	// cannot contribute; bound [8, 12] shrinks to [10, 12].
 	col := 0
 	p := NewCmp(Column(col, "latency"), Gt, Const(10))
-	if _, ok := ShrinkBound(p, col, interval.New(3, 8)); ok {
-		t.Error("bound [3,8] should have empty intersection with latency>10")
+	if got := interval.New(3, 8).Intersect(Restriction(p, col)); !got.IsEmpty() {
+		t.Errorf("bound [3,8] shrinks to %v under latency>10, want empty", got)
 	}
-	got, ok := ShrinkBound(p, col, interval.New(8, 12))
-	if !ok || !got.Equal(interval.New(10, 12)) {
-		t.Errorf("ShrinkBound([8,12]) = %v, %v", got, ok)
+	if got := interval.New(8, 12).Intersect(Restriction(p, col)); !got.Equal(interval.New(10, 12)) {
+		t.Errorf("bound [8,12] shrinks to %v", got)
 	}
 	// Unrestricted column: unchanged.
-	got, ok = ShrinkBound(p, 1, interval.New(8, 12))
-	if !ok || !got.Equal(interval.New(8, 12)) {
-		t.Errorf("ShrinkBound other col = %v, %v", got, ok)
+	if got := interval.New(8, 12).Intersect(Restriction(p, 1)); !got.Equal(interval.New(8, 12)) {
+		t.Errorf("other column's bound shrinks to %v", got)
 	}
 }
 
@@ -112,19 +110,14 @@ func TestQuickShrinkPreservesMasterValue(t *testing.T) {
 		p := randomExpr(r, 2, 2)
 		lo := r.Float64()*20 - 10
 		b := interval.New(lo, lo+r.Float64()*10)
-		shrunk, ok := ShrinkBound(p, 0, b)
+		shrunk := b.Intersect(Restriction(p, 0))
 		for trial := 0; trial < 30; trial++ {
 			v0 := lo + r.Float64()*b.Width()
 			v1 := r.Float64()*20 - 10
-			if p.EvalExact([]float64{v0, v1}) {
-				if !ok {
-					// ShrinkBound said no contribution possible, yet the
-					// predicate held — unsound.
-					return false
-				}
-				if !shrunk.Contains(v0) {
-					return false
-				}
+			// An empty shrunk bound says no contribution is possible; the
+			// predicate holding would make that unsound.
+			if p.EvalExact([]float64{v0, v1}) && !shrunk.Contains(v0) {
+				return false
 			}
 		}
 		return true

@@ -31,6 +31,12 @@ func highTrafficPred(s *relation.Schema) Expr {
 	return NewCmp(Column(tr, "traffic"), Gt, Const(100))
 }
 
+// figure2Tuple returns a copy of the Figure 2 tuple with the given key.
+func figure2Tuple(key int64) *relation.Tuple {
+	tu, _ := workload.Figure2Store().Get(key)
+	return &tu
+}
+
 func TestOpString(t *testing.T) {
 	ops := map[Op]string{Lt: "<", Le: "<=", Gt: ">", Ge: ">=", Eq: "=", Ne: "<>"}
 	for op, want := range ops {
@@ -42,19 +48,18 @@ func TestOpString(t *testing.T) {
 
 func TestCmpEvalAgainstBounds(t *testing.T) {
 	s := workload.LinkSchema()
-	tab := workload.Figure2Table()
 	lat := s.MustLookup(workload.ColLatency)
 	p := NewCmp(Column(lat, "latency"), Gt, Const(10))
 	// Tuple 3 has latency [12,16]: certainly > 10.
-	if got := p.Eval(tab.At(tab.ByKey(3))); got != interval.True {
+	if got := p.Eval(figure2Tuple(3)); got != interval.True {
 		t.Errorf("tuple 3: %v", got)
 	}
 	// Tuple 1 has latency [2,4]: certainly not > 10.
-	if got := p.Eval(tab.At(tab.ByKey(1))); got != interval.False {
+	if got := p.Eval(figure2Tuple(1)); got != interval.False {
 		t.Errorf("tuple 1: %v", got)
 	}
 	// Tuple 4 has latency [9,11]: unknown.
-	if got := p.Eval(tab.At(tab.ByKey(4))); got != interval.Unknown {
+	if got := p.Eval(figure2Tuple(4)); got != interval.Unknown {
 		t.Errorf("tuple 4: %v", got)
 	}
 }
@@ -63,7 +68,6 @@ func TestFigure7ClassificationBeforeRefresh(t *testing.T) {
 	// The paper's Figure 7 lists, for each of three predicates, the
 	// classification of tuples 1–6 before refresh.
 	s := workload.LinkSchema()
-	tab := workload.Figure2Table()
 	cases := []struct {
 		name string
 		p    Expr
@@ -87,7 +91,7 @@ func TestFigure7ClassificationBeforeRefresh(t *testing.T) {
 	}
 	for _, c := range cases {
 		for key, want := range c.want {
-			got := ClassifyTuple(c.p, tab.At(tab.ByKey(key)))
+			got := ClassifyTuple(c.p, figure2Tuple(key))
 			if got != want {
 				t.Errorf("%s tuple %d: got %v, want %v", c.name, key, got, want)
 			}
@@ -98,10 +102,9 @@ func TestFigure7ClassificationBeforeRefresh(t *testing.T) {
 func TestFigure7ClassificationAfterRefresh(t *testing.T) {
 	// After refreshing every tuple to its master values, classification
 	// must match Figure 7's "after refresh" columns (all T+ or T−).
-	tab := workload.Figure2Table()
-	master := workload.Figure2Master()
-	for i := 0; i < tab.Len(); i++ {
-		if err := tab.Refresh(i, master[tab.At(i).Key]); err != nil {
+	tab := workload.Figure2Store()
+	for key, vals := range workload.Figure2Master() {
+		if _, err := tab.Refresh(key, vals); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -116,7 +119,8 @@ func TestFigure7ClassificationAfterRefresh(t *testing.T) {
 	}
 	for _, c := range cases {
 		for key, want := range c.want {
-			got := ClassifyTuple(c.p, tab.At(tab.ByKey(key)))
+			tu, _ := tab.Get(key)
+			got := ClassifyTuple(c.p, &tu)
 			if got != want {
 				t.Errorf("%s tuple %d after refresh: got %v, want %v", c.p, key, got, want)
 			}
@@ -125,29 +129,22 @@ func TestFigure7ClassificationAfterRefresh(t *testing.T) {
 }
 
 func TestClassifyPartition(t *testing.T) {
-	tab := workload.Figure2Table()
-	p := highTrafficPred(tab.Schema())
-	c := Classify(tab, p)
-	if len(c.Plus)+len(c.Maybe)+len(c.Minus) != tab.Len() {
-		t.Fatalf("partition sizes %d+%d+%d != %d",
-			len(c.Plus), len(c.Maybe), len(c.Minus), tab.Len())
+	p := highTrafficPred(workload.LinkSchema())
+	counts := map[Class]int{}
+	for _, r := range workload.Figure2() {
+		counts[ClassifyTuple(p, figure2Tuple(r.Key))]++
 	}
-	if len(c.Plus) != 2 || len(c.Maybe) != 4 || len(c.Minus) != 0 {
+	if counts[Plus] != 2 || counts[Maybe] != 4 || counts[Minus] != 0 {
 		t.Errorf("traffic>100 partition = +%d ?%d -%d, want +2 ?4 -0",
-			len(c.Plus), len(c.Maybe), len(c.Minus))
-	}
-	if c.PossibleCount() != 6 {
-		t.Errorf("PossibleCount = %d", c.PossibleCount())
+			counts[Plus], counts[Maybe], counts[Minus])
 	}
 }
 
 func TestLogicalConnectives(t *testing.T) {
-	tab := workload.Figure2Table()
-	s := tab.Schema()
-	lat := s.MustLookup(workload.ColLatency)
+	lat := workload.LinkSchema().MustLookup(workload.ColLatency)
 	lt10 := NewCmp(Column(lat, "latency"), Lt, Const(10))
 	// Tuple 4 latency [9,11] → Unknown; NOT Unknown = Unknown.
-	tu := tab.At(tab.ByKey(4))
+	tu := figure2Tuple(4)
 	if got := NewNot(lt10).Eval(tu); got != interval.Unknown {
 		t.Errorf("NOT unknown = %v", got)
 	}

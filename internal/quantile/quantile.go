@@ -34,63 +34,53 @@ import (
 )
 
 // KthSmallest computes the bounded k-th smallest value (1-based) of the
-// given column over all tuples of the table. It returns Empty when
-// k is out of range.
-func KthSmallest(t *relation.Table, col int, k int) interval.Interval {
-	n := t.Len()
+// given column over all tuples of the store. It returns Empty when k is
+// out of range.
+func KthSmallest(st *relation.Store, col int, k int) interval.Interval {
+	return kthSmallest(tuples(st), col, k)
+}
+
+// Median computes the bounded median: the ⌈n/2⌉-th smallest value, the
+// convention of [FMP+00] for odd and even n alike.
+func Median(st *relation.Store, col int) interval.Interval {
+	return KthSmallest(st, col, (st.Len()+1)/2)
+}
+
+// TopN computes the bounded n-th largest value, i.e. the (N−n+1)-th
+// smallest over a store of N tuples.
+func TopN(st *relation.Store, col int, n int) interval.Interval {
+	return KthSmallest(st, col, st.Len()-n+1)
+}
+
+// tuples returns copies of the store's tuples in ascending key order, the
+// order every scan here uses: ties between equally cheap refresh
+// candidates then depend only on the tuple set, not on the store's layout.
+func tuples(st *relation.Store) []relation.Tuple {
+	keys := st.SortedKeys()
+	out := make([]relation.Tuple, 0, len(keys))
+	for _, key := range keys {
+		if tu, ok := st.Get(key); ok {
+			out = append(out, tu)
+		}
+	}
+	return out
+}
+
+// kthSmallest is KthSmallest over a tuple snapshot.
+func kthSmallest(ts []relation.Tuple, col int, k int) interval.Interval {
+	n := len(ts)
 	if k < 1 || k > n {
 		return interval.Empty
 	}
 	los := make([]float64, n)
 	his := make([]float64, n)
-	for i := 0; i < n; i++ {
-		b := t.At(i).Bounds[col]
-		los[i] = b.Lo
-		his[i] = b.Hi
+	for i := range ts {
+		los[i] = ts[i].Bounds[col].Lo
+		his[i] = ts[i].Bounds[col].Hi
 	}
 	sort.Float64s(los)
 	sort.Float64s(his)
 	return interval.Interval{Lo: los[k-1], Hi: his[k-1]}
-}
-
-// Median computes the bounded median: the ⌈n/2⌉-th smallest value, the
-// convention of [FMP+00] for odd and even n alike.
-func Median(t *relation.Table, col int) interval.Interval {
-	return KthSmallest(t, col, (t.Len()+1)/2)
-}
-
-// TopN computes the bounded n-th largest value, i.e. the (N−n+1)-th
-// smallest over a table of N tuples.
-func TopN(t *relation.Table, col int, n int) interval.Interval {
-	return KthSmallest(t, col, t.Len()-n+1)
-}
-
-// ExactKth computes the precise k-th smallest from master values (bounded
-// columns in schema order), the ground truth for tests.
-func ExactKth(t *relation.Table, col int, k int, master map[int64][]float64) (float64, bool) {
-	n := t.Len()
-	if k < 1 || k > n {
-		return 0, false
-	}
-	schema := t.Schema()
-	bcols := schema.BoundedColumns()
-	pos := -1
-	for j, c := range bcols {
-		if c == col {
-			pos = j
-		}
-	}
-	vals := make([]float64, 0, n)
-	for i := 0; i < n; i++ {
-		tu := t.At(i)
-		if pos >= 0 {
-			vals = append(vals, master[tu.Key][pos])
-		} else {
-			vals = append(vals, tu.Bounds[col].Lo)
-		}
-	}
-	sort.Float64s(vals)
-	return vals[k-1], true
 }
 
 // Result reports an order-statistic query execution.
@@ -108,64 +98,66 @@ type Result struct {
 }
 
 // ExecuteKth runs the iterative bounded k-th smallest query: refresh the
-// cheapest tuple overlapping the current answer interval until the width
-// is at most r.
-func ExecuteKth(t *relation.Table, col int, k int, r float64, oracle query.Oracle) (Result, error) {
+// cheapest tuple overlapping the current answer interval (the smallest
+// key among equally cheap ones) until the width is at most r.
+func ExecuteKth(st *relation.Store, col int, k int, r float64, oracle query.Oracle) (Result, error) {
 	if r < 0 || math.IsNaN(r) {
 		return Result{}, fmt.Errorf("quantile: invalid precision constraint %g", r)
 	}
-	if k < 1 || k > t.Len() {
-		return Result{}, fmt.Errorf("quantile: k=%d out of range for %d tuples", k, t.Len())
+	ts := tuples(st)
+	if k < 1 || k > len(ts) {
+		return Result{}, fmt.Errorf("quantile: k=%d out of range for %d tuples", k, len(ts))
 	}
 	var res Result
-	res.Initial = KthSmallest(t, col, k)
+	res.Initial = kthSmallest(ts, col, k)
 	res.Answer = res.Initial
 	refreshed := make(map[int64]bool)
 	for res.Answer.Width() > r+1e-12 {
 		// Candidates: unrefreshed tuples with nonzero width overlapping
 		// the answer interval. Refreshing anything else cannot move
 		// either endpoint of the k-th order statistic.
-		best := -1
-		bestCost := math.Inf(1)
-		for i := 0; i < t.Len(); i++ {
-			tu := t.At(i)
+		var best *relation.Tuple
+		for i := range ts {
+			tu := &ts[i]
 			if refreshed[tu.Key] || tu.Bounds[col].Width() == 0 {
 				continue
 			}
 			if !tu.Bounds[col].Intersects(res.Answer) {
 				continue
 			}
-			if tu.Cost < bestCost {
-				best, bestCost = i, tu.Cost
+			if best == nil || tu.Cost < best.Cost {
+				best = tu
 			}
 		}
-		if best < 0 {
+		if best == nil {
 			// No overlapping uncertain tuple remains, yet the width
 			// exceeds r: impossible, because with every overlapping bound
 			// a point the k-th smallest of Lo's equals that of Hi's.
 			return res, fmt.Errorf("quantile: stalled at width %g > %g", res.Answer.Width(), r)
 		}
-		tu := t.At(best)
 		if oracle == nil {
-			return res, fmt.Errorf("quantile: no oracle to refresh tuple %d", tu.Key)
+			return res, fmt.Errorf("quantile: no oracle to refresh tuple %d", best.Key)
 		}
-		vals, ok := oracle.Master(tu.Key)
+		vals, ok := oracle.Master(best.Key)
 		if !ok {
-			return res, fmt.Errorf("quantile: oracle missing key %d", tu.Key)
+			return res, fmt.Errorf("quantile: oracle missing key %d", best.Key)
 		}
-		if err := t.Refresh(best, vals); err != nil {
+		if present, err := st.Refresh(best.Key, vals); err != nil {
 			return res, err
+		} else if !present {
+			return res, fmt.Errorf("quantile: key %d left the store", best.Key)
 		}
-		refreshed[tu.Key] = true
+		refreshed[best.Key] = true
 		res.Refreshed++
-		res.RefreshCost += bestCost
-		res.Answer = KthSmallest(t, col, k)
+		res.RefreshCost += best.Cost
+		ts = tuples(st)
+		res.Answer = kthSmallest(ts, col, k)
 	}
 	res.Met = true
 	return res, nil
 }
 
 // ExecuteMedian runs the iterative bounded median query.
-func ExecuteMedian(t *relation.Table, col int, r float64, oracle query.Oracle) (Result, error) {
-	return ExecuteKth(t, col, (t.Len()+1)/2, r, oracle)
+func ExecuteMedian(st *relation.Store, col int, r float64, oracle query.Oracle) (Result, error) {
+	return ExecuteKth(st, col, (st.Len()+1)/2, r, oracle)
 }

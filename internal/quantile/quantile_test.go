@@ -2,6 +2,7 @@ package quantile
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -10,11 +11,36 @@ import (
 	"trapp/internal/workload"
 )
 
-func fig2Latency(t *testing.T) (*relation.Table, int, workload.MapOracle) {
+func fig2Latency(t *testing.T) (*relation.Store, int, workload.MapOracle) {
 	t.Helper()
-	tab := workload.Figure2Table()
+	tab := workload.Figure2Store()
 	col := tab.Schema().MustLookup(workload.ColLatency)
 	return tab, col, workload.MapOracle(workload.Figure2Master())
+}
+
+// ExactKth computes the precise k-th smallest from master values (bounded
+// columns in schema order), the ground truth for the bounded answers.
+func ExactKth(st *relation.Store, col int, k int, master map[int64][]float64) (float64, bool) {
+	ts := tuples(st)
+	if k < 1 || k > len(ts) {
+		return 0, false
+	}
+	pos := -1
+	for j, c := range st.Schema().BoundedColumns() {
+		if c == col {
+			pos = j
+		}
+	}
+	vals := make([]float64, 0, len(ts))
+	for _, tu := range ts {
+		if pos >= 0 {
+			vals = append(vals, master[tu.Key][pos])
+		} else {
+			vals = append(vals, tu.Bounds[col].Lo)
+		}
+	}
+	sort.Float64s(vals)
+	return vals[k-1], true
 }
 
 func TestKthSmallestBounds(t *testing.T) {
@@ -91,7 +117,7 @@ func TestExecuteMedianMeetsConstraint(t *testing.T) {
 	if !res.Met || res.Answer.Width() > 1+1e-9 {
 		t.Fatalf("median not met: %v", res.Answer)
 	}
-	exact, _ := ExactKth(workload.Figure2Table(), col, 3, master)
+	exact, _ := ExactKth(workload.Figure2Store(), col, 3, master)
 	if !res.Answer.Expand(1e-9).Contains(exact) {
 		t.Errorf("median answer %v excludes exact %g", res.Answer, exact)
 	}
@@ -133,7 +159,7 @@ func TestQuickKthSoundAndRefreshable(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 1 + r.Intn(20)
-		tab := relation.NewTable(schema)
+		tab := relation.NewStore(schema, 1)
 		master := workload.MapOracle{}
 		for i := 0; i < n; i++ {
 			lo := r.Float64()*100 - 50
@@ -152,7 +178,7 @@ func TestQuickKthSoundAndRefreshable(t *testing.T) {
 			return false
 		}
 		R := r.Float64() * 10
-		res, err := ExecuteKth(tab.Clone(), 0, k, R, master)
+		res, err := ExecuteKth(tab, 0, k, R, master)
 		if err != nil || !res.Met {
 			return false
 		}

@@ -8,7 +8,6 @@ import (
 	"trapp/internal/predicate"
 	"trapp/internal/query"
 	"trapp/internal/refresh"
-	"trapp/internal/relation"
 	"trapp/internal/workload"
 )
 
@@ -17,8 +16,8 @@ import (
 // minimum-cost refresh set {1, 3, 5, 6} and returns [8, 9].
 func ExampleProcessor_ExecuteCtx() {
 	proc := query.NewProcessor(refresh.Options{Solver: refresh.SolverExactDP})
-	table := workload.Figure2Table()
-	proc.RegisterStore("links", relation.StoreOf(table), workload.MapOracle(workload.Figure2Master()))
+	table := workload.Figure2Store()
+	proc.RegisterStore("links", table, workload.MapOracle(workload.Figure2Master()))
 
 	s := table.Schema()
 	q := query.NewQuery("links", aggregate.Avg, workload.ColLatency)
@@ -41,7 +40,7 @@ func ExampleProcessor_ExecuteCtx() {
 // group independently meeting the precision constraint.
 func ExampleProcessor_ExecuteGroupBy() {
 	proc := query.NewProcessor(refresh.Options{})
-	proc.RegisterStore("links", relation.StoreOf(workload.Figure2Table()), workload.MapOracle(workload.Figure2Master()))
+	proc.RegisterStore("links", workload.Figure2Store(), workload.MapOracle(workload.Figure2Master()))
 
 	q := query.NewQuery("links", aggregate.Sum, workload.ColLatency)
 	q.Within = 0

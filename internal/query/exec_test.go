@@ -93,7 +93,7 @@ func TestCancellationMidRefreshReturnsBestAchieved(t *testing.T) {
 	defer cancel()
 	p := NewProcessor(refresh.Options{Solver: refresh.SolverExactDP})
 	oracle := &cancelingOracle{inner: workload.MapOracle(workload.Figure2Master()), cancel: cancel, after: 2}
-	p.RegisterStore("links", relation.StoreOf(workload.Figure2Table()), oracle)
+	p.RegisterStore("links", workload.Figure2Store(), oracle)
 
 	q := NewQuery("links", aggregate.Sum, workload.ColLatency)
 	q.Within = 0 // precise: plan refreshes all six tuples
@@ -275,7 +275,7 @@ func TestExecuteBatchDedupesSharedRefreshes(t *testing.T) {
 	fetches := 0
 	p := NewProcessor(refresh.Options{Solver: refresh.SolverExactDP})
 	oracle := countingOracle{inner: workload.MapOracle(workload.Figure2Master()), n: &fetches}
-	p.RegisterStore("links", relation.StoreOf(workload.Figure2Table()), oracle)
+	p.RegisterStore("links", workload.Figure2Store(), oracle)
 	results, err := p.ExecuteBatch(context.Background(), qs)
 	if err != nil {
 		t.Fatal(err)

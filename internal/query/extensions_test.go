@@ -219,8 +219,8 @@ func TestQuickIterativeNeverCostsMoreThanBatch(t *testing.T) {
 		)
 		n := 2 + r.Intn(12)
 		master := workload.MapOracle{}
-		build := func() *relation.Table {
-			tab := relation.NewTable(schema)
+		build := func() *relation.Store {
+			tab := relation.NewStore(schema, 1)
 			rr := rand.New(rand.NewSource(seed))
 			for i := 0; i < n; i++ {
 				lo := rr.Float64() * 50
@@ -238,7 +238,7 @@ func TestQuickIterativeNeverCostsMoreThanBatch(t *testing.T) {
 		R := r.Float64() * 20
 
 		bp := NewProcessor(refresh.Options{})
-		bp.RegisterStore("t", relation.StoreOf(build()), master)
+		bp.RegisterStore("t", build(), master)
 		q := NewQuery("t", fn, "v")
 		q.Within = R
 		batch, err := bp.ExecuteCtx(context.Background(), q)
@@ -246,7 +246,7 @@ func TestQuickIterativeNeverCostsMoreThanBatch(t *testing.T) {
 			return false
 		}
 		ip := NewProcessor(refresh.Options{})
-		ip.RegisterStore("t", relation.StoreOf(build()), master)
+		ip.RegisterStore("t", build(), master)
 		iter, err := ip.ExecuteIterative(q)
 		if err != nil || !iter.Met {
 			return false

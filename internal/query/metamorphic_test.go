@@ -1,8 +1,8 @@
 package query
 
 // Property-based metamorphic tests over randomized tables and queries,
-// run against every physical store layout (flat table, one-shard store,
-// and sharded stores). Two properties anchor the paper's contract:
+// run against every physical store layout (one-shard stores filled in
+// row order and in reverse, and sharded stores). Two properties anchor the paper's contract:
 //
 //   - Soundness: every returned interval contains the exact answer
 //     computed from the master values — at every precision constraint,
@@ -19,6 +19,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"trapp/internal/aggregate"
@@ -90,18 +91,11 @@ var layouts = []struct {
 	name  string
 	build func(rows []metaRow, opts refresh.Options) *Processor
 }{
+	// "flat" is the single-lock layout filled in reverse row order.
 	{"flat", func(rows []metaRow, opts refresh.Options) *Processor {
-		p := NewProcessor(opts)
-		t := relation.NewTable(metaSchema())
-		for _, r := range rows {
-			t.MustInsert(relation.Tuple{
-				Key:    r.key,
-				Bounds: []interval.Interval{interval.Point(r.g), r.bv, r.bw},
-				Cost:   r.cost,
-			})
-		}
-		p.RegisterStore("m", relation.StoreOf(t), oracleOf(rows))
-		return p
+		rev := slices.Clone(rows)
+		slices.Reverse(rev)
+		return storeLayout(1)(rev, opts)
 	}},
 	{"store-1", storeLayout(1)},
 	{"store-4", storeLayout(4)},

@@ -256,8 +256,7 @@ func (p *Processor) Metrics() *obs.EngineMetrics { return p.metrics }
 // (nil is allowed for tables queried only in imprecise mode). The store's
 // per-shard locks are shared with whatever other component mutates it
 // (the cache applying source pushes): scans take shard read locks,
-// installs write-lock only the shards owning refreshed keys. A flat
-// table is a one-shard store (relation.StoreOf).
+// installs write-lock only the shards owning refreshed keys.
 func (p *Processor) RegisterStore(name string, st *relation.Store, o Oracle) {
 	p.Attach(name, &storeEntry{proc: p, store: st, oracle: o, plans: newPlanCache()})
 }

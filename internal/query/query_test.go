@@ -17,7 +17,7 @@ import (
 // paper's master values as the oracle.
 func newFig2Processor() *Processor {
 	p := NewProcessor(refresh.Options{Solver: refresh.SolverExactDP})
-	p.RegisterStore("links", relation.StoreOf(workload.Figure2Table()), workload.MapOracle(workload.Figure2Master()))
+	p.RegisterStore("links", workload.Figure2Store(), workload.MapOracle(workload.Figure2Master()))
 	return p
 }
 
@@ -158,7 +158,7 @@ func TestExecuteErrors(t *testing.T) {
 
 func TestExecuteNoOracle(t *testing.T) {
 	p := NewProcessor(refresh.Options{})
-	p.RegisterStore("links", relation.StoreOf(workload.Figure2Table()), nil)
+	p.RegisterStore("links", workload.Figure2Store(), nil)
 	q := NewQuery("links", aggregate.Sum, workload.ColLatency)
 	q.Within = 1
 	if _, err := p.ExecuteCtx(context.Background(), q); err == nil {
@@ -240,7 +240,7 @@ func (b *batchOracle) Refresh(_ context.Context, keys []int64) (relation.Refresh
 // the whole plan through one Refresh round when the oracle supports it,
 // and that the answer matches the sequential per-key path.
 func TestExecuteUsesRefresher(t *testing.T) {
-	st := relation.StoreOf(workload.Figure2Table())
+	st := workload.Figure2Store()
 	bo := &batchOracle{m: workload.MapOracle(workload.Figure2Master()), st: st}
 	p := NewProcessor(refresh.Options{Solver: refresh.SolverExactDP})
 	p.RegisterStore("links", st, bo)

@@ -15,11 +15,7 @@ import (
 // stockStoreWithIndexes loads a stock day into a store with nshards
 // shards plus lower/upper endpoint indexes over price.
 func stockStoreWithIndexes(n int, nshards int, seed int64) (*relation.Store, *relation.ShardedIndex, *relation.ShardedIndex, int) {
-	flat := workload.StockTable(workload.StockDay(n, seed))
-	st := relation.NewStore(flat.Schema(), nshards)
-	for i := 0; i < flat.Len(); i++ {
-		st.MustInsert(flat.At(i).Clone())
-	}
+	st := clone(workload.StockStore(workload.StockDay(n, seed)), nshards)
 	price := st.Schema().MustLookup("price")
 	lower := relation.NewShardedIndex(st, price, relation.LowerEndpoint)
 	upper := relation.NewShardedIndex(st, price, relation.UpperEndpoint)
@@ -141,10 +137,10 @@ func TestQuickIndexedEqualsScan(t *testing.T) {
 }
 
 // TestChooseIndexedStoreMatchesFlat checks the indexed MIN/MAX planners
-// select the same key sets at equal cost over the flat single-shard
-// layout (relation.StoreOf) and an 8-shard store holding the same tuples.
+// select the same key sets at equal cost over a one-shard store and an
+// 8-shard store holding the same tuples.
 func TestChooseIndexedStoreMatchesFlat(t *testing.T) {
-	flat := relation.StoreOf(workload.StockTable(workload.StockDay(90, 7)))
+	flat := workload.StockStore(workload.StockDay(90, 7))
 	price := flat.Schema().MustLookup("price")
 	flatLower := relation.NewShardedIndex(flat, price, relation.LowerEndpoint)
 	flatUpper := relation.NewShardedIndex(flat, price, relation.UpperEndpoint)

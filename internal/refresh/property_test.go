@@ -12,14 +12,14 @@ import (
 	"trapp/internal/relation"
 )
 
-// randTable builds a random table with two bounded columns: column 0 is
-// aggregated, column 1 is the predicate column.
-func randTable(r *rand.Rand, n int, allowNegative bool) *relation.Table {
+// randTable builds a random one-shard store with two bounded columns:
+// column 0 is aggregated, column 1 is the predicate column.
+func randTable(r *rand.Rand, n int, allowNegative bool) *relation.Store {
 	s := relation.NewSchema(
 		relation.Column{Name: "v", Kind: relation.Bounded},
 		relation.Column{Name: "w", Kind: relation.Bounded},
 	)
-	tab := relation.NewTable(s)
+	tab := relation.NewStore(s, 1)
 	for i := 0; i < n; i++ {
 		mk := func() interval.Interval {
 			lo := r.Float64() * 50
@@ -44,14 +44,13 @@ func randTable(r *rand.Rand, n int, allowNegative bool) *relation.Table {
 // adversarialMasters yields several master-value assignments within the
 // current bounds: all-low, all-high, and random mixtures — the extremes
 // that the CHOOSE_REFRESH guarantee must survive.
-func adversarialMasters(r *rand.Rand, tab *relation.Table, trials int) []map[int64][]float64 {
-	n := tab.Len()
+func adversarialMasters(r *rand.Rand, tab *relation.Store, trials int) []map[int64][]float64 {
 	out := make([]map[int64][]float64, 0, trials+2)
 	mk := func(pickVal func(b interval.Interval) float64) map[int64][]float64 {
-		m := make(map[int64][]float64, n)
-		for i := 0; i < n; i++ {
-			tu := tab.At(i)
-			m[tu.Key] = []float64{pickVal(tu.Bounds[0]), pickVal(tu.Bounds[1])}
+		m := make(map[int64][]float64, tab.Len())
+		for _, key := range tab.SortedKeys() {
+			tu, _ := tab.Get(key)
+			m[key] = []float64{pickVal(tu.Bounds[0]), pickVal(tu.Bounds[1])}
 		}
 		return m
 	}
@@ -96,21 +95,21 @@ func randSimplePred(r *rand.Rand) predicate.Expr {
 // master values yields a bounded answer of width ≤ R. For AVG with a
 // predicate the paper's algorithm guarantees the constraint for the loose
 // (section 6.4.1) bound, which also caps the tight bound.
-func checkGuarantee(t *testing.T, tab *relation.Table, plan Plan,
+func checkGuarantee(t *testing.T, tab *relation.Store, plan Plan,
 	fn aggregate.Func, p predicate.Expr, r float64, master map[int64][]float64) bool {
 	t.Helper()
-	work := tab.Clone()
+	work := clone(tab, 1)
 	for _, key := range plan.Keys {
-		i := work.ByKey(key)
-		if err := work.Refresh(i, master[key]); err != nil {
+		if _, err := work.Refresh(key, master[key]); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var got interval.Interval
 	if fn == aggregate.Avg && !predicate.IsTrivial(p) {
-		got = aggregate.EvalLooseAvg(work, 0, p)
+		inputs, n := aggregate.CollectStore(work, 0, p, true, 1)
+		got = aggregate.EvalLooseAvgInputs(inputs, false, n)
 	} else {
-		got = aggregate.Eval(work, 0, fn, p)
+		got = eval(work, 0, fn, p)
 	}
 	if got.IsEmpty() {
 		return true // exactly-empty selection: nothing to bound
@@ -132,7 +131,7 @@ func TestQuickChooseRefreshGuarantee(t *testing.T) {
 		fn := fns[r.Intn(len(fns))]
 		solver := solvers[r.Intn(len(solvers))]
 		R := r.Float64() * 30
-		plan, err := Choose(tab, 0, fn, p, R, Options{Solver: solver})
+		plan, err := ChooseStore(tab, 0, fn, p, R, Options{Solver: solver})
 		if err != nil {
 			t.Logf("seed %d: Choose error %v", seed, err)
 			return false
@@ -160,7 +159,7 @@ func TestQuickMinRefreshSetNecessary(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		tab := randTable(r, 2+r.Intn(10), false)
 		R := r.Float64() * 20
-		plan, err := Choose(tab, 0, aggregate.Min, nil, R, Options{})
+		plan, err := ChooseStore(tab, 0, aggregate.Min, nil, R, Options{})
 		if err != nil {
 			return false
 		}
@@ -169,18 +168,17 @@ func TestQuickMinRefreshSetNecessary(t *testing.T) {
 		// tuples' values to their upper bounds and the dropped tuple
 		// remains at its cached bound.
 		for _, drop := range plan.Keys {
-			work := tab.Clone()
+			work := clone(tab, 1)
 			for _, key := range plan.Keys {
 				if key == drop {
 					continue
 				}
-				i := work.ByKey(key)
-				tu := work.At(i)
-				if err := work.Refresh(i, []float64{tu.Bounds[0].Hi, tu.Bounds[1].Hi}); err != nil {
+				tu, _ := work.Get(key)
+				if _, err := work.Refresh(key, []float64{tu.Bounds[0].Hi, tu.Bounds[1].Hi}); err != nil {
 					return false
 				}
 			}
-			got := aggregate.Eval(work, 0, aggregate.Min, nil)
+			got := eval(work, 0, aggregate.Min, nil)
 			if got.Width() <= R-1e-9 {
 				// Guarantee held without refreshing `drop` even in the
 				// adversarial case — only possible if another refreshed
@@ -209,18 +207,23 @@ func TestQuickCountPlanSize(t *testing.T) {
 		tab := randTable(r, 1+r.Intn(20), false)
 		p := predicate.NewCmp(predicate.Column(1, "w"), predicate.Gt, predicate.Const(r.Float64()*50))
 		R := float64(r.Intn(10))
-		cls := predicate.Classify(tab, p)
-		plan, err := Choose(tab, 0, aggregate.Count, p, R, Options{})
+		var maybes []relation.Tuple
+		for _, key := range tab.SortedKeys() {
+			if tu, _ := tab.Get(key); predicate.ClassifyTuple(p, &tu) == predicate.Maybe {
+				maybes = append(maybes, tu)
+			}
+		}
+		plan, err := ChooseStore(tab, 0, aggregate.Count, p, R, Options{})
 		if err != nil {
 			return false
 		}
-		want := int(math.Ceil(float64(len(cls.Maybe)) - R))
+		want := int(math.Ceil(float64(len(maybes)) - R))
 		if want < 0 {
 			want = 0
 		}
 		if plan.Len() != want {
 			t.Logf("seed %d: plan size %d, want %d (|T?|=%d R=%g)",
-				seed, plan.Len(), want, len(cls.Maybe), R)
+				seed, plan.Len(), want, len(maybes), R)
 			return false
 		}
 		// No unchosen T? tuple may be strictly cheaper than a chosen one.
@@ -228,12 +231,11 @@ func TestQuickCountPlanSize(t *testing.T) {
 		maxChosen := 0.0
 		for _, k := range plan.Keys {
 			chosen[k] = true
-			if c := tab.At(tab.ByKey(k)).Cost; c > maxChosen {
-				maxChosen = c
+			if tu, _ := tab.Get(k); tu.Cost > maxChosen {
+				maxChosen = tu.Cost
 			}
 		}
-		for _, i := range cls.Maybe {
-			tu := tab.At(i)
+		for _, tu := range maybes {
 			if !chosen[tu.Key] && tu.Cost < maxChosen-1e-9 && plan.Len() > 0 {
 				// A cheaper tuple was skipped only if ties made the choice
 				// ambiguous; strict inequality is a bug.
@@ -256,7 +258,7 @@ func TestQuickSumResidualWidth(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		tab := randTable(r, 1+r.Intn(20), true)
 		R := r.Float64() * 40
-		plan, err := Choose(tab, 0, aggregate.Sum, nil, R, Options{})
+		plan, err := ChooseStore(tab, 0, aggregate.Sum, nil, R, Options{})
 		if err != nil {
 			return false
 		}
@@ -265,9 +267,8 @@ func TestQuickSumResidualWidth(t *testing.T) {
 			refreshed[k] = true
 		}
 		var residual float64
-		for i := 0; i < tab.Len(); i++ {
-			tu := tab.At(i)
-			if !refreshed[tu.Key] {
+		for _, key := range tab.SortedKeys() {
+			if tu, _ := tab.Get(key); !refreshed[key] {
 				residual += tu.Bounds[0].Width()
 			}
 		}

@@ -78,8 +78,8 @@ type Options struct {
 	Solver Solver
 	// Parallelism is the worker count for shard-parallel aggregation and
 	// CHOOSE_REFRESH scans over sharded stores; 0 means GOMAXPROCS and 1
-	// forces serial scans. Flat (unsharded) tables are always scanned
-	// serially.
+	// forces serial scans. A store never uses more workers than it has
+	// shards.
 	Parallelism int
 }
 
@@ -96,7 +96,8 @@ func (o Options) epsilon() float64 {
 
 // Plan is a chosen refresh set.
 type Plan struct {
-	// Indexes are table positions of the tuples to refresh, ascending.
+	// Indexes are the chosen inputs' positions (aggregate.Input.Index),
+	// ascending.
 	Indexes []int
 	// Keys are the corresponding object keys.
 	Keys []int64
@@ -132,26 +133,13 @@ func (p Plan) Describe() string {
 // extensions such as joins).
 var ErrInfeasible = errors.New("refresh: precision constraint infeasible")
 
-// Choose selects a refresh set for the aggregate over column col of table
-// t under predicate p (nil or TruePred for none) and precision constraint
-// R ≥ 0. R = +Inf always yields an empty plan (pure imprecise mode); R = 0
-// requests an exact answer.
-func Choose(t *relation.Table, col int, fn aggregate.Func, p predicate.Expr, r float64, opts Options) (Plan, error) {
-	if r < 0 || math.IsNaN(r) {
-		return Plan{}, fmt.Errorf("refresh: invalid precision constraint %g", r)
-	}
-	if math.IsInf(r, 1) {
-		return Plan{}, nil
-	}
-	inputs := aggregate.Collect(t, col, p, true)
-	return ChooseFromInputs(inputs, fn, predicate.IsTrivial(p), r, t.Len(), opts)
-}
-
-// ChooseStore is Choose over a sharded store: the classification scan is
+// ChooseStore selects a refresh set for the aggregate over column col of
+// the store under predicate p (nil or TruePred for none) and precision
+// constraint R ≥ 0. R = +Inf always yields an empty plan (pure imprecise
+// mode); R = 0 requests an exact answer. The classification scan is
 // shard-parallel (one worker per shard up to Options.Parallelism, each
 // holding only its shard's read lock) and the collected inputs are in the
-// canonical ascending-key order, so the selected plan is identical to
-// Choose's over a flat table holding the same tuples.
+// canonical order, so the selected plan is identical across shard counts.
 func ChooseStore(st *relation.Store, col int, fn aggregate.Func, p predicate.Expr, r float64, opts Options) (Plan, error) {
 	if r < 0 || math.IsNaN(r) {
 		return Plan{}, fmt.Errorf("refresh: invalid precision constraint %g", r)
@@ -164,7 +152,7 @@ func ChooseStore(st *relation.Store, col int, fn aggregate.Func, p predicate.Exp
 }
 
 // ChooseFromInputs runs refresh selection over pre-collected inputs (see
-// aggregate.Collect). Callers that have already classified the table —
+// aggregate.CollectStore). Callers that have already classified the table —
 // e.g. the query processor, which snapshots inputs under the table read
 // lock and then solves without holding any lock — use this to avoid a
 // second scan. tableLen is the full table cardinality at collection time.

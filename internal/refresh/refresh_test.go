@@ -12,26 +12,41 @@ import (
 )
 
 // pathTable is Figure 2 restricted to the path tuples {1, 2, 5, 6}.
-func pathTable(t *testing.T) *relation.Table {
+func pathTable(t *testing.T) *relation.Store {
 	t.Helper()
-	tab := workload.Figure2Table()
+	tab := workload.Figure2Store()
 	tab.Delete(3)
 	tab.Delete(4)
 	return tab
 }
 
-func col(t *relation.Table, name string) int { return t.Schema().MustLookup(name) }
+func col(t *relation.Store, name string) int { return t.Schema().MustLookup(name) }
 
 // applyPlan refreshes the planned tuples from the Figure 2 master values.
-func applyPlan(t *testing.T, tab *relation.Table, plan Plan) {
+func applyPlan(t *testing.T, tab *relation.Store, plan Plan) {
 	t.Helper()
 	master := workload.Figure2Master()
 	for _, key := range plan.Keys {
-		i := tab.ByKey(key)
-		if err := tab.Refresh(i, master[key]); err != nil {
+		if _, err := tab.Refresh(key, master[key]); err != nil {
 			t.Fatal(err)
 		}
 	}
+}
+
+// eval is the bounded answer over a store.
+func eval(st *relation.Store, col int, fn aggregate.Func, p predicate.Expr) interval.Interval {
+	ans, _ := aggregate.EvalStoreStream(st, col, fn, p)
+	return ans
+}
+
+// clone copies the store's tuples into a new store with nshards shards.
+func clone(st *relation.Store, nshards int) *relation.Store {
+	c := relation.NewStore(st.Schema(), nshards)
+	for _, key := range st.SortedKeys() {
+		tu, _ := st.Get(key)
+		c.MustInsert(tu)
+	}
+	return c
 }
 
 func keysOf(plan Plan) map[int64]bool {
@@ -47,7 +62,7 @@ func TestQ1MinRefreshSet(t *testing.T) {
 	// tuple 5; after refresh the answer is [45, 50].
 	tab := pathTable(t)
 	bw := col(tab, workload.ColBandwidth)
-	plan, err := Choose(tab, bw, aggregate.Min, nil, 10, Options{})
+	plan, err := ChooseStore(tab, bw, aggregate.Min, nil, 10, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +73,7 @@ func TestQ1MinRefreshSet(t *testing.T) {
 		t.Errorf("plan cost = %g, want 4", plan.Cost)
 	}
 	applyPlan(t, tab, plan)
-	got := aggregate.Eval(tab, bw, aggregate.Min, nil)
+	got := eval(tab, bw, aggregate.Min, nil)
 	if !got.Equal(interval.New(45, 50)) {
 		t.Errorf("post-refresh MIN = %v, want [45, 50]", got)
 	}
@@ -70,7 +85,7 @@ func TestQ2SumRefreshSet(t *testing.T) {
 	// answer is [21, 26].
 	tab := pathTable(t)
 	lat := col(tab, workload.ColLatency)
-	plan, err := Choose(tab, lat, aggregate.Sum, nil, 5, Options{Solver: SolverExactDP})
+	plan, err := ChooseStore(tab, lat, aggregate.Sum, nil, 5, Options{Solver: SolverExactDP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +94,7 @@ func TestQ2SumRefreshSet(t *testing.T) {
 		t.Fatalf("plan keys = %v, want {1, 6}", plan.Keys)
 	}
 	applyPlan(t, tab, plan)
-	got := aggregate.Eval(tab, lat, aggregate.Sum, nil)
+	got := eval(tab, lat, aggregate.Sum, nil)
 	if !got.Equal(interval.New(21, 26)) {
 		t.Errorf("post-refresh SUM = %v, want [21, 26]", got)
 	}
@@ -89,9 +104,9 @@ func TestQ3AvgNoPredicate(t *testing.T) {
 	// Section 5.4: Q3 (AVG traffic, all six links) with R=10 computes SUM
 	// with capacity R·COUNT=60, refreshing tuples {5, 6}; the bounded SUM
 	// becomes [618, 678] and AVG [103, 113].
-	tab := workload.Figure2Table()
+	tab := workload.Figure2Store()
 	tr := col(tab, workload.ColTraffic)
-	plan, err := Choose(tab, tr, aggregate.Avg, nil, 10, Options{Solver: SolverExactDP})
+	plan, err := ChooseStore(tab, tr, aggregate.Avg, nil, 10, Options{Solver: SolverExactDP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,15 +115,15 @@ func TestQ3AvgNoPredicate(t *testing.T) {
 		t.Fatalf("plan keys = %v, want {5, 6}", plan.Keys)
 	}
 	applyPlan(t, tab, plan)
-	if got := aggregate.Eval(tab, tr, aggregate.Sum, nil); !got.Equal(interval.New(618, 678)) {
+	if got := eval(tab, tr, aggregate.Sum, nil); !got.Equal(interval.New(618, 678)) {
 		t.Errorf("post-refresh SUM = %v, want [618, 678]", got)
 	}
-	if got := aggregate.Eval(tab, tr, aggregate.Avg, nil); !got.Equal(interval.New(103, 113)) {
+	if got := eval(tab, tr, aggregate.Avg, nil); !got.Equal(interval.New(103, 113)) {
 		t.Errorf("post-refresh AVG = %v, want [103, 113]", got)
 	}
 }
 
-func fastLinks(t *relation.Table) predicate.Expr {
+func fastLinks(t *relation.Store) predicate.Expr {
 	s := t.Schema()
 	return predicate.NewAnd(
 		predicate.NewCmp(predicate.Column(s.MustLookup(workload.ColBandwidth), "bandwidth"), predicate.Gt, predicate.Const(50)),
@@ -116,12 +131,12 @@ func fastLinks(t *relation.Table) predicate.Expr {
 	)
 }
 
-func highLatency(t *relation.Table) predicate.Expr {
+func highLatency(t *relation.Store) predicate.Expr {
 	s := t.Schema()
 	return predicate.NewCmp(predicate.Column(s.MustLookup(workload.ColLatency), "latency"), predicate.Gt, predicate.Const(10))
 }
 
-func highTraffic(t *relation.Table) predicate.Expr {
+func highTraffic(t *relation.Store) predicate.Expr {
 	s := t.Schema()
 	return predicate.NewCmp(predicate.Column(s.MustLookup(workload.ColTraffic), "traffic"), predicate.Gt, predicate.Const(100))
 }
@@ -130,9 +145,9 @@ func TestQ4MinWithPredicate(t *testing.T) {
 	// Section 6.1: Q4 (MIN traffic over fast links) with R=10 refreshes
 	// TR = {5, 6}; both turn out to fail the predicate and the bounded MIN
 	// becomes [95, 105].
-	tab := workload.Figure2Table()
+	tab := workload.Figure2Store()
 	tr := col(tab, workload.ColTraffic)
-	plan, err := Choose(tab, tr, aggregate.Min, fastLinks(tab), 10, Options{})
+	plan, err := ChooseStore(tab, tr, aggregate.Min, fastLinks(tab), 10, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +156,7 @@ func TestQ4MinWithPredicate(t *testing.T) {
 		t.Fatalf("plan keys = %v, want {5, 6}", plan.Keys)
 	}
 	applyPlan(t, tab, plan)
-	got := aggregate.Eval(tab, tr, aggregate.Min, fastLinks(tab))
+	got := eval(tab, tr, aggregate.Min, fastLinks(tab))
 	if !got.Equal(interval.New(95, 105)) {
 		t.Errorf("post-refresh MIN = %v, want [95, 105]", got)
 	}
@@ -150,9 +165,9 @@ func TestQ4MinWithPredicate(t *testing.T) {
 func TestQ5CountWithPredicate(t *testing.T) {
 	// Section 6.3: Q5 (COUNT latency > 10) with R=1 refreshes the single
 	// cheapest T? tuple {5}; it lands in T+ and the COUNT becomes [2, 3].
-	tab := workload.Figure2Table()
+	tab := workload.Figure2Store()
 	lat := col(tab, workload.ColLatency)
-	plan, err := Choose(tab, lat, aggregate.Count, highLatency(tab), 1, Options{})
+	plan, err := ChooseStore(tab, lat, aggregate.Count, highLatency(tab), 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +175,7 @@ func TestQ5CountWithPredicate(t *testing.T) {
 		t.Fatalf("plan keys = %v, want [5]", plan.Keys)
 	}
 	applyPlan(t, tab, plan)
-	got := aggregate.Eval(tab, lat, aggregate.Count, highLatency(tab))
+	got := eval(tab, lat, aggregate.Count, highLatency(tab))
 	if !got.Equal(interval.New(2, 3)) {
 		t.Errorf("post-refresh COUNT = %v, want [2, 3]", got)
 	}
@@ -170,9 +185,9 @@ func TestQ6AvgWithPredicate(t *testing.T) {
 	// Appendix F: Q6 (AVG latency where traffic > 100) with R=2 uses
 	// knapsack capacity M=4; the knapsack keeps {2, 4} so TR = {1, 3, 5, 6},
 	// and the post-refresh AVG is [8, 9].
-	tab := workload.Figure2Table()
+	tab := workload.Figure2Store()
 	lat := col(tab, workload.ColLatency)
-	plan, err := Choose(tab, lat, aggregate.Avg, highTraffic(tab), 2, Options{Solver: SolverExactDP})
+	plan, err := ChooseStore(tab, lat, aggregate.Avg, highTraffic(tab), 2, Options{Solver: SolverExactDP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +196,7 @@ func TestQ6AvgWithPredicate(t *testing.T) {
 		t.Fatalf("plan keys = %v, want {1, 3, 5, 6}", plan.Keys)
 	}
 	applyPlan(t, tab, plan)
-	got := aggregate.Eval(tab, lat, aggregate.Avg, highTraffic(tab))
+	got := eval(tab, lat, aggregate.Avg, highTraffic(tab))
 	if !got.Equal(interval.New(8, 9)) {
 		t.Errorf("post-refresh AVG = %v, want [8, 9]", got)
 	}
@@ -190,9 +205,9 @@ func TestQ6AvgWithPredicate(t *testing.T) {
 func TestMaxSymmetric(t *testing.T) {
 	// MAX latency over the full table with R=3: threshold is
 	// max over T+ of L (=12) + 3 = 15; only tuple 3 (H=16) exceeds it.
-	tab := workload.Figure2Table()
+	tab := workload.Figure2Store()
 	lat := col(tab, workload.ColLatency)
-	plan, err := Choose(tab, lat, aggregate.Max, nil, 3, Options{})
+	plan, err := ChooseStore(tab, lat, aggregate.Max, nil, 3, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,15 +215,15 @@ func TestMaxSymmetric(t *testing.T) {
 		t.Fatalf("plan keys = %v, want [3]", plan.Keys)
 	}
 	applyPlan(t, tab, plan)
-	got := aggregate.Eval(tab, lat, aggregate.Max, nil)
+	got := eval(tab, lat, aggregate.Max, nil)
 	if got.Width() > 3 {
 		t.Errorf("post-refresh MAX width %g > 3 (%v)", got.Width(), got)
 	}
 }
 
 func TestCountNoPredicateNeedsNoRefresh(t *testing.T) {
-	tab := workload.Figure2Table()
-	plan, err := Choose(tab, col(tab, workload.ColLatency), aggregate.Count, nil, 0, Options{})
+	tab := workload.Figure2Store()
+	plan, err := ChooseStore(tab, col(tab, workload.ColLatency), aggregate.Count, nil, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,10 +233,10 @@ func TestCountNoPredicateNeedsNoRefresh(t *testing.T) {
 }
 
 func TestInfiniteRMeansNoRefresh(t *testing.T) {
-	tab := workload.Figure2Table()
+	tab := workload.Figure2Store()
 	lat := col(tab, workload.ColLatency)
 	for _, fn := range []aggregate.Func{aggregate.Min, aggregate.Max, aggregate.Sum, aggregate.Count, aggregate.Avg} {
-		plan, err := Choose(tab, lat, fn, highTraffic(tab), math.Inf(1), Options{})
+		plan, err := ChooseStore(tab, lat, fn, highTraffic(tab), math.Inf(1), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,16 +248,16 @@ func TestInfiniteRMeansNoRefresh(t *testing.T) {
 
 func TestZeroRForcesExactAnswer(t *testing.T) {
 	// R=0 demands an exact answer for every aggregate.
-	tab0 := workload.Figure2Table()
+	tab0 := workload.Figure2Store()
 	lat := col(tab0, workload.ColLatency)
 	for _, fn := range []aggregate.Func{aggregate.Min, aggregate.Max, aggregate.Sum, aggregate.Avg} {
-		tab := workload.Figure2Table()
-		plan, err := Choose(tab, lat, fn, nil, 0, Options{})
+		tab := workload.Figure2Store()
+		plan, err := ChooseStore(tab, lat, fn, nil, 0, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		applyPlan(t, tab, plan)
-		got := aggregate.Eval(tab, lat, fn, nil)
+		got := eval(tab, lat, fn, nil)
 		if got.Width() > 1e-9 {
 			t.Errorf("%v with R=0: width %g (%v)", fn, got.Width(), got)
 		}
@@ -250,11 +265,11 @@ func TestZeroRForcesExactAnswer(t *testing.T) {
 }
 
 func TestNegativeRRejected(t *testing.T) {
-	tab := workload.Figure2Table()
-	if _, err := Choose(tab, 2, aggregate.Sum, nil, -1, Options{}); err == nil {
+	tab := workload.Figure2Store()
+	if _, err := ChooseStore(tab, 2, aggregate.Sum, nil, -1, Options{}); err == nil {
 		t.Error("negative R accepted")
 	}
-	if _, err := Choose(tab, 2, aggregate.Sum, nil, math.NaN(), Options{}); err == nil {
+	if _, err := ChooseStore(tab, 2, aggregate.Sum, nil, math.NaN(), Options{}); err == nil {
 		t.Error("NaN R accepted")
 	}
 }
@@ -264,12 +279,12 @@ func TestSolverOptions(t *testing.T) {
 	lat := col(tab, workload.ColLatency)
 	for _, s := range []Solver{Auto, SolverExactDP, SolverApprox, SolverGreedyUniform, SolverGreedyDensity} {
 		tab2 := pathTable(t)
-		plan, err := Choose(tab2, lat, aggregate.Sum, nil, 5, Options{Solver: s})
+		plan, err := ChooseStore(tab2, lat, aggregate.Sum, nil, 5, Options{Solver: s})
 		if err != nil {
 			t.Fatalf("solver %v: %v", s, err)
 		}
 		applyPlan(t, tab2, plan)
-		got := aggregate.Eval(tab2, lat, aggregate.Sum, nil)
+		got := eval(tab2, lat, aggregate.Sum, nil)
 		if got.Width() > 5+1e-9 {
 			t.Errorf("solver %v: width %g > 5", s, got.Width())
 		}
@@ -294,12 +309,12 @@ func TestAvgPredicateEmptyPlusFallsBack(t *testing.T) {
 	// With no T+ tuples, AVG refresh falls back to refreshing everything
 	// that might contribute, yielding an exact (or exactly undefined)
 	// answer.
-	tab := workload.Figure2Table()
+	tab := workload.Figure2Store()
 	s := tab.Schema()
 	// traffic > 130: only tuple 4 is T?.
 	p := predicate.NewCmp(predicate.Column(s.MustLookup(workload.ColTraffic), "traffic"), predicate.Gt, predicate.Const(130))
 	lat := col(tab, workload.ColLatency)
-	plan, err := Choose(tab, lat, aggregate.Avg, p, 2, Options{})
+	plan, err := ChooseStore(tab, lat, aggregate.Avg, p, 2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +322,7 @@ func TestAvgPredicateEmptyPlusFallsBack(t *testing.T) {
 		t.Fatalf("plan = %v, want [4]", plan.Keys)
 	}
 	applyPlan(t, tab, plan)
-	got := aggregate.Eval(tab, lat, aggregate.Avg, p)
+	got := eval(tab, lat, aggregate.Avg, p)
 	// Tuple 4's true traffic is 127, not > 130, so the selection is empty
 	// and the AVG is exactly undefined.
 	if !got.IsEmpty() {

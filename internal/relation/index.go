@@ -2,7 +2,7 @@ package relation
 
 import "fmt"
 
-// EndpointKind selects which quantity of a bounded column an Index orders.
+// EndpointKind selects which quantity of a bounded column an index orders.
 type EndpointKind int8
 
 const (
@@ -20,12 +20,12 @@ func (k EndpointKind) String() string {
 	return "upper"
 }
 
-// Index is a maintained B-tree over one endpoint quantity of one column of
-// a table, providing the sublinear scans assumed by the paper's complexity
-// analysis (sections 5.1, 6.3, 8.3). The index maps quantity values to
-// tuple keys; after any table mutation the owner must call Update (or
-// Rebuild) to keep it consistent.
-type Index struct {
+// index is a maintained B-tree over one endpoint quantity of one column of
+// a store shard, providing the sublinear scans assumed by the paper's
+// complexity analysis (sections 5.1, 6.3, 8.3). The index maps quantity
+// values to tuple keys; after any table mutation the owner must call
+// Update (or Rebuild) to keep it consistent.
+type index struct {
 	table *Table
 	col   int
 	kind  EndpointKind
@@ -35,16 +35,16 @@ type Index struct {
 	current map[int64]float64
 }
 
-// NewIndex builds an index over the given column and endpoint kind.
-func NewIndex(t *Table, col int, kind EndpointKind) *Index {
-	idx := &Index{table: t, col: col, kind: kind, tree: NewBTree(16),
+// newIndex builds an index over the given column and endpoint kind.
+func newIndex(t *Table, col int, kind EndpointKind) *index {
+	idx := &index{table: t, col: col, kind: kind, tree: NewBTree(16),
 		current: make(map[int64]float64)}
 	idx.Rebuild()
 	return idx
 }
 
 // quantity extracts the indexed quantity from a tuple.
-func (idx *Index) quantity(tu *Tuple) float64 {
+func (idx *index) quantity(tu *Tuple) float64 {
 	if idx.kind == LowerEndpoint {
 		return tu.Bounds[idx.col].Lo
 	}
@@ -52,12 +52,12 @@ func (idx *Index) quantity(tu *Tuple) float64 {
 }
 
 // Rebuild reconstructs the index from scratch in O(n log n).
-func (idx *Index) Rebuild() {
+func (idx *index) Rebuild() {
 	idx.tree = NewBTree(16)
 	for k := range idx.current {
 		delete(idx.current, k)
 	}
-	for i := range idx.table.Tuples() {
+	for i := 0; i < idx.table.Len(); i++ {
 		tu := idx.table.At(i)
 		q := idx.quantity(tu)
 		idx.tree.Insert(q, tu.Key)
@@ -68,7 +68,7 @@ func (idx *Index) Rebuild() {
 // Update refreshes the index entry for the tuple with the given key after
 // its bounds changed, and inserts it if new. It returns an error if the key
 // is not in the table.
-func (idx *Index) Update(key int64) error {
+func (idx *index) Update(key int64) error {
 	i := idx.table.ByKey(key)
 	if i < 0 {
 		return fmt.Errorf("relation: index update for unknown key %d", key)
@@ -83,7 +83,7 @@ func (idx *Index) Update(key int64) error {
 }
 
 // Remove drops the index entry for a deleted tuple.
-func (idx *Index) Remove(key int64) {
+func (idx *index) Remove(key int64) {
 	if old, ok := idx.current[key]; ok {
 		idx.tree.Delete(old, key)
 		delete(idx.current, key)
@@ -91,17 +91,17 @@ func (idx *Index) Remove(key int64) {
 }
 
 // Len returns the number of indexed tuples.
-func (idx *Index) Len() int { return idx.tree.Len() }
+func (idx *index) Len() int { return idx.tree.Len() }
 
 // Min returns the tuple key with the smallest indexed quantity.
-func (idx *Index) Min() (quantity float64, key int64, ok bool) { return idx.tree.Min() }
+func (idx *index) Min() (quantity float64, key int64, ok bool) { return idx.tree.Min() }
 
 // Max returns the tuple key with the largest indexed quantity.
-func (idx *Index) Max() (quantity float64, key int64, ok bool) { return idx.tree.Max() }
+func (idx *index) Max() (quantity float64, key int64, ok bool) { return idx.tree.Max() }
 
 // KeysLess returns the keys of all tuples whose indexed quantity is
 // strictly less than pivot, in ascending quantity order.
-func (idx *Index) KeysLess(pivot float64) []int64 {
+func (idx *index) KeysLess(pivot float64) []int64 {
 	var out []int64
 	idx.tree.AscendLess(pivot, func(_ float64, id int64) bool {
 		out = append(out, id)
@@ -112,7 +112,7 @@ func (idx *Index) KeysLess(pivot float64) []int64 {
 
 // KeysGreater returns the keys of all tuples whose indexed quantity is
 // strictly greater than pivot, in descending quantity order.
-func (idx *Index) KeysGreater(pivot float64) []int64 {
+func (idx *index) KeysGreater(pivot float64) []int64 {
 	var out []int64
 	idx.tree.DescendGreater(pivot, func(_ float64, id int64) bool {
 		out = append(out, id)

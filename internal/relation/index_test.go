@@ -8,7 +8,7 @@ import (
 
 func indexTable(t *testing.T) *Table {
 	t.Helper()
-	tab := NewTable(testSchema())
+	tab := newSortedTable(testSchema())
 	// Figure 2 latency bounds.
 	data := []struct {
 		key  int64
@@ -23,7 +23,7 @@ func indexTable(t *testing.T) *Table {
 		{6, interval.New(4, 6), 2},
 	}
 	for _, d := range data {
-		tab.MustInsert(linkTuple(d.key, 0, 0, d.lat, interval.New(0, 1), interval.New(0, 1), d.cost))
+		mustInsert(t, tab, linkTuple(d.key, 0, 0, d.lat, interval.New(0, 1), interval.New(0, 1), d.cost))
 	}
 	return tab
 }
@@ -31,7 +31,7 @@ func indexTable(t *testing.T) *Table {
 func TestIndexLowerEndpoint(t *testing.T) {
 	tab := indexTable(t)
 	lat := tab.Schema().MustLookup("latency")
-	idx := NewIndex(tab, lat, LowerEndpoint)
+	idx := newIndex(tab, lat, LowerEndpoint)
 	if idx.Len() != 6 {
 		t.Fatalf("Len = %d", idx.Len())
 	}
@@ -55,7 +55,7 @@ func TestIndexLowerEndpoint(t *testing.T) {
 func TestIndexUpperEndpoint(t *testing.T) {
 	tab := indexTable(t)
 	lat := tab.Schema().MustLookup("latency")
-	idx := NewIndex(tab, lat, UpperEndpoint)
+	idx := newIndex(tab, lat, UpperEndpoint)
 	q, key, ok := idx.Min()
 	if !ok || q != 4 || key != 1 {
 		t.Errorf("Min upper = (%g, %d)", q, key)
@@ -69,7 +69,7 @@ func TestIndexUpperEndpoint(t *testing.T) {
 func TestIndexUpdateAfterRefresh(t *testing.T) {
 	tab := indexTable(t)
 	lat := tab.Schema().MustLookup("latency")
-	idx := NewIndex(tab, lat, LowerEndpoint)
+	idx := newIndex(tab, lat, LowerEndpoint)
 	// Refresh tuple 1's bounded columns to exact values; latency 3.
 	i := tab.ByKey(1)
 	if err := tab.Refresh(i, []float64{3, 0.5, 0.5}); err != nil {
@@ -90,7 +90,7 @@ func TestIndexUpdateAfterRefresh(t *testing.T) {
 func TestIndexRemove(t *testing.T) {
 	tab := indexTable(t)
 	lat := tab.Schema().MustLookup("latency")
-	idx := NewIndex(tab, lat, LowerEndpoint)
+	idx := newIndex(tab, lat, LowerEndpoint)
 	tab.Delete(1)
 	idx.Remove(1)
 	if idx.Len() != 5 {

@@ -9,7 +9,7 @@ import (
 )
 
 // Model-based property tests for the row-array layout: random mutations
-// are applied to a table (flat, and as store shards) and to a plain map,
+// are applied to a store's shards and to a plain map,
 // and after every step the row arrays must be aligned, ordered as the
 // layout promises, and hold exactly the model's rows — each row's
 // promise and sequence number included, wherever the row moved.
@@ -161,7 +161,7 @@ func TestStoreLayoutMatchesModel(t *testing.T) {
 			}
 			total := 0
 			for si := 0; si < st.NumShards(); si++ {
-				tab := st.ShardTable(si)
+				tab := st.shards[si].tab
 				total += tab.Len()
 				peaks[si] = max(peaks[si], tab.Len())
 				checkRows(t, tab, model, peaks[si])
@@ -177,66 +177,9 @@ func TestStoreLayoutMatchesModel(t *testing.T) {
 			if total != len(model) || st.Len() != len(model) {
 				t.Fatalf("step %d: %d rows in shards, Len %d, model has %d", step, total, st.Len(), len(model))
 			}
-			if _, ok := model[key]; !ok && st.ShardTable(st.ShardOf(key)).ByKey(key) != -1 {
+			if _, ok := model[key]; !ok && st.shards[st.ShardOf(key)].tab.ByKey(key) != -1 {
 				t.Fatalf("step %d: ByKey finds absent key %d", step, key)
 			}
 		}
-	}
-}
-
-// TestFlatTableLayoutMatchesModel is the same for a standalone table,
-// whose rows keep insertion order and whose Delete moves the last row
-// into the gap.
-func TestFlatTableLayoutMatchesModel(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	tab := NewTable(layoutSchema())
-	model := make(map[int64]*modelRow)
-	var order []int64
-	peak := 0
-	for step := 0; step < 4000; step++ {
-		key := int64(rng.Intn(200))
-		switch op := rng.Intn(10); {
-		case op < 4:
-			tu, m := randomRow(rng, key)
-			err := tab.Insert(tu)
-			if _, dup := model[key]; dup != (err != nil) {
-				t.Fatalf("step %d: Insert(%d) = %v with the key present: %v", step, key, err, dup)
-			}
-			if err == nil {
-				model[key] = m
-				order = append(order, key)
-			}
-		case op < 6:
-			_, present := model[key]
-			i := tab.ByKey(key)
-			if tab.Delete(key) != present {
-				t.Fatalf("step %d: Delete(%d) disagrees with the model (present %v)", step, key, present)
-			}
-			if present {
-				delete(model, key)
-				order[i] = order[len(order)-1]
-				order = order[:len(order)-1]
-			}
-		default:
-			if i := tab.ByKey(key); i >= 0 {
-				randomPromise(rng, tab, i, model[key], int64(step))
-			}
-		}
-		peak = max(peak, tab.Len())
-		checkRows(t, tab, model, peak)
-		if tab.Len() != len(order) {
-			t.Fatalf("step %d: %d rows, model has %d", step, tab.Len(), len(order))
-		}
-		for i, key := range order {
-			if tab.At(i).Key != key {
-				t.Fatalf("step %d: row %d holds key %d, swap-remove order says %d", step, i, tab.At(i).Key, key)
-			}
-		}
-	}
-	// A clone owns its own row arrays, promises included.
-	c := tab.Clone()
-	checkRows(t, c, model, tab.Len())
-	if tab.Len() > 0 && &c.arena[0] == &tab.arena[0] {
-		t.Fatal("clone shares the arena")
 	}
 }

@@ -5,31 +5,31 @@ import (
 	"sort"
 )
 
-// ShardedIndex is the shard-native counterpart of Index: one B-tree per
-// shard of a Store, each indexing the same endpoint quantity of the same
-// column over that shard's tuples. Updates route to the owning shard's
-// tree, so concurrent maintenance of different shards' entries never
-// touches shared structure; probes combine the per-shard trees.
+// ShardedIndex is a maintained endpoint index over a Store: one B-tree
+// per shard, each indexing the same endpoint quantity of the same column
+// over that shard's tuples. Updates route to the owning shard's tree, so
+// concurrent maintenance of different shards' entries never touches
+// shared structure; probes combine the per-shard trees.
 //
-// Like Index, a ShardedIndex performs no locking of its own: the owner
-// must coordinate calls with the store's shard locks (the refresh paths
-// take the relevant shard's read lock around probes and its write lock
-// around updates). Key-set results are returned in ascending key order,
+// A ShardedIndex performs no locking of its own: the owner must
+// coordinate calls with the store's shard locks (the refresh paths take
+// the relevant shard's read lock around probes and its write lock around
+// updates). Key-set results are returned in ascending key order,
 // the store's deterministic iteration order.
 type ShardedIndex struct {
 	store *Store
 	col   int
 	kind  EndpointKind
-	idx   []*Index
+	idx   []*index
 }
 
 // NewShardedIndex builds one per-shard index over the given column and
 // endpoint kind. Each shard is read-locked while its tree is built.
 func NewShardedIndex(st *Store, col int, kind EndpointKind) *ShardedIndex {
-	si := &ShardedIndex{store: st, col: col, kind: kind, idx: make([]*Index, st.NumShards())}
+	si := &ShardedIndex{store: st, col: col, kind: kind, idx: make([]*index, st.NumShards())}
 	for i := range si.idx {
 		st.ViewShard(i, func(t *Table) {
-			si.idx[i] = NewIndex(t, col, kind)
+			si.idx[i] = newIndex(t, col, kind)
 		})
 	}
 	return si

@@ -30,8 +30,8 @@ const fibMult = 0x9E3779B97F4A7C15
 // and the shard count, shards are always visited in ascending index
 // order, and that visit order is the canonical (bucket, key) order (see
 // CanonicalLess) — so bounded answers computed over a Store are
-// bit-identical to those computed over a flat reference table holding
-// the same tuples (see aggregate.Collect).
+// bit-identical to those over any other Store holding the same tuples,
+// whatever its shard count.
 type Store struct {
 	schema *Schema
 	shift  uint // 64 − log2(len(shards))
@@ -46,6 +46,9 @@ type Store struct {
 }
 
 // storeShard is one shard: a canonically ordered Table plus its lock.
+// Lock-ordering rule: a goroutine holding one shard lock may only acquire
+// another with a larger shard index, and no shard lock may be held while
+// calling into a data source.
 type storeShard struct {
 	mu  sync.RWMutex
 	tab *Table
@@ -58,17 +61,6 @@ func NewStore(schema *Schema, nshards int) *Store {
 	s := &Store{schema: schema, shift: uint(64 - bits.Len(uint(n-1))), shards: make([]storeShard, n)}
 	for i := range s.shards {
 		s.shards[i].tab = newSortedTable(schema)
-	}
-	return s
-}
-
-// StoreOf returns a one-shard store holding copies of the flat table's
-// tuples — the flat single-lock layout, which is how a hand-built Table
-// (a paper figure, a test fixture) is registered with a query processor.
-func StoreOf(t *Table) *Store {
-	s := NewStore(t.Schema(), 1)
-	for i := 0; i < t.Len(); i++ {
-		s.MustInsert(*t.At(i))
 	}
 	return s
 }
@@ -135,10 +127,9 @@ func CanonicalBucket(key int64) int {
 // store's shard index is the top log2(nshards) hash bits — a prefix of
 // the bucket bits, since nshards ≤ NumCanonicalBuckets — so visiting
 // shards in index order and each shard's canonically sorted tuples in
-// sequence IS canonical order: the hot path pays nothing for
-// determinism, while the flat reference table reorders its scans to
-// match. The order depends only on the key set, so answers and refresh
-// plans are bit-identical across physical layouts.
+// sequence IS canonical order: scans pay nothing for determinism. The
+// order depends only on the key set, so answers and refresh plans are
+// bit-identical across shard counts.
 func CanonicalLess(a, b int64) bool {
 	sa := (uint64(a) * fibMult) >> canonicalShift
 	sb := (uint64(b) * fibMult) >> canonicalShift
@@ -148,21 +139,10 @@ func CanonicalLess(a, b int64) bool {
 	return a < b
 }
 
-// Len returns the total number of tuples across all shards. Like the
-// flat Table's Len it equals the master cardinality, maintained as a
-// lock-free counter so predicate-free COUNT needs no shard locks.
+// Len returns the total number of tuples across all shards. It equals the
+// master cardinality (see Table.Len), maintained as a lock-free counter so
+// predicate-free COUNT needs no shard locks.
 func (s *Store) Len() int { return int(s.length.Load()) }
-
-// ShardLock returns shard i's RWMutex for callers that coordinate their
-// own multi-step access (the cache shares it with the query processor's
-// scans). Lock-ordering rule: a goroutine holding one shard lock may
-// only acquire another with a larger shard index, and no shard lock may
-// be held while calling into a data source.
-func (s *Store) ShardLock(i int) *sync.RWMutex { return &s.shards[i].mu }
-
-// ShardTable returns shard i's backing table. The caller must hold the
-// shard's lock (read or write as appropriate).
-func (s *Store) ShardTable(i int) *Table { return s.shards[i].tab }
 
 // ViewShard runs fn over shard i's table under the shard's read lock.
 func (s *Store) ViewShard(i int, fn func(t *Table)) {
@@ -227,9 +207,9 @@ func (s *Store) Get(key int64) (Tuple, bool) {
 	return tu, ok
 }
 
-// Insert adds a tuple to its owning shard, with the flat Table's
-// validation rules. Keys are unique store-wide because every duplicate
-// hashes to the same shard. Each shard's tuples are kept in canonical
+// Insert adds a tuple to its owning shard, validated as Table.Insert
+// does. Keys are unique store-wide because every duplicate hashes to the
+// same shard. Each shard's tuples are kept in canonical
 // order (CanonicalLess) — the store invariant that lets scans emit
 // canonically ordered inputs by concatenating shard runs instead of
 // sorting (mutations pay the O(shard) shift; scans are the hot path).
@@ -313,14 +293,4 @@ func (s *Store) SortedKeys() []int64 {
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
 	return out
-}
-
-// TotalWidth sums bound widths over the given column across all shards,
-// the imprecision measure used by experiments.
-func (s *Store) TotalWidth(col int) float64 {
-	var w float64
-	for i := range s.shards {
-		s.ViewShard(i, func(t *Table) { w += t.TotalWidth(col) })
-	}
-	return w
 }

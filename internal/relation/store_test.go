@@ -111,7 +111,7 @@ func TestStoreRefreshAndUpdateLockOnlyOwningShard(t *testing.T) {
 	own := st.ShardOf(5)
 	for si := 0; si < st.NumShards(); si++ {
 		if si != own {
-			st.ShardLock(si).Lock()
+			st.shards[si].mu.Lock()
 		}
 	}
 	ok, err := st.Refresh(5, []float64{3.5})
@@ -120,7 +120,7 @@ func TestStoreRefreshAndUpdateLockOnlyOwningShard(t *testing.T) {
 	}
 	for si := 0; si < st.NumShards(); si++ {
 		if si != own {
-			st.ShardLock(si).Unlock()
+			st.shards[si].mu.Unlock()
 		}
 	}
 	tu, _ := st.Get(5)
@@ -152,34 +152,22 @@ func TestStoreSortedKeys(t *testing.T) {
 	}
 }
 
-func TestStoreTotalWidthMatchesFlat(t *testing.T) {
-	st := NewStore(storeSchema(), 4)
-	tab := NewTable(storeSchema())
-	for key := int64(1); key <= 30; key++ {
-		tu := storeTuple(key, 0, float64(key%7), 1)
-		st.MustInsert(tu)
-		tab.MustInsert(tu)
-	}
-	if got, want := st.TotalWidth(1), tab.TotalWidth(1); got != want {
-		t.Errorf("TotalWidth = %g, flat %g", got, want)
-	}
-}
-
-// TestShardedIndexMatchesFlat maintains a flat Index and a ShardedIndex
-// over the same evolving tuple set and checks every probe agrees.
+// TestShardedIndexMatchesFlat maintains ShardedIndexes over a one-shard
+// and a four-shard store holding the same evolving tuple set and checks
+// every probe agrees.
 func TestShardedIndexMatchesFlat(t *testing.T) {
 	schema := storeSchema()
 	st := NewStore(schema, 4)
-	tab := NewTable(schema)
+	one := NewStore(schema, 1)
 	rng := rand.New(rand.NewSource(7))
 	for key := int64(1); key <= 60; key++ {
 		lo := rng.Float64() * 100
 		tu := storeTuple(key, lo, lo+rng.Float64()*20, 1)
 		st.MustInsert(tu)
-		tab.MustInsert(tu)
+		one.MustInsert(tu)
 	}
 	for _, kind := range []EndpointKind{LowerEndpoint, UpperEndpoint} {
-		flat := NewIndex(tab, 1, kind)
+		flat := NewShardedIndex(one, 1, kind)
 		sharded := NewShardedIndex(st, 1, kind)
 		check := func(stage string) {
 			t.Helper()
@@ -213,18 +201,16 @@ func TestShardedIndexMatchesFlat(t *testing.T) {
 			key := int64(rng.Intn(60) + 1)
 			lo := rng.Float64() * 100
 			b := interval.New(lo, lo+rng.Float64()*20)
-			ti := tab.ByKey(key)
-			if ti < 0 {
+			if _, ok := one.Get(key); !ok {
 				continue
 			}
-			if err := tab.SetBound(ti, 1, b); err != nil {
-				t.Fatal(err)
+			for _, s := range []*Store{st, one} {
+				s.Update(key, func(tt *Table, j int) {
+					if err := tt.SetBound(j, 1, b); err != nil {
+						t.Fatal(err)
+					}
+				})
 			}
-			st.Update(key, func(tt *Table, j int) {
-				if err := tt.SetBound(j, 1, b); err != nil {
-					t.Fatal(err)
-				}
-			})
 			if err := flat.Update(key); err != nil {
 				t.Fatal(err)
 			}
@@ -235,7 +221,7 @@ func TestShardedIndexMatchesFlat(t *testing.T) {
 		check("update")
 		// Remove a few tuples.
 		for _, key := range []int64{3, 17, 42} {
-			tab.Delete(key)
+			one.Delete(key)
 			st.Delete(key)
 			flat.Remove(key)
 			sharded.Remove(key)

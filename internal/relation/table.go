@@ -60,12 +60,11 @@ const NoPromise int64 = math.MinInt64
 // exceeds the most rows the table has held by more than an eighth (16
 // rows for a small table).
 //
-// A Table performs no locking of its own: as a shard of a Store it is
-// guarded by that shard's RWMutex (see Store), which the query processor
-// shares — scans hold it for reading, refresh installation and source
-// pushes for writing. Standalone tables (tests, direct Processor
-// registration) get a private lock from the processor, or may be used
-// unlocked single-threaded.
+// Every Table is a shard of a Store: its rows are in canonical order (see
+// CanonicalLess) and keys are found by binary search. A Table performs no
+// locking of its own: it is guarded by its shard's RWMutex (see Store),
+// which the query processor shares — scans hold it for reading, refresh
+// installation and source pushes for writing.
 type Table struct {
 	schema *Schema
 	nc     int   // columns per row
@@ -76,11 +75,6 @@ type Table struct {
 	promises []boundfn.Bound
 	seqs     []int64
 
-	// byKey indexes a flat table, whose rows stay in insertion order
-	// (Delete swap-removes). A store shard keeps its rows in canonical
-	// order instead and finds keys by binary search: byKey is nil.
-	byKey map[int64]int
-
 	// version counts completed mutations (Insert/Delete/Refresh/SetBound).
 	// Every mutating method bumps it after the write, so a reader that
 	// observes an unchanged version across two scans saw the same table
@@ -90,15 +84,8 @@ type Table struct {
 	version atomic.Uint64
 }
 
-// NewTable returns an empty table with the given schema.
-func NewTable(schema *Schema) *Table {
-	t := newSortedTable(schema)
-	t.byKey = make(map[int64]int)
-	return t
-}
-
-// newSortedTable returns an empty store shard: rows in canonical order,
-// no key map.
+// newSortedTable returns an empty store shard, the only way a Table is
+// built.
 func newSortedTable(schema *Schema) *Table {
 	return &Table{schema: schema, nc: schema.NumColumns(), bcols: schema.BoundedColumns()}
 }
@@ -127,15 +114,8 @@ func (t *Table) ByKey(key int64) int {
 }
 
 // find returns the key's row and true, or the position a new row for the
-// key belongs at and false: the key map answers for a flat table, a
-// binary search over the canonical row order for a store shard.
+// key belongs at and false, by binary search over the canonical row order.
 func (t *Table) find(key int64) (int, bool) {
-	if t.byKey != nil {
-		if i, ok := t.byKey[key]; ok {
-			return i, true
-		}
-		return len(t.tuples), false
-	}
 	lo, hi := 0, len(t.tuples)
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
@@ -194,11 +174,10 @@ func (t *Table) Install(i int, seq int64, values []float64, bounds []boundfn.Bou
 	t.version.Add(1)
 }
 
-// Insert adds a tuple: at the end of a flat table, at its canonical
-// position (binary search, one shift of the row arrays) in a store shard.
-// It returns an error if the bound count does not match the schema, an
-// exact column holds a non-point bound, or the key is already present
-// (keys identify master objects uniquely).
+// Insert adds a tuple at its canonical position (binary search, one shift
+// of the row arrays). It returns an error if the bound count does not
+// match the schema, an exact column holds a non-point bound, or the key
+// is already present (keys identify master objects uniquely).
 func (t *Table) Insert(tu Tuple) error {
 	if err := t.validate(&tu); err != nil {
 		return err
@@ -206,9 +185,6 @@ func (t *Table) Insert(tu Tuple) error {
 	i, dup := t.find(tu.Key)
 	if dup {
 		return fmt.Errorf("relation: duplicate key %d", tu.Key)
-	}
-	if t.byKey != nil {
-		t.byKey[tu.Key] = i
 	}
 	t.insertAt(i, &tu)
 	return nil
@@ -273,15 +249,6 @@ func (t *Table) setLen(n int) {
 	t.seqs = t.seqs[:n]
 }
 
-// moveRow copies row src's entries in every row array over row dst.
-func (t *Table) moveRow(dst, src int) {
-	nb := len(t.bcols)
-	t.tuples[dst].setHeader(&t.tuples[src])
-	copy(t.tuples[dst].Bounds, t.tuples[src].Bounds)
-	copy(t.promises[dst*nb:(dst+1)*nb], t.promises[src*nb:(src+1)*nb])
-	t.seqs[dst] = t.seqs[src]
-}
-
 // insertAt opens position i (shifting rows i.. up by one) and stores the
 // validated tuple there with no promise.
 func (t *Table) insertAt(i int, tu *Tuple) {
@@ -301,8 +268,14 @@ func (t *Table) insertAt(i int, tu *Tuple) {
 	t.version.Add(1)
 }
 
-// removeAt closes position i, shifting rows i+1.. down by one.
-func (t *Table) removeAt(i int) {
+// Delete removes the tuple with the given key, modelling an immediately
+// propagated master deletion: the rows above it shift down by one,
+// keeping canonical order. It reports whether the key was present.
+func (t *Table) Delete(key int64) bool {
+	i, ok := t.find(key)
+	if !ok {
+		return false
+	}
 	n, nc, nb := len(t.tuples), t.nc, len(t.bcols)
 	copy(t.arena[i*nc:], t.arena[(i+1)*nc:])
 	copy(t.promises[i*nb:], t.promises[(i+1)*nb:])
@@ -310,44 +283,11 @@ func (t *Table) removeAt(i int) {
 	for j := i; j < n-1; j++ {
 		t.tuples[j].setHeader(&t.tuples[j+1])
 	}
-	t.dropLast()
-}
-
-// dropLast releases the last row, clearing the references it held.
-func (t *Table) dropLast() {
-	last := len(t.tuples) - 1
-	t.tuples[last].SourceID = ""
-	clear(t.Promise(last))
-	t.setLen(last)
+	// Release the references the vacated last row held.
+	t.tuples[n-1].SourceID = ""
+	clear(t.Promise(n - 1))
+	t.setLen(n - 1)
 	t.version.Add(1)
-}
-
-// MustInsert inserts the tuple and panics on error; for fixtures and tests.
-func (t *Table) MustInsert(tu Tuple) {
-	if err := t.Insert(tu); err != nil {
-		panic(err)
-	}
-}
-
-// Delete removes the tuple with the given key, modelling an immediately
-// propagated master deletion. A flat table moves its last row into the
-// freed position; a store shard shifts the rows above it down, keeping
-// canonical order. It reports whether the key was present.
-func (t *Table) Delete(key int64) bool {
-	i, ok := t.find(key)
-	if !ok {
-		return false
-	}
-	if t.byKey == nil {
-		t.removeAt(i)
-		return true
-	}
-	if last := len(t.tuples) - 1; i != last {
-		t.moveRow(i, last)
-		t.byKey[t.tuples[i].Key] = i
-	}
-	delete(t.byKey, key)
-	t.dropLast()
 	return true
 }
 
@@ -385,29 +325,3 @@ func (t *Table) SetBound(i, col int, b interval.Interval) error {
 // a scan certify the scan saw a single, unmutated table state; any
 // completed mutation in between is guaranteed to change the value.
 func (t *Table) Version() uint64 { return t.version.Load() }
-
-// Clone returns a deep copy of the table, used by the query processor to
-// evaluate refresh plans without mutating the live cache.
-func (t *Table) Clone() *Table {
-	c := NewTable(t.schema)
-	for i := range t.tuples {
-		c.byKey[t.tuples[i].Key] = i
-		c.insertAt(i, &t.tuples[i])
-		c.SetPromise(i, t.Promise(i), t.seqs[i])
-	}
-	return c
-}
-
-// Tuples returns the underlying tuple slice for read-only iteration.
-// Callers must not append to or reorder it.
-func (t *Table) Tuples() []Tuple { return t.tuples }
-
-// TotalWidth returns the sum of bound widths over the given column, a
-// convenient imprecision measure for experiments.
-func (t *Table) TotalWidth(col int) float64 {
-	var w float64
-	for i := range t.tuples {
-		w += t.tuples[i].Bounds[col].Width()
-	}
-	return w
-}

@@ -16,11 +16,22 @@ func linkTuple(key int64, from, to float64, lat, bw, tr interval.Interval, cost 
 	}
 }
 
+// mustInsert inserts the tuples into tab, failing the test on error.
+func mustInsert(t *testing.T, tab *Table, tuples ...Tuple) {
+	t.Helper()
+	for _, tu := range tuples {
+		if err := tab.Insert(tu); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func smallTable(t *testing.T) *Table {
 	t.Helper()
-	tab := NewTable(testSchema())
-	tab.MustInsert(linkTuple(1, 1, 2, interval.New(2, 4), interval.New(60, 70), interval.New(95, 105), 3))
-	tab.MustInsert(linkTuple(2, 2, 4, interval.New(5, 7), interval.New(45, 60), interval.New(110, 120), 6))
+	tab := newSortedTable(testSchema())
+	mustInsert(t, tab,
+		linkTuple(1, 1, 2, interval.New(2, 4), interval.New(60, 70), interval.New(95, 105), 3),
+		linkTuple(2, 2, 4, interval.New(5, 7), interval.New(45, 60), interval.New(110, 120), 6))
 	return tab
 }
 
@@ -29,15 +40,15 @@ func TestTableInsertLen(t *testing.T) {
 	if tab.Len() != 2 {
 		t.Fatalf("Len = %d", tab.Len())
 	}
-	if tab.At(0).Key != 1 || tab.At(1).Key != 2 {
-		t.Error("keys wrong")
+	if a, b := tab.At(0).Key, tab.At(1).Key; a+b != 3 || !CanonicalLess(a, b) {
+		t.Errorf("keys %d, %d: want 1 and 2 in canonical order", a, b)
 	}
 }
 
 func TestTableByKey(t *testing.T) {
 	tab := smallTable(t)
-	if tab.ByKey(2) != 1 {
-		t.Errorf("ByKey(2) = %d", tab.ByKey(2))
+	if i := tab.ByKey(2); i < 0 || tab.At(i).Key != 2 {
+		t.Errorf("ByKey(2) = %d", i)
 	}
 	if tab.ByKey(99) != -1 {
 		t.Errorf("ByKey(99) = %d", tab.ByKey(99))
@@ -45,7 +56,7 @@ func TestTableByKey(t *testing.T) {
 }
 
 func TestTableInsertErrors(t *testing.T) {
-	tab := NewTable(testSchema())
+	tab := newSortedTable(testSchema())
 	// Wrong arity.
 	if err := tab.Insert(Tuple{Key: 1, Bounds: []interval.Interval{interval.Point(1)}}); err == nil {
 		t.Error("wrong arity accepted")
@@ -84,8 +95,8 @@ func TestTableDelete(t *testing.T) {
 	if tab.Len() != 1 {
 		t.Fatalf("Len after delete = %d", tab.Len())
 	}
-	if tab.ByKey(2) != 0 {
-		t.Error("swap-delete broke key map")
+	if tab.ByKey(2) != 0 || tab.ByKey(1) != -1 {
+		t.Error("delete left the rows out of place")
 	}
 	if tab.Delete(1) {
 		t.Error("second Delete(1) = true")
@@ -94,10 +105,11 @@ func TestTableDelete(t *testing.T) {
 
 func TestTableRefresh(t *testing.T) {
 	tab := smallTable(t)
-	if err := tab.Refresh(0, []float64{3, 61, 98}); err != nil {
+	i := tab.ByKey(1)
+	if err := tab.Refresh(i, []float64{3, 61, 98}); err != nil {
 		t.Fatal(err)
 	}
-	tu := tab.At(0)
+	tu := tab.At(i)
 	lat := tu.Bounds[2]
 	if !lat.IsPoint() || lat.Lo != 3 {
 		t.Errorf("latency after refresh = %v", lat)
@@ -110,7 +122,7 @@ func TestTableRefresh(t *testing.T) {
 		t.Error("exact column modified")
 	}
 	// Wrong arity.
-	if err := tab.Refresh(0, []float64{1}); err == nil {
+	if err := tab.Refresh(i, []float64{1}); err == nil {
 		t.Error("wrong refresh arity accepted")
 	}
 }
@@ -128,28 +140,6 @@ func TestTableSetBound(t *testing.T) {
 	}
 	if err := tab.SetBound(0, 2, interval.Empty); err == nil {
 		t.Error("empty bound accepted")
-	}
-}
-
-func TestTableCloneIsDeep(t *testing.T) {
-	tab := smallTable(t)
-	c := tab.Clone()
-	if err := c.Refresh(0, []float64{3, 61, 98}); err != nil {
-		t.Fatal(err)
-	}
-	if tab.At(0).Bounds[2].IsPoint() {
-		t.Error("clone shares bound storage with original")
-	}
-	if c.ByKey(2) != 1 {
-		t.Error("clone key map wrong")
-	}
-}
-
-func TestTableTotalWidth(t *testing.T) {
-	tab := smallTable(t)
-	// latency widths: (4-2) + (7-5) = 4
-	if got := tab.TotalWidth(2); got != 4 {
-		t.Errorf("TotalWidth(latency) = %g, want 4", got)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"trapp/internal/aggregate"
 	"trapp/internal/query"
 	"trapp/internal/refresh"
-	"trapp/internal/relation"
 	"trapp/internal/workload"
 )
 
@@ -55,7 +54,7 @@ func TestParseGroupByErrors(t *testing.T) {
 func TestParseRelativeEndToEnd(t *testing.T) {
 	q := mustParse(t, "SELECT SUM(traffic) WITHIN 2% FROM links")
 	p := query.NewProcessor(refresh.Options{Solver: refresh.SolverExactDP})
-	p.RegisterStore("links", relation.StoreOf(workload.Figure2Table()), workload.MapOracle(workload.Figure2Master()))
+	p.RegisterStore("links", workload.Figure2Store(), workload.MapOracle(workload.Figure2Master()))
 	res, err := p.ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +71,7 @@ func TestParseRelativeEndToEnd(t *testing.T) {
 func TestParseGroupByEndToEnd(t *testing.T) {
 	q := mustParse(t, "SELECT SUM(latency) WITHIN 0 FROM links GROUP BY from")
 	p := query.NewProcessor(refresh.Options{})
-	p.RegisterStore("links", relation.StoreOf(workload.Figure2Table()), workload.MapOracle(workload.Figure2Master()))
+	p.RegisterStore("links", workload.Figure2Store(), workload.MapOracle(workload.Figure2Master()))
 	rows, err := p.ExecuteGroupBy(q)
 	if err != nil {
 		t.Fatal(err)

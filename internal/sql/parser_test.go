@@ -10,7 +10,6 @@ import (
 	"trapp/internal/predicate"
 	"trapp/internal/query"
 	"trapp/internal/refresh"
-	"trapp/internal/relation"
 	"trapp/internal/workload"
 )
 
@@ -189,7 +188,7 @@ func TestParseErrors(t *testing.T) {
 func TestParseEndToEndQ6(t *testing.T) {
 	q := mustParse(t, "SELECT AVG(latency) WITHIN 2 FROM links WHERE traffic > 100")
 	p := query.NewProcessor(refresh.Options{Solver: refresh.SolverExactDP})
-	p.RegisterStore("links", relation.StoreOf(workload.Figure2Table()), workload.MapOracle(workload.Figure2Master()))
+	p.RegisterStore("links", workload.Figure2Store(), workload.MapOracle(workload.Figure2Master()))
 	res, err := p.ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
@@ -202,14 +201,15 @@ func TestParseEndToEndQ6(t *testing.T) {
 // TestParsedPredicateMatchesHandBuilt: parsing Figure 7's predicates
 // yields the same classifications as hand-built trees.
 func TestParsedPredicateMatchesHandBuilt(t *testing.T) {
-	tab := workload.Figure2Table()
+	tab := workload.Figure2Store()
 	q := mustParse(t, "SELECT SUM(traffic) FROM links WHERE (bandwidth > 50) AND (latency < 10)")
 	wantClasses := map[int64]predicate.Class{
 		1: predicate.Plus, 2: predicate.Maybe, 3: predicate.Minus,
 		4: predicate.Maybe, 5: predicate.Maybe, 6: predicate.Maybe,
 	}
 	for key, want := range wantClasses {
-		got := predicate.ClassifyTuple(q.Where, tab.At(tab.ByKey(key)))
+		tu, _ := tab.Get(key)
+		got := predicate.ClassifyTuple(q.Where, &tu)
 		if got != want {
 			t.Errorf("tuple %d: %v, want %v", key, got, want)
 		}

@@ -4,12 +4,11 @@ package trapp
 // workload of inserts, deletes, source pushes, clock advances, refreshes
 // and mixed queries is replayed, operation for operation, against two
 // Systems that differ only in their cache's shard count — one shard (the
-// flat reference layout: a single tuple slice, key index and lock,
-// exactly the seed's store) versus the default sharded layout. Every
-// bounded answer must be bit-identical between the two, and every
-// CHOOSE_REFRESH plan must select the identical key set — the guarantee
-// that sharding changes only the locking granularity, never the
-// semantics.
+// flat reference layout: one set of row arrays, one lock) versus the
+// default sharded layout. Every bounded answer must be bit-identical
+// between the two, and every CHOOSE_REFRESH plan must select the
+// identical key set — the guarantee that sharding changes only the
+// locking granularity, never the semantics.
 
 import (
 	"context"

@@ -130,9 +130,8 @@ func (s *System) AddCache(id string, schema *relation.Schema) (*cache.Cache, err
 }
 
 // AddCacheSharded is AddCache with an explicit store shard count
-// (rounded up to a power of two; ≤ 0 selects the default). One shard
-// yields the flat single-lock layout, used as the reference in
-// differential tests.
+// (rounded up to a power of two; ≤ 0 selects the default). One shard —
+// a single lock — is the reference layout of the differential tests.
 func (s *System) AddCacheSharded(id string, schema *relation.Schema, nshards int) (*cache.Cache, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -55,12 +55,13 @@ func Figure2() []Figure2Row {
 	}
 }
 
-// Figure2Table builds the cached table of Figure 2. Master values are not
-// stored in the table; use Figure2Master for the refresh oracle.
-func Figure2Table() *relation.Table {
-	t := relation.NewTable(LinkSchema())
+// Figure2Store builds the cached relation of Figure 2 as a one-shard
+// store. Master values are not stored in it; use Figure2Master for the
+// refresh oracle.
+func Figure2Store() *relation.Store {
+	st := relation.NewStore(LinkSchema(), 1)
 	for _, r := range Figure2() {
-		t.MustInsert(relation.Tuple{
+		st.MustInsert(relation.Tuple{
 			Key: r.Key,
 			Bounds: []interval.Interval{
 				interval.Point(float64(r.From)),
@@ -70,7 +71,7 @@ func Figure2Table() *relation.Table {
 			Cost: r.Cost,
 		})
 	}
-	return t
+	return st
 }
 
 // Figure2Master returns the precise master values for each key, in bounded

@@ -57,12 +57,13 @@ func StockSchema() *relation.Schema {
 	)
 }
 
-// StockTable builds the cached table for a set of quotes: each tuple's
-// price bound is the day's [low, high] range.
-func StockTable(quotes []StockQuote) *relation.Table {
-	t := relation.NewTable(StockSchema())
+// StockStore builds the cached relation for a set of quotes as a
+// one-shard store: each tuple's price bound is the day's [low, high]
+// range.
+func StockStore(quotes []StockQuote) *relation.Store {
+	st := relation.NewStore(StockSchema(), 1)
 	for _, q := range quotes {
-		t.MustInsert(relation.Tuple{
+		st.MustInsert(relation.Tuple{
 			Key: int64(q.Symbol),
 			Bounds: []interval.Interval{
 				interval.Point(float64(q.Symbol)),
@@ -71,7 +72,7 @@ func StockTable(quotes []StockQuote) *relation.Table {
 			Cost: q.Cost,
 		})
 	}
-	return t
+	return st
 }
 
 // StockMaster returns the closing prices as the refresh oracle map.

@@ -11,7 +11,7 @@ func TestFigure2Fixture(t *testing.T) {
 	if len(rows) != 6 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	tab := Figure2Table()
+	tab := Figure2Store()
 	if tab.Len() != 6 {
 		t.Fatalf("table len = %d", tab.Len())
 	}
@@ -22,7 +22,7 @@ func TestFigure2Fixture(t *testing.T) {
 	bw := s.MustLookup(ColBandwidth)
 	tr := s.MustLookup(ColTraffic)
 	for _, r := range rows {
-		tu := tab.At(tab.ByKey(r.Key))
+		tu, _ := tab.Get(r.Key)
 		m := master[r.Key]
 		if !tu.Bounds[lat].Contains(m[0]) || !tu.Bounds[bw].Contains(m[1]) || !tu.Bounds[tr].Contains(m[2]) {
 			t.Errorf("tuple %d: master %v outside bounds", r.Key, m)
@@ -31,8 +31,8 @@ func TestFigure2Fixture(t *testing.T) {
 	// Costs match Figure 2's refresh cost column.
 	wantCosts := map[int64]float64{1: 3, 2: 6, 3: 6, 4: 8, 5: 4, 6: 2}
 	for k, w := range wantCosts {
-		if got := tab.At(tab.ByKey(k)).Cost; got != w {
-			t.Errorf("tuple %d cost = %g, want %g", k, got, w)
+		if got, _ := tab.Get(k); got.Cost != w {
+			t.Errorf("tuple %d cost = %g, want %g", k, got.Cost, w)
 		}
 	}
 }
@@ -87,14 +87,14 @@ func TestStockDayIsVolatile(t *testing.T) {
 
 func TestStockTableAndMaster(t *testing.T) {
 	quotes := StockDay(10, 1)
-	tab := StockTable(quotes)
+	tab := StockStore(quotes)
 	if tab.Len() != 10 {
 		t.Fatalf("table len = %d", tab.Len())
 	}
 	m := StockMaster(quotes)
 	price := tab.Schema().MustLookup("price")
 	for _, q := range quotes {
-		tu := tab.At(tab.ByKey(int64(q.Symbol)))
+		tu, _ := tab.Get(int64(q.Symbol))
 		mv, ok := m.Master(int64(q.Symbol))
 		if !ok || !tu.Bounds[price].Contains(mv[0]) {
 			t.Errorf("symbol %d: master %v outside bound %v", q.Symbol, mv, tu.Bounds[price])

@@ -91,22 +91,19 @@ const Bounded = relation.Bounded
 // NewSchema builds a schema.
 func NewSchema(cols ...Column) *Schema { return relation.NewSchema(cols...) }
 
-// Table is a cached relation of bounded tuples.
+// Table is one shard of a Store: its tuples in canonical order.
 type Table = relation.Table
 
 // Tuple is one cached row.
 type Tuple = relation.Tuple
 
-// NewTable returns an empty table with the given schema.
-func NewTable(s *Schema) *Table { return relation.NewTable(s) }
-
 // Store is a sharded cached relation with per-shard locks — what a
 // Processor registers (Processor.RegisterStore).
 type Store = relation.Store
 
-// StoreOf returns a one-shard store holding copies of a hand-built flat
-// table's tuples.
-func StoreOf(t *Table) *Store { return relation.StoreOf(t) }
+// NewStore returns an empty store with the given schema and the default
+// shard count. Answers and refresh plans do not depend on the shard count.
+func NewStore(s *Schema) *Store { return relation.NewStore(s, 0) }
 
 // Func identifies an aggregation function.
 type Func = aggregate.Func
