@@ -18,15 +18,21 @@
 //   - Approx: an Ibarra–Kim-style fully polynomial approximation scheme
 //     (FPTAS) that scales profits down by K = ε·Pmax/n and runs the DP on
 //     the scaled instance, guaranteeing profit ≥ (1−ε)·OPT.
-//   - GreedyUniform: sorts by weight and fills greedily; optimal when all
-//     profits are equal (the uniform-cost special case in section 5.2).
+//   - GreedyUniform: fills lightest first; optimal when all profits are
+//     equal (the uniform-cost special case in section 5.2).
 //   - GreedyDensity: profit/weight greedy with a best-single-item fallback,
-//     a classical 1/2-approximation used as a fast baseline.
+//     a classical 1/2-approximation, and the solver every benchmark query
+//     runs.
+//
+// Both greedy solvers fill in a total order — their key, then item index —
+// built in O(n) by a stable radix sort, so ties never depend on a sort's
+// internals and a plan is a function of the input order alone.
 package knapsack
 
 import (
 	"errors"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -64,11 +70,23 @@ func (s Solution) Complement(n int) []int {
 	return out
 }
 
-// solutionFromTake builds a Solution from a take mask.
-func solutionFromTake(items []Item, take []bool) Solution {
+// setBit sets bit i of a take mask (bit i%64 of word i/64).
+func setBit(mask []uint64, i int) { mask[i/64] |= 1 << (i % 64) }
+
+// solutionFromMask builds a Solution from a take mask, visiting the taken
+// items in ascending index order.
+func solutionFromMask(items []Item, mask []uint64) Solution {
 	var s Solution
-	for i, t := range take {
-		if t {
+	n := 0
+	for _, w := range mask {
+		n += bits.OnesCount64(w)
+	}
+	if n > 0 {
+		s.Selected = make([]int, 0, n)
+	}
+	for wi, w := range mask {
+		for ; w != 0; w &= w - 1 {
+			i := wi*64 + bits.TrailingZeros64(w)
 			s.Selected = append(s.Selected, i)
 			s.Profit += items[i].Profit
 			s.Weight += items[i].Weight
@@ -77,15 +95,21 @@ func solutionFromTake(items []Item, take []bool) Solution {
 	return s
 }
 
-// validate reports items with negative profit or weight, which have no
-// meaning in the TRAPP mapping (costs and widths are nonnegative).
+// validate reports items with negative or NaN profit or weight, which
+// have no meaning in the TRAPP mapping, and items whose profit and weight
+// are both +Inf, whose density is undefined. Either one alone may be
+// +Inf: an unbounded width is a weight in the primal mapping and a
+// profit in the cost-budgeted dual, and refresh costs are finite.
 func validate(items []Item, capacity float64) error {
 	if capacity < 0 || math.IsNaN(capacity) {
 		return errors.New("knapsack: negative or NaN capacity")
 	}
 	for _, it := range items {
-		if it.Profit < 0 || it.Weight < 0 || math.IsNaN(it.Profit) || math.IsNaN(it.Weight) {
+		if !(it.Profit >= 0) || !(it.Weight >= 0) {
 			return errors.New("knapsack: negative or NaN item")
+		}
+		if math.IsInf(it.Profit, 1) && math.IsInf(it.Weight, 1) {
+			return errors.New("knapsack: item with infinite profit and weight")
 		}
 	}
 	return nil
@@ -112,11 +136,7 @@ func BruteForce(items []Item, capacity float64) Solution {
 			}
 		}
 		if w <= capacity && p > best.Profit {
-			take := make([]bool, n)
-			for i := 0; i < n; i++ {
-				take[i] = mask&(1<<i) != 0
-			}
-			best = solutionFromTake(items, take)
+			best = solutionFromMask(items, []uint64{uint64(mask)})
 		}
 	}
 	return best
@@ -146,7 +166,7 @@ func ExactDP(items []Item, capacity float64) (Solution, error) {
 	total := 0
 	for i, it := range items {
 		p := math.Round(it.Profit)
-		if math.Abs(it.Profit-p) > 1e-9 {
+		if !(math.Abs(it.Profit-p) <= 1e-9) { // +Inf is no integer
 			return Solution{}, ErrNonIntegerProfit
 		}
 		profits[i] = int(p)
@@ -192,15 +212,15 @@ func dpByProfit(items []Item, profits []int, total int, capacity float64) Soluti
 	// order with the classic 1-D DP, so a row flag means "item i is used on
 	// the optimal path to this profit considering items 0..i"; walking from
 	// the last item down recovers one optimal subset.
-	chosen := make([]bool, n)
+	chosen := make([]uint64, (n+63)/64)
 	p := bestP
 	for i := n - 1; i >= 0 && p > 0; i-- {
 		if take[i*(total+1)+p] {
-			chosen[i] = true
+			setBit(chosen, i)
 			p -= profits[i]
 		}
 	}
-	return solutionFromTake(items, chosen)
+	return solutionFromMask(items, chosen)
 }
 
 // Approx solves the instance with a profit-scaling FPTAS in the style of
@@ -239,6 +259,11 @@ func Approx(items []Item, capacity float64, eps float64) Solution {
 		// item is harmless but pointless; return the empty solution.
 		return Solution{Selected: []int{}}
 	}
+	if math.IsInf(pmax, 1) {
+		// Every fill that holds an infinite-profit item is optimal, and
+		// the density greedy takes one first.
+		return GreedyDensity(items, capacity)
+	}
 	k := eps * pmax / float64(len(feas))
 	scaled := make([]int, len(feas))
 	total := 0
@@ -263,65 +288,63 @@ func Approx(items []Item, capacity float64, eps float64) Solution {
 
 // GreedyUniform solves the uniform-profit special case: when every item has
 // the same profit, filling the knapsack with the lightest items first is
-// optimal (section 5.2). It runs in O(n log n), or sublinear given an index
-// on weights. The items' profits are not inspected; the caller asserts
-// uniformity.
+// optimal (section 5.2). It fills in ascending (weight, index) order, built
+// in O(n) by a radix sort, and stops at the first item that does not fit.
+// The items' profits are not inspected; the caller asserts uniformity.
 func GreedyUniform(items []Item, capacity float64) Solution {
 	if err := validate(items, capacity); err != nil {
 		panic(err)
 	}
-	order := make([]int, len(items))
-	for i := range order {
-		order[i] = i
+	s := newGreedyScratch(len(items))
+	for i, it := range items {
+		s.keys[i] = floatKey(it.Weight)
+		s.idx[i] = uint64(i)
 	}
-	sort.Slice(order, func(a, b int) bool {
-		return items[order[a]].Weight < items[order[b]].Weight
-	})
-	take := make([]bool, len(items))
+	order := radixSort(s.keys, s.idx, s.bufKeys, s.bufIdx)
 	var w float64
 	for _, i := range order {
-		if w+items[i].Weight <= capacity {
-			take[i] = true
-			w += items[i].Weight
-		} else {
+		if w+items[i].Weight > capacity {
 			break
 		}
+		setBit(s.take, int(i))
+		w += items[i].Weight
 	}
-	return solutionFromTake(items, take)
+	return solutionFromMask(items, s.take)
 }
 
-// GreedyDensity fills the knapsack by decreasing profit/weight ratio
-// (zero-weight items first) and returns the better of the greedy fill and
-// the single most profitable feasible item, a classical 1/2-approximation.
-// Used as a cheap baseline in the solver ablation experiments.
+// GreedyDensity is the solver every benchmarked query runs: it fills the
+// knapsack by decreasing profit/weight ratio, skipping an item that does
+// not fit and going on, and returns the better of that fill and the
+// single most profitable feasible item, a classical 1/2-approximation.
+// Zero-weight items are always taken. The rest are filled in a total
+// order, density descending and then index ascending, which a radix sort
+// over one precomputed density key per item builds in O(n); the whole
+// solve is O(n) with one scratch allocation.
 func GreedyDensity(items []Item, capacity float64) Solution {
 	if err := validate(items, capacity); err != nil {
 		panic(err)
 	}
-	order := make([]int, len(items))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ia, ib := items[order[a]], items[order[b]]
-		// Zero-weight items are infinitely dense.
-		if ia.Weight == 0 || ib.Weight == 0 {
-			if ia.Weight == 0 && ib.Weight == 0 {
-				return ia.Profit > ib.Profit
-			}
-			return ia.Weight == 0
+	s := newGreedyScratch(len(items))
+	m := 0
+	for i, it := range items {
+		if it.Weight == 0 {
+			// w + 0 == w ≤ capacity: it fits wherever it goes.
+			setBit(s.take, i)
+			continue
 		}
-		return ia.Profit/ia.Weight > ib.Profit/ib.Weight
-	})
-	take := make([]bool, len(items))
+		s.keys[m] = ^floatKey(it.Profit / it.Weight)
+		s.idx[m] = uint64(i)
+		m++
+	}
+	order := radixSort(s.keys[:m], s.idx[:m], s.bufKeys[:m], s.bufIdx[:m])
 	var w float64
 	for _, i := range order {
 		if w+items[i].Weight <= capacity {
-			take[i] = true
+			setBit(s.take, int(i))
 			w += items[i].Weight
 		}
 	}
-	greedy := solutionFromTake(items, take)
+	greedy := solutionFromMask(items, s.take)
 
 	bestSingle := -1
 	for i, it := range items {
@@ -337,4 +360,63 @@ func GreedyDensity(items []Item, capacity float64) Solution {
 		}
 	}
 	return greedy
+}
+
+// greedyScratch is a greedy solve's working memory, carved from one
+// allocation: a sort key and an item index per item, the radix sort's
+// buffers for both, and a take mask with one bit per item.
+type greedyScratch struct {
+	keys, idx, bufKeys, bufIdx, take []uint64
+}
+
+func newGreedyScratch(n int) greedyScratch {
+	buf := make([]uint64, 4*n+(n+63)/64)
+	return greedyScratch{
+		keys:    buf[:n:n],
+		idx:     buf[n : 2*n : 2*n],
+		bufKeys: buf[2*n : 3*n : 3*n],
+		bufIdx:  buf[3*n : 4*n : 4*n],
+		take:    buf[4*n:],
+	}
+}
+
+// floatKey maps a nonnegative float (±0, +Inf included) to a uint64
+// that orders like it: the IEEE-754 bits of a nonnegative float are
+// monotone, and clearing the sign bit folds −0 into +0.
+func floatKey(x float64) uint64 { return math.Float64bits(x) &^ (1 << 63) }
+
+// radixSort orders idx by ascending keys with a stable
+// least-significant-digit radix sort of eight one-byte passes, carrying
+// each key with its index; a pass is skipped when every key has the same
+// byte there. Equal keys keep their input order. bufKeys and bufIdx must
+// be as long as keys. The ordered indices are returned and alias either
+// idx or bufIdx.
+func radixSort(keys, idx, bufKeys, bufIdx []uint64) []uint64 {
+	if len(keys) == 0 {
+		return idx
+	}
+	var counts [8][256]int
+	for _, k := range keys {
+		for d := range counts {
+			counts[d][byte(k>>(8*d))]++
+		}
+	}
+	for d := range counts {
+		c := &counts[d]
+		if c[byte(keys[0]>>(8*d))] == len(keys) {
+			continue
+		}
+		sum := 0
+		for b, n := range c {
+			c[b] = sum
+			sum += n
+		}
+		for i, k := range keys {
+			b := byte(k >> (8 * d))
+			bufKeys[c[b]], bufIdx[c[b]] = k, idx[i]
+			c[b]++
+		}
+		keys, idx, bufKeys, bufIdx = bufKeys, bufIdx, keys, idx
+	}
+	return idx
 }

@@ -382,7 +382,9 @@ func DecodeInputsResp(payload []byte) (id uint32, s snapshot, remoteErr, err err
 			in := &s.inputs[i]
 			in.Key = int64(r.U64())
 			in.Bound = r.Interval()
-			in.Cost = r.F64()
+			if in.Cost = r.F64(); !(in.Cost >= 0) || math.IsInf(in.Cost, 1) {
+				r.Failf("refresh cost %g is not finite and nonnegative", in.Cost)
+			}
 			in.Class = predicate.Class(r.Enum(byte(predicate.Plus)))
 		}
 		return s

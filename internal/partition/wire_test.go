@@ -95,6 +95,19 @@ func TestWireInputsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWireInputsRejectNonFiniteCost: a peer's NaN or infinite cost would
+// reach the coordinator's knapsack as a profit and panic the query.
+func TestWireInputsRejectNonFiniteCost(t *testing.T) {
+	for _, cost := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		frame := AppendInputsResp(nil, 7, []aggregate.Input{
+			{Key: 9, Bound: interval.Interval{Lo: -1, Hi: 5}, Cost: cost, Class: predicate.Maybe},
+		}, 1)
+		if _, _, _, err := DecodeInputsResp(frame[4:]); !positioned(err, len(frame)-4) {
+			t.Errorf("cost %g: error %v, want a positioned rejection", cost, err)
+		}
+	}
+}
+
 func TestWireRefreshRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	want := RefreshOutcome{Cut: true, Installed: []int64{3, 1, 4, 15}, State: randState(rng)}
@@ -315,6 +328,11 @@ func FuzzDecodePartitionFrame(f *testing.F) {
 	bad := AppendStateResp(nil, 1, &st)[4:]
 	bad[1+4+1+1+1+8] = 2
 	f.Add(bad)
+	// An inputs response whose second input's refresh cost is NaN.
+	f.Add(AppendInputsResp(nil, 7, []aggregate.Input{
+		{Key: 4, Bound: interval.Interval{Lo: 1, Hi: 2}, Cost: 3, Class: predicate.Plus},
+		{Key: 9, Bound: interval.Interval{Lo: -1, Hi: 5}, Cost: math.NaN(), Class: predicate.Maybe},
+	}, 2)[4:])
 	f.Add([]byte{})
 	f.Add([]byte{frameHelloReq, 0, 0, 0, 0})
 

@@ -28,13 +28,14 @@ package refresh
 //     cheapest-first is optimal: refresh T? tuples in ascending cost
 //     order while the budget lasts.
 //
-// Determinism: inputs arrive in the canonical order and every tie is
-// broken by object key, so the chosen plan — like the primal's — is
-// bit-identical across physical store layouts.
+// Determinism: inputs arrive in the canonical order, cost ties are broken
+// by that order and endpoint ties by object key, so the chosen plan —
+// like the primal's — is bit-identical across physical store layouts.
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"trapp/internal/aggregate"
@@ -161,17 +162,13 @@ func budgetCount(inputs []aggregate.Input, noPred bool, budget float64) []aggreg
 	return cheapestAffordable(maybes, budget)
 }
 
-// cheapestAffordable sorts the candidates by (cost, key) and takes them
-// greedily while the budget lasts — the shared spend rule of the COUNT
-// dual and the degenerate no-certain-tuple AVG fallback.
+// cheapestAffordable sorts the candidates by (cost, input order), as the
+// primal COUNT does, and takes them greedily while the budget lasts — the
+// shared spend rule of the COUNT dual and the degenerate
+// no-certain-tuple AVG fallback.
 func cheapestAffordable(cand []aggregate.Input, budget float64) []aggregate.Input {
 	cand = append([]aggregate.Input(nil), cand...)
-	sort.SliceStable(cand, func(a, b int) bool {
-		if cand[a].Cost != cand[b].Cost {
-			return cand[a].Cost < cand[b].Cost
-		}
-		return cand[a].Key < cand[b].Key
-	})
+	slices.SortFunc(cand, cheaperFirst)
 	var chosen []aggregate.Input
 	spent := 0.0
 	for _, in := range cand {

@@ -74,6 +74,41 @@ func TestChooseBudgetSumMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestChooseBudgetUnboundedBounds: a recovered tuple not yet
+// re-handshaked has an unbounded bound, so its profit in the SUM/AVG
+// dual is +Inf. Every solver must plan within the budget, refreshing one
+// such tuple, rather than panic.
+func TestChooseBudgetUnboundedBounds(t *testing.T) {
+	var inputs []aggregate.Input
+	for i := 0; i < 12; i++ {
+		in := budgetInput(int64(i+1), 0, float64(1+i%4), float64(1+i%3))
+		if i%3 == 0 {
+			in.Bound = interval.Unbounded
+		}
+		in.Index = i
+		inputs = append(inputs, in)
+	}
+	const budget = 5 // below the total cost of 24
+	for _, solver := range []Solver{Auto, SolverExactDP, SolverApprox, SolverGreedyUniform, SolverGreedyDensity} {
+		for _, fn := range []aggregate.Func{aggregate.Sum, aggregate.Avg} {
+			plan, err := ChooseBudget(inputs, fn, true, budget, len(inputs), Options{Solver: solver})
+			if err != nil {
+				t.Fatal(err)
+			}
+			unbounded := 0
+			for _, i := range plan.Indexes {
+				if inputs[i].Bound == interval.Unbounded {
+					unbounded++
+				}
+			}
+			if plan.Cost > budget || unbounded == 0 {
+				t.Errorf("solver %v %v: plan %v costs %g (budget %d), %d unbounded refreshed",
+					solver, fn, plan.Indexes, plan.Cost, budget, unbounded)
+			}
+		}
+	}
+}
+
 func TestChooseBudgetMinIsAffordableAscendingPrefix(t *testing.T) {
 	// MIN's guaranteed lower endpoint is the smallest unrefreshed L, so
 	// the useful refresh sets are ascending-L prefixes. Four tuples with

@@ -15,7 +15,8 @@
 //     by dynamic programming for integer costs, by an ε-approximation
 //     otherwise, or greedily for uniform costs (section 5.2). With a
 //     predicate, T? weights extend the bound to include 0 (section 6.2).
-//   - COUNT: refresh the ceil(|T?| − R) cheapest T? tuples (section 6.3).
+//   - COUNT: refresh the ceil(|T?| − R) cheapest T? tuples (section 6.3),
+//     equal costs broken by input order.
 //   - AVG without predicate: SUM with capacity R·COUNT (section 5.4).
 //   - AVG with predicate: SUM knapsack with capacity L'COUNT·R and T?
 //     weights inflated by max(H'SUM, −L'SUM, H'SUM−L'SUM)/L'COUNT − R,
@@ -24,9 +25,11 @@
 package refresh
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"trapp/internal/aggregate"
@@ -344,8 +347,15 @@ func chooseCount(inputs []aggregate.Input, noPred bool, r float64) []aggregate.I
 	if need <= 0 {
 		return nil
 	}
-	sort.Slice(maybes, func(a, b int) bool { return maybes[a].Cost < maybes[b].Cost })
+	slices.SortFunc(maybes, cheaperFirst)
 	return maybes[:need]
+}
+
+// cheaperFirst orders inputs by ascending cost, equal costs in input
+// order: the one total order of both COUNT choosers, so a plan never
+// depends on a sort's internals.
+func cheaperFirst(a, b aggregate.Input) int {
+	return cmp.Or(cmp.Compare(a.Cost, b.Cost), cmp.Compare(a.Index, b.Index))
 }
 
 // chooseAvg implements CHOOSE_REFRESH for AVG. Without a predicate

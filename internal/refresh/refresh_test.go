@@ -2,6 +2,7 @@ package refresh
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"trapp/internal/aggregate"
@@ -229,6 +230,29 @@ func TestCountNoPredicateNeedsNoRefresh(t *testing.T) {
 	}
 	if plan.Len() != 0 {
 		t.Errorf("COUNT plan = %v, want empty", plan.Keys)
+	}
+}
+
+// TestCountTiesGoToLowerIndex: COUNT refreshes the cheapest T? tuples,
+// and among equal costs the ones earlier in input order.
+func TestCountTiesGoToLowerIndex(t *testing.T) {
+	var inputs []aggregate.Input
+	var want []int
+	for i := 0; i < 60; i++ {
+		cost := float64(1 + i%3)
+		inputs = append(inputs, aggregate.Input{Index: i, Key: int64(i), Cost: cost, Class: predicate.Maybe})
+		if cost == 1 || (cost == 2 && i < 30) {
+			want = append(want, i)
+		}
+	}
+	// |T?| = 60 and R = 30 leave 30 to refresh: the 20 of cost 1 and the
+	// first 10 of cost 2.
+	plan, err := ChooseFromInputs(inputs, aggregate.Count, false, 30, len(inputs), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(plan.Indexes, want) {
+		t.Fatalf("plan = %v, want %v", plan.Indexes, want)
 	}
 }
 

@@ -205,8 +205,8 @@ func (t *Table) validate(tu *Tuple) error {
 				b, t.schema.Column(i).Name)
 		}
 	}
-	if tu.Cost < 0 {
-		return fmt.Errorf("relation: negative refresh cost %g", tu.Cost)
+	if !(tu.Cost >= 0) || math.IsInf(tu.Cost, 1) {
+		return fmt.Errorf("relation: refresh cost %g is not finite and nonnegative", tu.Cost)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"math"
 	"testing"
 
 	"trapp/internal/interval"
@@ -84,6 +85,21 @@ func TestTableInsertErrors(t *testing.T) {
 	empt := linkTuple(2, 0, 0, interval.Empty, interval.New(1, 2), interval.New(1, 2), 1)
 	if err := tab.Insert(empt); err == nil {
 		t.Error("empty bound accepted")
+	}
+}
+
+// TestInsertRejectsNonFiniteCost: a NaN or infinite refresh cost — from a
+// caller or a replayed log record — must not reach a knapsack solver.
+func TestInsertRejectsNonFiniteCost(t *testing.T) {
+	st := NewStore(testSchema(), 0)
+	for i, cost := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		tu := linkTuple(int64(i), 0, 0, interval.New(1, 2), interval.New(1, 2), interval.New(1, 2), cost)
+		if err := st.Insert(tu); err == nil {
+			t.Errorf("cost %g accepted", cost)
+		}
+	}
+	if st.Len() != 0 {
+		t.Errorf("Len = %d after rejected inserts", st.Len())
 	}
 }
 

@@ -24,6 +24,7 @@ package source
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 
 	"trapp/internal/boundfn"
@@ -188,8 +189,8 @@ func (s *Source) ID() string { return s.id }
 // AddObject registers a master object with its initial attribute values,
 // query-refresh cost, and width policy (nil means a static width of 1).
 func (s *Source) AddObject(key int64, values []float64, cost float64, policy boundfn.WidthPolicy) error {
-	if cost < 0 {
-		return fmt.Errorf("source %s: negative cost for object %d", s.id, key)
+	if !(cost >= 0) || math.IsInf(cost, 1) {
+		return fmt.Errorf("source %s: cost %g for object %d is not finite and nonnegative", s.id, cost, key)
 	}
 	if policy == nil {
 		policy = boundfn.StaticWidth(1)

@@ -2,6 +2,7 @@ package source
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"trapp/internal/boundfn"
@@ -45,6 +46,18 @@ func TestAddObjectValidation(t *testing.T) {
 	}
 	if s.ID() != "s1" {
 		t.Errorf("ID = %q", s.ID())
+	}
+}
+
+// TestAddObjectRejectsNonFiniteCost: a NaN or infinite cost would reach
+// CHOOSE_REFRESH's knapsack as a profit and panic the first query that
+// needs a refresh.
+func TestAddObjectRejectsNonFiniteCost(t *testing.T) {
+	s, _, _ := newTestSource(t)
+	for i, cost := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := s.AddObject(int64(10+i), []float64{1}, cost, nil); err == nil {
+			t.Errorf("cost %g accepted", cost)
+		}
 	}
 }
 
