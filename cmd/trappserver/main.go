@@ -93,22 +93,7 @@ func main() {
 		}
 		ids := experiment.PartitionIDs(pn)
 		var ring *partition.Ring
-		if *dataDir != "" {
-			sys, net, ring, rec, err = experiment.BuildLinkPartitionDurable(*links, *sources, *seed, ids, pi, *dataDir, relation.WALOptions{})
-		} else {
-			var systems []*itrapp.System
-			systems, net, ring, err = experiment.BuildLinkPartitions(*links, *sources, *seed, ids)
-			if err == nil {
-				// Placement needs the full ring, but this process serves
-				// only its own shard.
-				for j, s := range systems {
-					if j != pi {
-						s.Close()
-					}
-				}
-				sys = systems[pi]
-			}
-		}
+		sys, net, ring, rec, err = experiment.BuildLinkPartitionDurable(*links, *sources, *seed, ids, pi, *dataDir, relation.WALOptions{})
 		if err == nil {
 			psvc = partition.NewService(partition.NewLocalNode(ids[pi], sys))
 			buckets := ring.Buckets(pi)
@@ -123,10 +108,8 @@ func main() {
 				}
 			}
 		}
-	case *dataDir != "":
-		sys, net, rec, err = experiment.BuildLinkSystemDurable(*links, *sources, *seed, *dataDir, relation.WALOptions{})
 	default:
-		sys, net, err = experiment.BuildLinkSystem(*links, *sources, *seed)
+		sys, net, rec, err = experiment.BuildLinkSystemDurable(*links, *sources, *seed, *dataDir, relation.WALOptions{})
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "trappserver: build workload: %v\n", err)

@@ -11,7 +11,7 @@ package experiment
 // coordinator over the partitions answers bit-identically to the single
 // system built from the same parameters, which is what the cluster
 // differential tests assert. The Durable variants build the same systems
-// over a WAL + snapshot data directory.
+// over a WAL + snapshot data directory. All four run one builder.
 
 import (
 	"fmt"
@@ -35,94 +35,21 @@ import (
 // drive updates). cmd/trappserver serves it, and the cluster
 // differential tests use it as the single-node reference.
 func BuildLinkSystem(links, srcCount int, seed int64) (*trapp.System, *workload.Network, error) {
-	net, err := workload.NewNetwork(max(2, links/8), links, seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	// The density greedy keeps CHOOSE_REFRESH O(n log n): a served system
-	// answering unmet SUM/AVG instances must not run the exact knapsack's
-	// pseudo-polynomial DP per request.
-	sys := trapp.NewSystem(refresh.Options{Solver: refresh.SolverGreedyDensity})
-	c, err := sys.AddCache("monitor", workload.LinkSchema())
-	if err != nil {
-		return nil, nil, err
-	}
-	for si := 0; si < srcCount; si++ {
-		if _, err := sys.AddSource(fmt.Sprintf("s%d", si), nil); err != nil {
-			return nil, nil, err
-		}
-	}
-	for i, l := range net.Links {
-		src := sys.Source(fmt.Sprintf("s%d", i%srcCount))
-		// Links promise converged near-zero-width bounds — the demand-
-		// converged push regime (§8.1, DESIGN.md §8) in which a source
-		// pushes once per real change.
-		if err := src.AddObject(l.Key, l.Values(), l.Cost, boundfn.StaticWidth(0.5)); err != nil {
-			return nil, nil, err
-		}
-		if err := c.Subscribe(src, l.Key, []float64{float64(l.From), float64(l.To)}); err != nil {
-			return nil, nil, err
-		}
-	}
-	if err := sys.Mount("links", c); err != nil {
-		return nil, nil, err
-	}
-	return sys, net, nil
+	sys, net, _, err := BuildLinkSystemDurable(links, srcCount, seed, "", relation.WALOptions{})
+	return sys, net, err
 }
 
-// BuildLinkSystemDurable is BuildLinkSystem over a durable cache: the
-// "links" table is backed by a WAL + snapshot data directory, so a
-// process restarted against the same directory recovers the cached
-// values bit-identically. The builder mirrors the in-memory construction
-// exactly — same network generator, same sources, same width policy —
-// but cached keys found in the directory are re-handshaked with their
-// source (fresh bound promises over the recovered values) instead of
-// re-subscribed, which would have rebuilt the state trivially and hidden
-// recovery bugs. Keys the regenerated workload no longer contains are
-// dropped, so the mounted table always matches the workload either way.
+// BuildLinkSystemDurable is BuildLinkSystem over a durable cache when dir
+// is set: the "links" table is backed by a WAL + snapshot data
+// directory, so a process restarted against the same directory recovers
+// the cached values bit-identically (see buildLinks).
 func BuildLinkSystemDurable(links, srcCount int, seed int64, dir string, opts relation.WALOptions) (*trapp.System, *workload.Network, cache.Recovery, error) {
-	net, err := workload.NewNetwork(max(2, links/8), links, seed)
+	net, err := linkNetwork(links, seed)
 	if err != nil {
 		return nil, nil, cache.Recovery{}, err
 	}
-	sys := trapp.NewSystem(refresh.Options{Solver: refresh.SolverGreedyDensity})
-	c, rec, err := sys.AddDurableCache("monitor", workload.LinkSchema(), dir, opts)
-	if err != nil {
-		return nil, nil, cache.Recovery{}, err
-	}
-	for si := 0; si < srcCount; si++ {
-		if _, err := sys.AddSource(fmt.Sprintf("s%d", si), nil); err != nil {
-			return nil, nil, rec, err
-		}
-	}
-	live := make(map[int64]bool, len(net.Links))
-	for i, l := range net.Links {
-		live[l.Key] = true
-		src := sys.Source(fmt.Sprintf("s%d", i%srcCount))
-		if err := src.AddObject(l.Key, l.Values(), l.Cost, boundfn.StaticWidth(0.5)); err != nil {
-			return nil, nil, rec, err
-		}
-		if _, ok := c.Store().Get(l.Key); ok {
-			continue // recovered from disk; re-attached below
-		}
-		if err := c.Subscribe(src, l.Key, []float64{float64(l.From), float64(l.To)}); err != nil {
-			return nil, nil, rec, err
-		}
-	}
-	// Recovered keys the regenerated workload no longer has are dropped;
-	// the rest re-earn their precision through a fresh handshake.
-	for _, key := range c.Unattached() {
-		if !live[key] {
-			c.Drop(key)
-		}
-	}
-	if _, err := sys.Rehandshake(c); err != nil {
-		return nil, nil, rec, err
-	}
-	if err := sys.Mount("links", c); err != nil {
-		return nil, nil, rec, err
-	}
-	return sys, net, rec, nil
+	sys, rec, err := buildLinks(net, srcCount, nil, dir, opts)
+	return sys, net, rec, err
 }
 
 // BuildLinkPartitions builds one embedded System per id, together
@@ -131,113 +58,128 @@ func BuildLinkSystemDurable(links, srcCount int, seed int64, dir string, opts re
 // network is the generator whose Links drive updates — push a link's
 // value to the partition the ring assigns its key.
 func BuildLinkPartitions(links, srcCount int, seed int64, ids []string) ([]*trapp.System, *workload.Network, *partition.Ring, error) {
-	ring, err := partition.NewRing(ids)
+	ring, netw, err := linkRing(links, seed, ids)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	netw, err := workload.NewNetwork(max(2, links/8), links, seed)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	systems := make([]*trapp.System, len(ids))
-	fail := func(err error) ([]*trapp.System, *workload.Network, *partition.Ring, error) {
-		for _, s := range systems {
-			if s != nil {
+	systems := make([]*trapp.System, 0, len(ids))
+	for pi := range ids {
+		sys, _, err := buildLinks(netw, srcCount, ownedBy(ring, pi), "", relation.WALOptions{})
+		if err != nil {
+			for _, s := range systems {
 				s.Close()
 			}
+			return nil, nil, nil, err
 		}
-		return nil, nil, nil, err
-	}
-	for pi := range ids {
-		sys := trapp.NewSystem(refresh.Options{Solver: refresh.SolverGreedyDensity})
-		systems[pi] = sys
-		c, err := sys.AddCache("monitor", workload.LinkSchema())
-		if err != nil {
-			return fail(err)
-		}
-		// Every partition runs all srcCount sources so link i maps to
-		// source s{i%srcCount} exactly as in the single system; each
-		// source just holds fewer objects here.
-		for si := 0; si < srcCount; si++ {
-			if _, err := sys.AddSource(fmt.Sprintf("s%d", si), nil); err != nil {
-				return fail(err)
-			}
-		}
-		for i, l := range netw.Links {
-			if ring.OwnerOfKey(l.Key) != pi {
-				continue
-			}
-			src := sys.Source(fmt.Sprintf("s%d", i%srcCount))
-			if err := src.AddObject(l.Key, l.Values(), l.Cost, boundfn.StaticWidth(0.5)); err != nil {
-				return fail(err)
-			}
-			if err := c.Subscribe(src, l.Key, []float64{float64(l.From), float64(l.To)}); err != nil {
-				return fail(err)
-			}
-		}
-		if err := sys.Mount("links", c); err != nil {
-			return fail(err)
-		}
+		systems = append(systems, sys)
 	}
 	return systems, netw, ring, nil
 }
 
 // BuildLinkPartitionDurable builds partition pi of the N-way link
-// cluster (the same placement as BuildLinkPartitions) over a durable
-// cache. Each partition server owns its own data directory, so a
-// restarted node recovers exactly its shard of the tuples — values
-// bit-identical, bounds re-earned through the handshake — and the
-// coordinator's scatter-gather answers stay correct across the restart.
+// cluster alone (the same placement as BuildLinkPartitions), over a
+// durable cache when dir is set. Each partition server owns its own data
+// directory, so a restarted node recovers exactly its shard of the
+// tuples — values bit-identical, bounds re-earned through the handshake
+// — and the coordinator's scatter-gather answers stay correct across the
+// restart.
 func BuildLinkPartitionDurable(links, srcCount int, seed int64, ids []string, pi int, dir string, opts relation.WALOptions) (*trapp.System, *workload.Network, *partition.Ring, cache.Recovery, error) {
+	ring, netw, err := linkRing(links, seed, ids)
+	if err != nil {
+		return nil, nil, nil, cache.Recovery{}, err
+	}
+	sys, rec, err := buildLinks(netw, srcCount, ownedBy(ring, pi), dir, opts)
+	return sys, netw, ring, rec, err
+}
+
+// linkNetwork generates the links workload's monitoring network.
+func linkNetwork(links int, seed int64) (*workload.Network, error) {
+	return workload.NewNetwork(max(2, links/8), links, seed)
+}
+
+// linkRing is the placement ring over ids and the network it places.
+func linkRing(links int, seed int64, ids []string) (*partition.Ring, *workload.Network, error) {
 	ring, err := partition.NewRing(ids)
 	if err != nil {
-		return nil, nil, nil, cache.Recovery{}, err
+		return nil, nil, err
 	}
-	netw, err := workload.NewNetwork(max(2, links/8), links, seed)
-	if err != nil {
-		return nil, nil, nil, cache.Recovery{}, err
-	}
+	netw, err := linkNetwork(links, seed)
+	return ring, netw, err
+}
+
+// ownedBy selects the keys the ring places on partition pi.
+func ownedBy(ring *partition.Ring, pi int) func(key int64) bool {
+	return func(key int64) bool { return ring.OwnerOfKey(key) == pi }
+}
+
+// buildLinks is the one links builder: a System holding the links of
+// netw that owns accepts (all of them when owns is nil), each on source
+// s{i%srcCount} by its position i in the whole network — so every
+// partition runs the full source set and the link→source mapping matches
+// the single system's — in one cache mounted as "links". With dir set
+// the cache is durable: keys recovered from the directory are
+// re-handshaked with their source (fresh bound promises over the
+// recovered values) instead of re-subscribed, which would have rebuilt
+// the state trivially and hidden recovery bugs, and recovered keys the
+// regenerated workload — or this partition — no longer has are dropped,
+// so the mounted table always matches the workload either way.
+func buildLinks(netw *workload.Network, srcCount int, owns func(key int64) bool, dir string, opts relation.WALOptions) (*trapp.System, cache.Recovery, error) {
+	// The density greedy keeps CHOOSE_REFRESH O(n log n): a served system
+	// answering unmet SUM/AVG instances must not run the exact knapsack's
+	// pseudo-polynomial DP per request.
 	sys := trapp.NewSystem(refresh.Options{Solver: refresh.SolverGreedyDensity})
-	c, rec, err := sys.AddDurableCache("monitor", workload.LinkSchema(), dir, opts)
+	var (
+		c   *cache.Cache
+		rec cache.Recovery
+		err error
+	)
+	if dir == "" {
+		c, err = sys.AddCache("monitor", workload.LinkSchema())
+	} else {
+		c, rec, err = sys.AddDurableCache("monitor", workload.LinkSchema(), dir, opts)
+	}
 	if err != nil {
-		return nil, nil, nil, cache.Recovery{}, err
+		return nil, rec, err
 	}
 	for si := 0; si < srcCount; si++ {
 		if _, err := sys.AddSource(fmt.Sprintf("s%d", si), nil); err != nil {
-			return nil, nil, nil, rec, err
+			return nil, rec, err
 		}
 	}
 	live := make(map[int64]bool, len(netw.Links))
 	for i, l := range netw.Links {
-		if ring.OwnerOfKey(l.Key) != pi {
+		if owns != nil && !owns(l.Key) {
 			continue
 		}
 		live[l.Key] = true
 		src := sys.Source(fmt.Sprintf("s%d", i%srcCount))
+		// Links promise converged near-zero-width bounds — the demand-
+		// converged push regime (§8.1, DESIGN.md §8) in which a source
+		// pushes once per real change.
 		if err := src.AddObject(l.Key, l.Values(), l.Cost, boundfn.StaticWidth(0.5)); err != nil {
-			return nil, nil, nil, rec, err
+			return nil, rec, err
 		}
 		if _, ok := c.Store().Get(l.Key); ok {
 			continue // recovered from disk; re-attached below
 		}
 		if err := c.Subscribe(src, l.Key, []float64{float64(l.From), float64(l.To)}); err != nil {
-			return nil, nil, nil, rec, err
+			return nil, rec, err
 		}
 	}
-	// Keys recovered from a previous life that this partition no longer
-	// owns (or the regenerated workload no longer has) are dropped.
-	for _, key := range c.Unattached() {
-		if !live[key] {
-			c.Drop(key)
+	if dir != "" {
+		for _, key := range c.Unattached() {
+			if !live[key] {
+				c.Drop(key)
+			}
 		}
-	}
-	if _, err := sys.Rehandshake(c); err != nil {
-		return nil, nil, nil, rec, err
+		if _, err := sys.Rehandshake(c); err != nil {
+			return nil, rec, err
+		}
 	}
 	if err := sys.Mount("links", c); err != nil {
-		return nil, nil, nil, rec, err
+		return nil, rec, err
 	}
-	return sys, netw, ring, rec, nil
+	return sys, rec, nil
 }
 
 // PartitionIDs names n partitions p0..p{n-1}.

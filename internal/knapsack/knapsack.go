@@ -52,6 +52,11 @@ type Solution struct {
 	Profit float64
 	// Weight is the total weight of the selected items.
 	Weight float64
+	// Eps is the guarantee Approx's DP ran with: the ε it was asked for,
+	// or a coarser one when the table at that ε would pass the memory
+	// ceiling (see Approx). Zero when no DP ran: the other solvers, and
+	// the instances Approx settles without one.
+	Eps float64
 }
 
 // Complement returns the indices NOT in the solution, ascending — in the
@@ -229,7 +234,11 @@ func dpByProfit(items []Item, profits []int, total int, capacity float64) Soluti
 // solution is feasible and achieves profit at least (1−ε)·OPT. eps must be
 // in (0, 1); smaller eps costs more time (the scaled profit sum grows as
 // n²/ε) but approaches the optimum — exactly the tradeoff plotted in the
-// paper's Figure 5.
+// paper's Figure 5. The DP table holds n × (Σ⌊p/K⌋ + 1) cells, about
+// n³/ε, so it is held to the ceiling ExactDP enforces: when the table at
+// eps would pass it, K is coarsened until the table fits, and the
+// solution reports the ε that K implies (possibly ≥ 1, a guarantee of
+// feasibility only) in its Eps field.
 func Approx(items []Item, capacity float64, eps float64) Solution {
 	if err := validate(items, capacity); err != nil {
 		panic(err)
@@ -264,12 +273,29 @@ func Approx(items []Item, capacity float64, eps float64) Solution {
 		// the density greedy takes one first.
 		return GreedyDensity(items, capacity)
 	}
-	k := eps * pmax / float64(len(feas))
-	scaled := make([]int, len(feas))
-	total := 0
-	for i, it := range feas {
-		scaled[i] = int(math.Floor(it.Profit / k))
-		total += scaled[i]
+	m := len(feas)
+	k := eps * pmax / float64(m)
+	scaled := make([]int, m)
+	scale := func() (total int) {
+		for i, it := range feas {
+			scaled[i] = int(math.Floor(it.Profit / k))
+			total += scaled[i]
+		}
+		return total
+	}
+	total := scale()
+	if limit := max(maxDPStates/m-1, 0); total > limit {
+		// Σ⌊p/K⌋ ≤ Σp/K, so K = Σp/limit fits; the growth factor only
+		// absorbs the divisions' rounding.
+		var psum float64
+		for _, it := range feas {
+			psum += it.Profit
+		}
+		for total > limit {
+			k = max(k*1.001, psum/float64(limit))
+			total = scale()
+		}
+		eps = k * float64(m) / pmax
 	}
 	sub := dpByProfit(feas, scaled, total, capacity)
 	// Map back to original indices.
@@ -278,7 +304,7 @@ func Approx(items []Item, capacity float64, eps float64) Solution {
 		sel[i] = idx[j]
 	}
 	sort.Ints(sel)
-	out := Solution{Selected: sel}
+	out := Solution{Selected: sel, Eps: eps}
 	for _, i := range sel {
 		out.Profit += items[i].Profit
 		out.Weight += items[i].Weight

@@ -121,6 +121,35 @@ func TestApproxFeasibleAndNearOptimal(t *testing.T) {
 	}
 }
 
+func TestApproxCoarsensToTheMemoryCeiling(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	items := make([]Item, 300)
+	var weights float64
+	for i := range items {
+		items[i] = Item{Profit: 1 + r.Float64()*9, Weight: 1 + r.Float64()*9}
+		weights += items[i].Weight
+	}
+	capacity := weights / 2
+	// At ε = 0.01 the table would hold n × Σp/K ≈ n³/(2ε) cells, past the
+	// ceiling: K is coarsened and the solution reports the weaker ε.
+	got := Approx(items, capacity, 0.01)
+	if !(got.Eps > 0.01 && got.Eps < 1) {
+		t.Fatalf("reported ε = %g, want a coarsened ε in (0.01, 1)", got.Eps)
+	}
+	if got.Weight > capacity {
+		t.Errorf("infeasible weight %g > %g", got.Weight, capacity)
+	}
+	// The greedy is a lower bound on OPT, so the reported guarantee
+	// holds against it too.
+	if greedy := GreedyDensity(items, capacity); got.Profit < (1-got.Eps)*greedy.Profit {
+		t.Errorf("profit %g < (1-%g)·greedy %g", got.Profit, got.Eps, greedy.Profit)
+	}
+	// Under the ceiling the requested ε stands.
+	if small := Approx(items[:20], capacity, 0.01); small.Eps != 0.01 {
+		t.Errorf("a 20-item instance reports ε = %g, want 0.01", small.Eps)
+	}
+}
+
 func TestApproxEmptyAndAllTooHeavy(t *testing.T) {
 	if sol := Approx(nil, 5, 0.1); sol.Profit != 0 {
 		t.Errorf("empty: %+v", sol)

@@ -17,6 +17,7 @@ package query
 //     as options over the one execution path.
 
 import (
+	"context"
 	"math"
 	"time"
 
@@ -150,4 +151,12 @@ func (c ExecConfig) apply(q Query, base refresh.Options) (Query, refresh.Options
 		base.Solver = c.Solver
 	}
 	return q, base
+}
+
+// withDeadline bounds ctx by the request deadline, if any.
+func (c ExecConfig) withDeadline(ctx context.Context) (context.Context, context.CancelFunc) {
+	if c.Deadline.IsZero() {
+		return ctx, func() {}
+	}
+	return context.WithDeadline(ctx, c.Deadline)
 }

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -373,4 +374,121 @@ func TestChooseBudgetRespectedOnStores(t *testing.T) {
 			}
 		}
 	}
+}
+
+func TestExecuteConfigPlanCacheHitAllocatesNothing(t *testing.T) {
+	// The cache-answered fast path of the shared skeleton: prologue,
+	// step 1 on a plan-cache hit, and the met-from-cache gate.
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	p := newFig2Processor()
+	q := Query{Table: "links", Agg: aggregate.Sum, Column: workload.ColLatency, Within: math.Inf(1)}
+	ctx := context.Background()
+	var cfg ExecConfig
+	if _, err := p.ExecuteConfig(ctx, q, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := p.ExecuteConfig(ctx, q, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("a plan-cache hit allocates %.0f times per request, want 0", n)
+	}
+}
+
+func TestInvalidRelativePrecisionRejectedByEveryExecutor(t *testing.T) {
+	p := newFig2Processor()
+	ctx := context.Background()
+	for _, rel := range []float64{-0.5, math.NaN()} {
+		q := Query{Table: "links", Agg: aggregate.Sum, Column: workload.ColLatency, Within: 5, RelativeWithin: rel}
+		if _, err := p.ExecuteCtx(ctx, q); err == nil {
+			t.Errorf("ExecuteCtx accepted RelativeWithin %g", rel)
+		}
+		if _, err := p.ExecuteBatch(ctx, []Query{q}); err == nil {
+			t.Errorf("ExecuteBatch accepted RelativeWithin %g", rel)
+		}
+		if _, err := p.ExecuteIterative(q); err == nil {
+			t.Errorf("ExecuteIterative accepted RelativeWithin %g", rel)
+		}
+		if _, err := p.ExecuteRelative(q, rel); err == nil {
+			t.Errorf("ExecuteRelative accepted p = %g", rel)
+		}
+	}
+}
+
+func TestExecuteBatchRecordsEngineMetrics(t *testing.T) {
+	// A batched query records the request-path histograms and the
+	// precision–cost telemetry exactly as it would alone; the table's one
+	// shared refresh round records one refresh observation.
+	qs := []Query{
+		{Table: "links", Agg: aggregate.Sum, Column: workload.ColLatency, Within: 0},
+		{Table: "links", Agg: aggregate.Max, Column: workload.ColLatency, Within: 1},
+	}
+	ctx := context.Background()
+	want := map[string]uint64{}
+	for _, q := range qs {
+		solo := newFig2Processor()
+		res, err := solo.ExecuteCtx(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Refreshed == 0 {
+			t.Fatalf("%v refreshes nothing alone; the test needs refresh-paying queries", q)
+		}
+		for name, h := range solo.Metrics().Snapshot() {
+			want[name] += h.Count
+		}
+	}
+	want["refresh_ns"] = 1
+	p := newFig2Processor()
+	if _, err := p.ExecuteBatch(ctx, qs); err != nil {
+		t.Fatal(err)
+	}
+	got := p.Metrics().Snapshot()
+	for _, name := range []string{"request_ns", "choose_ns", "refresh_ns", "fold_ns", "width_ratio_permille", "cost_per_width_milli"} {
+		if got[name].Count != want[name] {
+			t.Errorf("%s: batch recorded %d observations, want %d", name, got[name].Count, want[name])
+		}
+	}
+}
+
+func TestCostBudgetedSumStaysUnderTheMemoryCeiling(t *testing.T) {
+	// The cost-budgeted dual hands the knapsack fractional profits (bound
+	// widths), so the default Auto solver runs the FPTAS. At the default
+	// ε its table over 2 000 tuples would run to tens of GB; held to the
+	// memory ceiling, one request allocates well under 100 MB.
+	schema := relation.NewSchema(relation.Column{Name: "v", Kind: relation.Bounded})
+	st := relation.NewStore(schema, 1)
+	master := workload.MapOracle{}
+	rng := rand.New(rand.NewSource(3))
+	var totalCost float64
+	for k := int64(1); k <= 2000; k++ {
+		mid, w := 100*rng.Float64(), 1+9*rng.Float64()
+		cost := float64(1 + rng.Intn(10))
+		st.MustInsert(relation.Tuple{Key: k, Cost: cost, Bounds: []interval.Interval{interval.New(mid-w/2, mid+w/2)}})
+		master[k] = []float64{mid}
+		totalCost += cost
+	}
+	p := NewProcessor(refresh.Options{})
+	p.RegisterStore("t", st, master)
+	budget := totalCost / 2
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	res, err := p.ExecuteCtx(context.Background(), NewQuery("t", aggregate.Sum, "v"), WithCostBudget(budget))
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Refreshed == 0 || res.RefreshCost > budget {
+		t.Errorf("budget %g bought %d refreshes at cost %g", budget, res.Refreshed, res.RefreshCost)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	if alloc > 100<<20 {
+		t.Errorf("a budgeted SUM over 2 000 tuples allocated %d MB, want < 100", alloc>>20)
+	}
+	t.Logf("allocated %d MB in %v", alloc>>20, elapsed)
 }

@@ -23,12 +23,9 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
-	"trapp/internal/aggregate"
 	"trapp/internal/interval"
 	"trapp/internal/predicate"
-	"trapp/internal/refresh"
 	"trapp/internal/relation"
 )
 
@@ -157,9 +154,6 @@ func RelativeR(initial interval.Interval, p float64) float64 {
 // absolute constraint from its step-1 answer (RelativeR) and runs the
 // standard algorithm against it.
 func (proc *Processor) ExecuteRelative(q Query, p float64) (Result, error) {
-	if p < 0 || math.IsNaN(p) {
-		return Result{}, fmt.Errorf("query: invalid relative precision %g", p)
-	}
 	q.Within, q.RelativeWithin = 0, p // p = 0 asks for the exact answer
 	return proc.ExecuteCtx(context.Background(), q)
 }
@@ -171,40 +165,33 @@ func (proc *Processor) ExecuteRelative(q Query, p float64) (Result, error) {
 // plan, the total cost paid is at most the batch plan's cost and often
 // less. The Result additionally reports the number of refresh rounds via
 // Refreshed (one tuple per round).
+//
+// It runs ExecuteConfig's steps under the default request options, one
+// Execution per round — step 1's fold, step 2's snapshot and plan, then
+// a refresh of the plan's cheapest key alone — so it works over any
+// registration.
 func (proc *Processor) ExecuteIterative(q Query) (Result, error) {
-	e := proc.storeEntry(q.Table)
-	if e == nil {
-		return Result{}, fmt.Errorf("%w: %q", ErrUnknownTable, q.Table)
+	var x job
+	if err := proc.prepare(&x, q, ExecConfig{}); err != nil {
+		return Result{}, err
 	}
-	col, ok := e.Schema().Lookup(q.Column)
-	if !ok {
-		return Result{}, fmt.Errorf("%w: %q.%q", ErrUnknownColumn, q.Table, q.Column)
-	}
-	if q.Within < 0 || math.IsNaN(q.Within) {
-		return Result{}, fmt.Errorf("query: invalid precision constraint %g", q.Within)
-	}
+	ctx := context.Background()
 	var res Result
-	noPred := predicate.IsTrivial(q.Where)
-	first := true
-	for {
-		// Snapshot the classification under the read lock(s); evaluation
-		// and refresh selection then run with no lock held.
-		inputs, tableLen := e.snapshot(col, q.Where, proc.opts.Parallelism)
-		res.Answer = aggregate.EvalInputs(inputs, q.Agg, noPred, tableLen)
-		if first {
-			res.Initial = res.Answer
-			first = false
+	for round := 0; ; round++ {
+		done, err := x.fold(ctx)
+		if round == 0 {
+			res.Initial = x.res.Initial
 		}
-		if Satisfies(res.Answer, q.Within) {
-			res.Met = true
-			return res, nil
+		res.Answer, res.Met = x.res.Answer, x.res.Met
+		if done {
+			return res, err
 		}
-		start := time.Now()
-		plan, err := refresh.ChooseFromInputs(inputs, q.Agg, noPred, q.Within, tableLen, proc.opts)
-		res.ChooseTime += time.Since(start)
+		err = x.choose(ctx)
+		res.ChooseTime += x.res.ChooseTime
 		if err != nil {
 			return res, err
 		}
+		plan := x.plan
 		if plan.Len() == 0 {
 			// The batch plan guarantees the constraint, so an empty plan
 			// with an unmet constraint cannot occur; guard regardless.
@@ -217,20 +204,14 @@ func (proc *Processor) ExecuteIterative(q Query) (Result, error) {
 				best = i
 			}
 		}
-		key, bestCost := plan.Keys[best], plan.Costs[best]
-		if e.oracle == nil {
-			return res, fmt.Errorf("%w: %q", ErrNoOracle, q.Table)
-		}
-		// One round of one key; nothing installed means the key vanished
-		// mid-round — replan.
-		set, _, err := e.fetch(context.Background(), []int64{key})
+		// Nothing installed means the key vanished mid-round: replan.
+		installed, _, err := x.run.Refresh(ctx, x.req, plan.Keys[best:best+1])
 		if err != nil {
 			return res, err
 		}
-		if !set.Installed[0] {
-			continue
+		if installed[0] {
+			res.Refreshed++
+			res.RefreshCost += plan.Costs[best]
 		}
-		res.Refreshed++
-		res.RefreshCost += bestCost
 	}
 }

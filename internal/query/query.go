@@ -19,13 +19,16 @@
 //
 // # One executor, two registrations
 //
-// The three steps are written once, in ExecuteConfig, over a Registration:
-// something the processor can fold (step 1), snapshot (the classified
-// inputs CHOOSE_REFRESH consumes) and refresh (run the chosen keys, then
-// refold for step 3). Validation, the deadline, the phase boundaries,
-// plan selection, the plan-order cost fold and every typed error live in
-// that one skeleton; a registration differs only in where the tuples are
-// folded. There are two. RegisterStore builds the store-backed one over
+// The three steps are written once, as the steps of one request
+// (prepare, fold, choose, settle) over a Registration: something the
+// processor can fold (step 1), snapshot (the classified inputs
+// CHOOSE_REFRESH consumes) and refresh (run the chosen keys, then refold
+// for step 3). Validation, plan selection, the plan-order cost fold and
+// every typed error live in those steps; ExecuteConfig runs them between
+// the deadline and the phase boundaries, and the batch and iterative
+// executors run them too, differing only in how step 3 is paid for. A
+// registration differs only in where the tuples are folded. There are
+// two. RegisterStore builds the store-backed one over
 // a sharded relation.Store whose per-shard RWMutexes are shared with the
 // owning cache: the aggregation scans of steps 1 and 3 and the
 // CHOOSE_REFRESH scan of step 2 hold shard read locks one shard at a
@@ -171,7 +174,7 @@ type Result struct {
 // one Execution per request. A registration may differ from another only
 // in how it folds, snapshots and refreshes — never in validation, phase
 // boundaries, plan selection, cost accounting or error shaping, which
-// ExecuteConfig owns (DESIGN.md invariant 32).
+// the executor's shared steps own (DESIGN.md invariant 32).
 type Registration interface {
 	// Schema returns the registered relation's schema.
 	Schema() *relation.Schema
@@ -302,8 +305,7 @@ func (p *Processor) entry(name string) Registration {
 }
 
 // storeEntry returns the store-backed registration for a table, or nil —
-// what the batch, GROUP BY and iterative executors run over, which read
-// tuples directly.
+// what GROUP BY runs over, which reads tuples directly.
 func (p *Processor) storeEntry(name string) *storeEntry {
 	e, _ := p.entry(name).(*storeEntry)
 	return e
@@ -345,40 +347,121 @@ func (p *Processor) ExecuteCtx(ctx context.Context, q Query, opts ...ExecOption)
 }
 
 // ExecuteConfig is ExecuteCtx over an already-resolved option set; the
-// System façade builds the config once and reuses it across phases. It is
-// the one place the three-step algorithm is written: everything it asks
-// of the relation goes through the table's Registration.
+// System façade builds the config once and reuses it across phases. It
+// runs the three steps in order for one request: the prologue (prepare),
+// step 1 (fold), step 2 (choose), one refresh round and the shared
+// outcome step (settle, end). The batch and iterative executors run the
+// same steps and differ only in how step 3 is paid for. Everything the
+// steps ask of the relation goes through the table's Registration.
 func (p *Processor) ExecuteConfig(ctx context.Context, q Query, cfg ExecConfig) (Result, error) {
-	if len(q.GroupBy) > 0 {
-		return Result{}, fmt.Errorf("query: GROUP BY query requires ExecuteGroupBy")
+	var x job
+	if err := p.prepare(&x, q, cfg); err != nil {
+		return Result{}, err
 	}
-	q, ropts := cfg.apply(q, p.opts)
-	if cfg.HasBudget && (cfg.Budget < 0 || math.IsNaN(cfg.Budget)) {
-		return Result{}, fmt.Errorf("query: invalid cost budget %g", cfg.Budget)
-	}
-	if !cfg.Deadline.IsZero() {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, cfg.Deadline)
-		defer cancel()
-	}
-	reg := p.entry(q.Table)
-	if reg == nil {
-		return Result{}, fmt.Errorf("%w: %q", ErrUnknownTable, q.Table)
-	}
-	col, ok := reg.Schema().Lookup(q.Column)
-	if !ok {
-		return Result{}, fmt.Errorf("%w: %q.%q", ErrUnknownColumn, q.Table, q.Column)
-	}
-	relative := q.RelativeWithin > 0
-	if !relative && (q.Within < 0 || math.IsNaN(q.Within)) {
-		return Result{}, fmt.Errorf("query: invalid precision constraint %g", q.Within)
-	}
-
+	ctx, cancel := cfg.withDeadline(ctx)
+	defer cancel()
 	// Scan boundary: a request that arrives already expired does no work.
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
+	if done, err := x.fold(ctx); done {
+		return x.res, err
+	}
+	if x.frozen != nil {
+		// Part of the answer is a stale fallback nothing can refresh; stop
+		// at it.
+		return x.end(x.unmet(x.frozen, nil))
+	}
+	// Plan boundary.
+	if err := ctx.Err(); err != nil {
+		return x.end(x.unmet(err, err))
+	}
+	if err := x.choose(ctx); err != nil {
+		return x.end(err)
+	}
+	var installed []bool
+	var ctxErr, hardErr error
+	var refreshSp *obs.Span
+	if x.plan.Len() > 0 {
+		// Fan-out boundary.
+		if err := ctx.Err(); err != nil {
+			return x.end(x.unmet(err, err))
+		}
+		x.tr.SetPlanCosts(x.plan.Keys, x.plan.Costs)
+		refreshSp = x.root.StartSpan("refresh")
+		tRef := time.Now()
+		installed, ctxErr, hardErr = x.run.Refresh(obs.ContextWithSpan(ctx, refreshSp), x.req, x.plan.Keys)
+		x.m.Refresh.ObserveDuration(time.Since(tRef))
+		refreshSp.End()
+	}
+	return x.end(x.settle(refreshSp, installed, ctxErr, hardErr, x.run.Refold))
+}
 
+// job is one scalar request moving through the three steps: what the
+// prologue resolved, and what each step leaves for the next.
+type job struct {
+	cfg   ExecConfig
+	ropts refresh.Options
+	reg   Registration
+	run   Execution
+	req   Request
+	m     *obs.EngineMetrics
+	// tr is the request's trace (nil when untraced) and root its root
+	// span; t0 starts the request clock.
+	tr   *obs.Trace
+	root *obs.Span
+	t0   time.Time
+	// frozen is step 1's fallback cause; inputs, tableLen and plan are
+	// step 2's snapshot and refresh plan.
+	frozen   error
+	inputs   []aggregate.Input
+	tableLen int
+	plan     refresh.Plan
+	res      Result
+}
+
+// prepare is the prologue every executor shares: the mode rewrite, the
+// budget and constraint checks, and the resolution of the table and
+// column to a Registration and a Request. The deadline is the caller's
+// (ExecConfig.withDeadline), so a batch takes one for all its queries.
+func (p *Processor) prepare(x *job, q Query, cfg ExecConfig) error {
+	if len(q.GroupBy) > 0 {
+		return fmt.Errorf("query: GROUP BY query requires ExecuteGroupBy")
+	}
+	q, ropts := cfg.apply(q, p.opts)
+	if cfg.HasBudget && (cfg.Budget < 0 || math.IsNaN(cfg.Budget)) {
+		return fmt.Errorf("query: invalid cost budget %g", cfg.Budget)
+	}
+	reg := p.entry(q.Table)
+	if reg == nil {
+		return fmt.Errorf("%w: %q", ErrUnknownTable, q.Table)
+	}
+	col, ok := reg.Schema().Lookup(q.Column)
+	if !ok {
+		return fmt.Errorf("%w: %q.%q", ErrUnknownColumn, q.Table, q.Column)
+	}
+	// A positive RelativeWithin is the §8.1 constraint step 1 rewrites to
+	// an absolute one; zero leaves Within in force.
+	if q.RelativeWithin < 0 || math.IsNaN(q.RelativeWithin) {
+		return fmt.Errorf("query: invalid relative precision %g", q.RelativeWithin)
+	}
+	if q.RelativeWithin == 0 && (q.Within < 0 || math.IsNaN(q.Within)) {
+		return fmt.Errorf("query: invalid precision constraint %g", q.Within)
+	}
+	*x = job{cfg: cfg, ropts: ropts, reg: reg, m: p.metrics,
+		req: Request{Query: q, Col: col, NoPred: predicate.IsTrivial(q.Where), Mode: cfg.Mode, Workers: ropts.Parallelism}}
+	return nil
+}
+
+// budgetDual reports a request that spends a cost budget: the dual of
+// CHOOSE_REFRESH, which an imprecise request never runs.
+func (x *job) budgetDual() bool { return x.cfg.HasBudget && x.cfg.Mode != ModeImprecise }
+
+// fold is step 1: a fresh Execution's answer from cached bounds, the §8.1
+// relative rewrite, and the met-from-cache gate. It reports done when the
+// request needs no further step — answered from cache, or failed with a
+// zero result — and otherwise starts the slow path's request clock.
+func (x *job) fold(ctx context.Context) (done bool, err error) {
 	// Observability: on the cache-answered fast path a clock read costs
 	// more than the scan it would measure, so request/scan latency and
 	// width-ratio telemetry are recorded for a uniform 1-in-SampleRate
@@ -386,166 +469,156 @@ func (p *Processor) ExecuteConfig(ctx context.Context, q Query, cfg ExecConfig) 
 	// distributions, at the price of one atomic add per request).
 	// Requests that go on to pay refreshes, and traced requests, are
 	// always timed in full.
-	m := p.metrics
-	tr := cfg.TraceRoot
-	if tr == nil && cfg.Trace {
-		tr = obs.NewTrace(q.String())
+	m := x.m
+	x.tr = x.cfg.TraceRoot
+	if x.tr == nil && x.cfg.Trace {
+		x.tr = obs.NewTrace(x.req.Query.String())
 	}
-	var root *obs.Span
-	if tr != nil {
-		root = tr.Root
+	if x.tr != nil {
+		x.root = x.tr.Root
 	}
-	sampled := tr != nil || m.Sample()
-	var t0 time.Time
+	sampled := x.tr != nil || m.Sample()
 	if sampled {
-		t0 = time.Now()
+		x.t0 = time.Now()
 	}
-
-	// Step 1: initial bounded answer from cached bounds.
-	var res Result
-	res.Trace = tr
-	req := Request{Query: q, Col: col, NoPred: predicate.IsTrivial(q.Where), Mode: cfg.Mode, Workers: ropts.Parallelism}
-	run := reg.Begin()
-	initial, frozen, err := run.Fold(ctx, root, req)
+	x.run = x.reg.Begin()
+	initial, frozen, err := x.run.Fold(ctx, x.root, x.req)
 	if err != nil {
-		tr.Finish()
-		return Result{}, err
+		x.tr.Finish()
+		return true, err
 	}
-	res.Initial = initial
+	x.res.Trace, x.res.Initial, x.frozen = x.tr, initial, frozen
 	var tScan time.Time
 	if sampled {
 		tScan = time.Now()
-		m.Scan.ObserveDuration(tScan.Sub(t0))
+		m.Scan.ObserveDuration(tScan.Sub(x.t0))
 	}
-	if relative {
+	q := &x.req.Query
+	if q.RelativeWithin > 0 {
 		// §8.1: the true answer lies in the initial bound, so the smallest
 		// |A| over it gives a conservative absolute constraint the standard
 		// algorithm then runs against.
-		q.Within, q.RelativeWithin = RelativeR(res.Initial, q.RelativeWithin), 0
-		req.Query = q
+		q.Within, q.RelativeWithin = RelativeR(initial, q.RelativeWithin), 0
 	}
-	res.Answer = res.Initial
-	res.Met = Satisfies(res.Answer, q.Within)
+	x.res.Answer = initial
+	x.res.Met = Satisfies(initial, q.Within)
 	// A budgeted request with no finite constraint always proceeds to
 	// spend its budget (Satisfies against R = +Inf is vacuous); every
 	// other request is done once the constraint holds from cache alone.
-	budgetDual := cfg.HasBudget && cfg.Mode != ModeImprecise
-	if res.Met && !(budgetDual && math.IsInf(q.Within, 1)) {
+	if x.res.Met && !(x.budgetDual() && math.IsInf(q.Within, 1)) {
 		if sampled {
-			m.Request.ObserveDuration(tScan.Sub(t0))
-			recordTelemetry(m, &res, q)
+			m.Request.ObserveDuration(tScan.Sub(x.t0))
+			recordTelemetry(m, &x.res, *q)
 		}
-		tr.Finish()
-		return res, nil
+		x.tr.Finish()
+		return true, nil
 	}
 	// Slow path from here: every refresh-paying request is timed and
-	// counted in the telemetry, whatever its outcome. A request that
+	// counted in the telemetry, whatever its outcome (end). A request that
 	// skipped the sampled fast-path clocks starts its clock here, at the
 	// plan boundary — undercounting only the ~µs scan against work that
 	// runs for orders of magnitude longer.
 	if !sampled {
-		t0 = time.Now()
+		x.t0 = time.Now()
 	}
-	defer func() {
-		m.Request.ObserveDuration(time.Since(t0))
-		recordTelemetry(m, &res, q)
-		tr.Finish()
-	}()
+	return false, nil
+}
 
-	if frozen != nil {
-		// Part of the answer is a stale fallback nothing can refresh; stop
-		// at it.
-		if !res.Met {
-			return res, ErrPrecisionUnmet{Achieved: res.Answer, Spent: res.RefreshCost, Cause: frozen}
-		}
-		return res, nil
-	}
-
-	// Plan boundary.
-	if err := ctx.Err(); err != nil {
-		return cutoff(res, q, err)
-	}
-
-	// Step 2: choose refreshes from a snapshot — the (possibly slow)
-	// knapsack solve runs with no lock held — and run them.
-	inputs, tableLen, err := run.Snapshot(ctx, root, req)
+// choose is step 2: CHOOSE_REFRESH over a snapshot of the classified
+// inputs, the (possibly slow) knapsack solve running with no lock held.
+// A snapshot cut short returns the cutoff's shaped error, a solver
+// failure its own.
+func (x *job) choose(ctx context.Context) error {
+	inputs, tableLen, err := x.run.Snapshot(ctx, x.root, x.req)
 	if err != nil {
-		return cutoff(res, q, err)
+		return x.unmet(err, err)
 	}
-	chooseSp := root.StartSpan("choose")
+	x.inputs, x.tableLen = inputs, tableLen
+	sp := x.root.StartSpan("choose")
 	start := time.Now()
-	plan, err := choosePlan(inputs, q, req.NoPred, tableLen, cfg, ropts)
-	res.ChooseTime = time.Since(start)
-	m.Choose.ObserveDuration(res.ChooseTime)
-	if chooseSp != nil {
-		chooseSp.SetDetail("%s", plan.Describe())
-		chooseSp.End()
+	x.plan, err = choosePlan(inputs, x.req.Query, x.req.NoPred, tableLen, x.cfg, x.ropts)
+	x.res.ChooseTime = time.Since(start)
+	x.m.Choose.ObserveDuration(x.res.ChooseTime)
+	if sp != nil {
+		sp.SetDetail("%s", x.plan.Describe())
+		sp.End()
 	}
-	if err != nil {
-		return res, err
-	}
-	var ctxErr error
-	if plan.Len() > 0 {
-		// Fan-out boundary.
-		if err := ctx.Err(); err != nil {
-			return cutoff(res, q, err)
-		}
-		tr.SetPlanCosts(plan.Keys, plan.Costs)
-		refreshSp := root.StartSpan("refresh")
-		tRef := time.Now()
-		installed, cut, hardErr := run.Refresh(obs.ContextWithSpan(ctx, refreshSp), req, plan.Keys)
-		ctxErr = cut
-		// Report what was actually refreshed: keys dropped mid-flight are
-		// neither served nor charged, so they must not be counted — and
-		// every refresh that was paid is counted, whatever error ended the
-		// round. The paid costs fold in plan order — a deterministic float
-		// addition sequence the trace replays, so Trace.TotalCost() matches
-		// res.RefreshCost bit-exactly.
-		var paidKeys []int64
-		if refreshSp != nil {
-			paidKeys = make([]int64, 0, len(plan.Keys))
-		}
-		for j, ok := range installed {
-			if !ok {
-				continue
-			}
-			res.Refreshed++
-			res.RefreshCost += plan.Costs[j]
-			if refreshSp != nil {
-				paidKeys = append(paidKeys, plan.Keys[j])
-			}
-		}
-		refreshSp.RecordKeys(paidKeys)
-		m.Refresh.ObserveDuration(time.Since(tRef))
-		refreshSp.End()
-		if hardErr != nil {
-			return res, hardErr
-		}
+	return err
+}
 
-		// Step 3: recompute from the (possibly partially) refreshed
-		// relation. A cutoff mid-fan-out still recomputes: the refreshes
-		// that beat it are paid and installed, and the best-effort answer
-		// must reflect them.
-		foldSp := root.StartSpan("fold")
+// settle is step 3 and the outcome every refresh-paying request shares.
+// installed reports, aligned with the plan, which refreshes reached the
+// relation: those are charged in plan order — a deterministic float
+// addition sequence the trace replays, so Trace.TotalCost() matches
+// RefreshCost bit-exactly — and recorded on the refresh span sp (nil when
+// untraced). Keys dropped mid-flight are neither served nor charged, and
+// every refresh paid is charged whatever error ended the round. Unless
+// the round failed hard, answer then recomputes the result from the
+// (possibly partially) refreshed relation — a cutoff mid-fan-out still
+// recomputes, since the refreshes that beat it are paid and installed —
+// and the outcome is shaped: a cutoff that left the constraint unmet is
+// a typed ErrPrecisionUnmet, a budget that could not buy a finite
+// constraint a typed ErrBudgetExhausted.
+func (x *job) settle(sp *obs.Span, installed []bool, ctxErr, hardErr error, answer func(Request) interval.Interval) error {
+	var paid []int64
+	if sp != nil {
+		paid = make([]int64, 0, len(installed))
+	}
+	for j, ok := range installed {
+		if !ok {
+			continue
+		}
+		x.res.Refreshed++
+		x.res.RefreshCost += x.plan.Costs[j]
+		if sp != nil {
+			paid = append(paid, x.plan.Keys[j])
+		}
+	}
+	sp.RecordKeys(paid)
+	if hardErr != nil {
+		return hardErr
+	}
+	if x.plan.Len() > 0 {
+		foldSp := x.root.StartSpan("fold")
 		tFold := time.Now()
-		res.Answer = run.Refold(req)
-		m.Fold.ObserveDuration(time.Since(tFold))
+		x.res.Answer = answer(x.req)
+		x.m.Fold.ObserveDuration(time.Since(tFold))
 		if foldSp != nil {
-			foldSp.SetDetail("width=%g", res.Answer.Width())
+			foldSp.SetDetail("width=%g", x.res.Answer.Width())
 			foldSp.End()
 		}
-		res.Met = Satisfies(res.Answer, q.Within)
-	}
-	if ctxErr != nil && !res.Met {
-		return res, ErrPrecisionUnmet{Achieved: res.Answer, Spent: res.RefreshCost, Cause: ctxErr}
+		x.res.Met = Satisfies(x.res.Answer, x.req.Query.Within)
 	}
 	if ctxErr != nil {
-		return res, nil // cut short, but the constraint held anyway
+		return x.unmet(ctxErr, nil)
 	}
-	if budgetDual && !res.Met && !math.IsInf(q.Within, 1) {
-		return res, ErrBudgetExhausted{Achieved: res.Answer, Spent: res.RefreshCost, Budget: cfg.Budget}
+	if x.budgetDual() && !x.res.Met && !math.IsInf(x.req.Query.Within, 1) {
+		return ErrBudgetExhausted{Achieved: x.res.Answer, Spent: x.res.RefreshCost, Budget: x.cfg.Budget}
 	}
-	return res, nil
+	return nil
+}
+
+// unmet shapes the error of a request stopped by cause — a context
+// cutoff, or step 1's frozen fallback — before its constraint held: a
+// typed ErrPrecisionUnmet carrying the best guaranteed interval achieved
+// and the cost paid so far. A request whose constraint holds anyway
+// reports ifMet instead: the bare context error for a cutoff before the
+// refresh round (so callers never mistake a satisfied answer for a
+// failed one), nothing after it or for a frozen fallback.
+func (x *job) unmet(cause, ifMet error) error {
+	if x.res.Met {
+		return ifMet
+	}
+	return ErrPrecisionUnmet{Achieved: x.res.Answer, Spent: x.res.RefreshCost, Cause: cause}
+}
+
+// end closes a request that ran past step 1: every such request is timed
+// and counted in the precision–cost telemetry, whatever its outcome.
+func (x *job) end(err error) (Result, error) {
+	x.m.Request.ObserveDuration(time.Since(x.t0))
+	recordTelemetry(x.m, &x.res, x.req.Query)
+	x.tr.Finish()
+	return x.res, err
 }
 
 // choosePlan selects the refresh plan for one request. Cost-budgeted
@@ -568,19 +641,6 @@ func choosePlan(inputs []aggregate.Input, q Query, noPred bool, tableLen int, cf
 		return refresh.ChooseBudget(inputs, q.Agg, noPred, cfg.Budget, tableLen, opts)
 	}
 	return refresh.ChooseFromInputs(inputs, q.Agg, noPred, q.Within, tableLen, opts)
-}
-
-// cutoff shapes the result of a request stopped by context cancellation
-// or deadline expiry before its constraint was reached: the best
-// guaranteed interval achieved so far is returned, with a typed
-// ErrPrecisionUnmet when the constraint is still unmet and the bare
-// context error when it already held (so callers never mistake a
-// satisfied answer for a failed one).
-func cutoff(res Result, q Query, cause error) (Result, error) {
-	if Satisfies(res.Answer, q.Within) {
-		return res, cause
-	}
-	return res, ErrPrecisionUnmet{Achieved: res.Answer, Spent: res.RefreshCost, Cause: cause}
 }
 
 // recordTelemetry records the paper's precision–cost telemetry for one

@@ -107,15 +107,41 @@ func (e *storeEntry) snapshot(col int, where predicate.Expr, workers int) ([]agg
 	return inputs, n
 }
 
-// Refresh implements Execution: fetch the exact values outside any table
-// lock — slow sources must not block other queries' scans — and install
-// them write-locking only the shards owning keys in the plan.
+// Refresh implements Execution: one refresh round for the plan's keys
+// through the entry's oracle. The exact values are fetched outside any
+// table lock — slow sources must not block other queries' scans — and
+// installed write-locking only the shards owning keys in the plan. A
+// Refresher fetches per source in parallel and installs the refreshed
+// bounds itself (see Refresher); a plain per-key oracle is asked key by
+// key, with the context honored between keys.
 func (e *storeEntry) Refresh(ctx context.Context, r Request, keys []int64) ([]bool, error, error) {
-	if e.oracle == nil {
+	switch o := e.oracle.(type) {
+	case nil:
 		return nil, nil, fmt.Errorf("%w: %q", ErrNoOracle, r.Query.Table)
+	case Refresher:
+		set, err := o.Refresh(ctx, keys)
+		if parallel.IsContextError(err) {
+			return set.Installed, err, nil
+		}
+		return set.Installed, nil, err
 	}
-	set, ctxErr, hardErr := e.fetch(ctx, keys)
-	return set.Installed, ctxErr, hardErr
+	installed := make([]bool, len(keys))
+	for i, key := range keys {
+		if err := ctx.Err(); err != nil {
+			return installed, err, nil
+		}
+		v, ok := e.oracle.Master(key)
+		if !ok {
+			return installed, nil, fmt.Errorf("query: oracle has no master values for key %d", key)
+		}
+		// A dropped key no longer contributes; nothing to install.
+		ok, err := e.store.Refresh(key, v)
+		if err != nil {
+			return installed, nil, err
+		}
+		installed[i] = ok
+	}
+	return installed, nil, nil
 }
 
 // Refold implements Execution. The post-refresh state is what the next
@@ -133,48 +159,6 @@ func (e *storeEntry) Refold(r Request) interval.Interval {
 		e.plans.storeFold(r.foldKey(), ver, answer, n)
 	}
 	return answer
-}
-
-// fetch runs one refresh round for the given keys through the entry's
-// oracle — the shared oracle protocol of the single-query refresh phase,
-// the batch executor's per-table union rounds and the iterative variant.
-// The returned set is aligned with keys and marks exactly the keys whose
-// refresh reached the table (dropped keys and replies that lost to newer
-// pushes are not). A context cutoff is returned separately from hard
-// errors; on either, the refreshes that completed first are already
-// installed, charged, and marked in the set.
-func (e *storeEntry) fetch(ctx context.Context, keys []int64) (set relation.RefreshSet, ctxErr, hardErr error) {
-	if r, ok := e.oracle.(Refresher); ok {
-		// The refresher fetches per source in parallel and installs the
-		// refreshed bounds itself (see Refresher).
-		set, err := r.Refresh(ctx, keys)
-		if parallel.IsContextError(err) {
-			return set, err, nil
-		}
-		return set, nil, err
-	}
-	// Plain per-key oracle: the context is honored between keys, so a
-	// cutoff keeps the keys already fetched and installed.
-	set = relation.NewRefreshSet(len(keys), len(e.store.Schema().BoundedColumns()))
-	for i, key := range keys {
-		if err := ctx.Err(); err != nil {
-			return set, err, nil
-		}
-		v, ok := e.oracle.Master(key)
-		if !ok {
-			return set, nil, fmt.Errorf("query: oracle has no master values for key %d", key)
-		}
-		// A dropped key no longer contributes; nothing to install.
-		installed, err := e.store.Refresh(key, v)
-		if err != nil {
-			return set, nil, err
-		}
-		if installed {
-			set.Installed[i] = true
-			copy(set.Row(i), v)
-		}
-	}
-	return set, nil, nil
 }
 
 // forEachTuple visits every tuple shard by shard in ascending index

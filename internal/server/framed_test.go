@@ -263,3 +263,26 @@ func TestFramedLatencyCoversEveryFrame(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+func TestApproxSolverSameOverBothWires(t *testing.T) {
+	// A client may name the FPTAS on either wire. Over a thousand tuples
+	// its table at the default ε would run to tens of GB; held to the
+	// memory ceiling, both wires answer — and answer alike, each over an
+	// identical system.
+	req := QueryRequest{SQL: "SELECT SUM(value) WITHIN 5000 FROM vals", Solver: "approx"}
+	httpSys, frameSys := buildSystem(t, 10, 100), buildSystem(t, 10, 100)
+	httpSys.Clock.Advance(50)
+	frameSys.Clock.Advance(50)
+	ts := httptest.NewServer(New(httpSys, Config{}).Handler())
+	defer ts.Close()
+	conn, br := dialTestFramed(t, New(frameSys, Config{}))
+	_, viaHTTP := postQuery(t, ts.URL, req)
+	viaFrame := framedExchange(t, conn, br, 1, req)
+	normalizeResponses(&viaHTTP, &viaFrame)
+	if viaHTTP.Error != nil || len(viaHTTP.Results) != 1 || viaHTTP.Results[0].Refreshed == 0 {
+		t.Fatalf("http answer %+v: want one refresh-paying result", viaHTTP)
+	}
+	if !reflect.DeepEqual(viaHTTP, viaFrame) {
+		t.Errorf("http %+v\nframe %+v", viaHTTP, viaFrame)
+	}
+}

@@ -718,11 +718,12 @@ func (s *Server) run(ctx context.Context, client string, req QueryRequest, qs []
 		err      error
 	)
 	switch {
-	case traced:
+	case traced, hasBudget && len(qs) > 1:
 		// Traced statements execute individually so each gets its own
-		// span tree, at the price of cross-statement refresh sharing.
-		// The cost budget still covers the request as a whole: each
-		// statement runs under whatever its predecessors left.
+		// span tree, and so do the statements of a budgeted request: the
+		// cost budget covers the request as a whole, each statement
+		// running under whatever its predecessors left. Both give up
+		// cross-statement refresh sharing.
 		remaining := budget
 		for i := range qs {
 			qopts := append([]query.ExecOption(nil), opts...)

@@ -636,3 +636,37 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Error("workload info not echoed")
 	}
 }
+
+func TestMultiStatementBudgetCoversTheRequest(t *testing.T) {
+	// A request's cost budget — the client ceiling or the request's own —
+	// covers all of its statements: two precise statements over disjoint
+	// groups pay at most the budget between them, traced or not.
+	const sql = "SELECT SUM(value) WITHIN 0.001 FROM vals WHERE grp = 0; SELECT SUM(value) WITHIN 0.001 FROM vals WHERE grp = 1"
+	for _, c := range []struct {
+		name   string
+		cfg    Config
+		budget *Float
+	}{
+		{"client ceiling", Config{ClientBudget: 4}, nil},
+		{"request budget", Config{}, floatPtr(4)},
+	} {
+		for _, traced := range []bool{false, true} {
+			sys := buildSystem(t, 2, 4)
+			sys.Clock.Advance(50)
+			ts := httptest.NewServer(New(sys, c.cfg).Handler())
+			before := sys.Stats().QueryRefreshCost
+			status, qr := postQuery(t, ts.URL, QueryRequest{SQL: sql, Mode: "precise", Budget: c.budget, Trace: traced})
+			ts.Close()
+			if qr.Error != nil || len(qr.Results) != 2 {
+				t.Fatalf("%s, traced %t: status %d, %+v", c.name, traced, status, qr)
+			}
+			var attributed float64
+			for _, r := range qr.Results {
+				attributed += float64(r.RefreshCost)
+			}
+			if paid := sys.Stats().QueryRefreshCost - before; paid > 4+1e-9 || attributed > 4+1e-9 {
+				t.Errorf("%s, traced %t: the network paid %g (results attribute %g) on a budget of 4", c.name, traced, paid, attributed)
+			}
+		}
+	}
+}

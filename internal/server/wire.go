@@ -93,7 +93,8 @@ func (w WireInterval) Interval() interval.Interval {
 
 // QueryRequest is the POST /query body. SQL may hold one statement or
 // several separated by ';'; all resulting queries execute as one
-// ExecuteBatch when there is more than one.
+// ExecuteBatch when there is more than one, unless the request is traced
+// or carries a budget (see Trace and Budget).
 type QueryRequest struct {
 	// SQL is the statement text in the TRAPP/AG dialect.
 	SQL string `json:"sql"`
@@ -106,7 +107,9 @@ type QueryRequest struct {
 	DeadlineMillis int64 `json:"deadline_ms,omitempty"`
 	// Budget, when set, attaches WithCostBudget — the cost-bounded dual.
 	// The server additionally clamps it against the client's remaining
-	// admission budget when one is configured.
+	// admission budget when one is configured. It covers the request as a
+	// whole: the statements of a multi-statement request execute one
+	// after another, each under what its predecessors left.
 	Budget *Float `json:"budget,omitempty"`
 	// Mode is "", "bounded", "precise" or "imprecise" (WithMode).
 	Mode string `json:"mode,omitempty"`

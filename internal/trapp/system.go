@@ -290,35 +290,48 @@ func (s *System) executeConfig(ctx context.Context, q query.Query, cfg query.Exe
 	if cfg.Trace && cfg.TraceRoot == nil {
 		cfg.TraceRoot = obs.NewTrace(q.String())
 	}
-	sync := func() {
-		var sp *obs.Span
-		if cfg.TraceRoot != nil {
-			sp = cfg.TraceRoot.Root.StartSpan("sync")
-		}
-		c.Sync()
-		sp.End()
-	}
-	if cfg.Mode == query.ModeImprecise {
-		// The stale-data extreme never refreshes, so queued membership
-		// events cannot make it pay a propagation round either.
-		sync()
-		return s.proc.ExecuteConfig(ctx, q, cfg)
-	}
-	if slack := c.CardinalitySlack(); slack > 0 {
-		countNoPred := q.Agg == aggregate.Count && predicate.IsTrivial(q.Where) &&
-			len(q.GroupBy) == 0 && q.RelativeWithin == 0 && cfg.Mode == query.ModeBounded && !cfg.HasBudget
-		if countNoPred && q.Within >= 2*float64(slack) {
-			sync()
-			res, err := s.proc.ExecuteConfig(ctx, query.Query{
-				Table: q.Table, Agg: q.Agg, Column: q.Column,
-				Within: q.Within - 2*float64(slack), Where: q.Where,
-			}, cfg)
-			return widenSlackCount(res, err, float64(slack), q.Within)
-		}
+	slack, flush := slackCount(c, q, cfg)
+	if flush {
 		c.FlushWatched()
 	}
-	sync()
-	return s.proc.ExecuteConfig(ctx, q, cfg)
+	var sp *obs.Span
+	if cfg.TraceRoot != nil {
+		sp = cfg.TraceRoot.Root.StartSpan("sync")
+	}
+	c.Sync()
+	sp.End()
+	if slack == 0 {
+		return s.proc.ExecuteConfig(ctx, q, cfg)
+	}
+	within := q.Within
+	q.Within -= 2 * slack
+	res, err := s.proc.ExecuteConfig(ctx, q, cfg)
+	return widenSlackCount(res, err, slack, within)
+}
+
+// slackCount decides the §8.3 path of one query over a cache that
+// watches sources with delayed insert/delete propagation. A
+// predicate-free bounded COUNT whose constraint tolerates the cache's
+// cardinality slack runs against the constraint narrowed by 2·slack and
+// is widened back by ±slack (widenSlackCount) — saving the propagation
+// round — so slackCount returns that slack. Every other bounded-mode
+// query needs the queued membership events flushed first, since missing
+// tuples would make the other aggregates' bounds unsound. An imprecise
+// query never refreshes, so queued events cannot make it pay a
+// propagation round either: it needs neither.
+func slackCount(c *cache.Cache, q query.Query, cfg query.ExecConfig) (slack float64, flush bool) {
+	if cfg.Mode == query.ModeImprecise {
+		return 0, false
+	}
+	if slack = float64(c.CardinalitySlack()); slack == 0 {
+		return 0, false
+	}
+	countNoPred := q.Agg == aggregate.Count && predicate.IsTrivial(q.Where) &&
+		len(q.GroupBy) == 0 && q.RelativeWithin == 0 && cfg.Mode == query.ModeBounded && !cfg.HasBudget
+	if countNoPred && q.Within >= 2*slack {
+		return slack, false
+	}
+	return 0, true
 }
 
 // widenSlackCount post-processes a §8.3 slack-COUNT execution: the
@@ -380,13 +393,9 @@ func (s *System) ExecuteBatchDetailed(ctx context.Context, qs []query.Query, opt
 		return nil, nil, query.ErrClosed
 	}
 	cfg := query.BuildExecConfig(opts...)
-	// Mirror the single-query special paths for delayed-propagation
-	// caches (§8.3) so batch answers match standalone execution:
-	// imprecise-mode batches never flush (they never refresh, so queued
-	// membership events cannot make them unsound), and a predicate-free
-	// COUNT whose constraint tolerates the slack is answered widened by
-	// ±slack instead of forcing the propagation round — the flush runs
-	// only when some query in the batch actually needs exact membership.
+	// The §8.3 paths of the single-query executor, so batch answers
+	// match standalone execution; a cache flushes only when some query in
+	// the batch needs exact membership.
 	type slackFix struct {
 		idx    int
 		slack  float64
@@ -399,22 +408,10 @@ func (s *System) ExecuteBatchDetailed(ctx context.Context, qs []query.Query, opt
 		if c == nil {
 			return nil, nil, fmt.Errorf("trapp: %w: %q not mounted", query.ErrUnknownTable, q.Table)
 		}
-		if _, seen := caches[c]; !seen {
-			caches[c] = false
-		}
-		if cfg.Mode == query.ModeImprecise {
-			continue
-		}
-		slack := c.CardinalitySlack()
-		if slack == 0 {
-			continue
-		}
-		countNoPred := q.Agg == aggregate.Count && predicate.IsTrivial(q.Where) &&
-			len(q.GroupBy) == 0 && q.RelativeWithin == 0 && cfg.Mode == query.ModeBounded && !cfg.HasBudget
-		if countNoPred && q.Within >= 2*float64(slack) {
-			fixes = append(fixes, slackFix{idx: i, slack: float64(slack), within: q.Within})
-		} else {
-			caches[c] = true
+		slack, flush := slackCount(c, q, cfg)
+		caches[c] = caches[c] || flush
+		if slack > 0 {
+			fixes = append(fixes, slackFix{idx: i, slack: slack, within: q.Within})
 		}
 	}
 	for c, flush := range caches {
