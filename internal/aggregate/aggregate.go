@@ -143,10 +143,10 @@ func (c *Classifier) classify(tu *relation.Tuple) (predicate.Class, interval.Int
 	return cls, b
 }
 
-// scan appends the T+ and T? inputs of t's tuples to out, with Index set
+// Scan appends the T+ and T? inputs of t's tuples to out, with Index set
 // to each tuple's position in t. The receiver is a value so that
 // CollectStore's workers capture c by copy and it stays off the heap.
-func (c Classifier) scan(t *relation.Table, out []Input) []Input {
+func (c Classifier) Scan(t *relation.Table, out []Input) []Input {
 	for i := 0; i < t.Len(); i++ {
 		tu := t.At(i)
 		if cls, b := c.classify(tu); cls != predicate.Minus {
@@ -213,7 +213,7 @@ func CollectStore(st *relation.Store, col int, p predicate.Expr, shrink bool, wo
 		for si := 0; si < ns; si++ {
 			st.ViewShard(si, func(t *relation.Table) {
 				tableLen += t.Len()
-				inputs = c.scan(t, inputs)
+				inputs = c.Scan(t, inputs)
 			})
 		}
 	} else {
@@ -223,7 +223,7 @@ func CollectStore(st *relation.Store, col int, p predicate.Expr, shrink bool, wo
 			for si := lo; si < hi; si++ {
 				st.ViewShard(si, func(t *relation.Table) {
 					lens[si] = t.Len()
-					parts[si] = c.scan(t, make([]Input, 0, t.Len()))
+					parts[si] = c.Scan(t, make([]Input, 0, t.Len()))
 				})
 			}
 		})

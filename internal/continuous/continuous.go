@@ -494,7 +494,7 @@ func (e *Engine) processTableLocked(ts *tableState, ds *dirtySet) {
 	var rebuilding []*view
 	for _, v := range ts.views {
 		if ds.time || !v.built {
-			v.reset(st.Len())
+			v.reset(st.NumShards())
 			rebuilding = append(rebuilding, v)
 		}
 	}
@@ -505,26 +505,20 @@ func (e *Engine) processTableLocked(ts *tableState, ds *dirtySet) {
 		}
 		st.ViewShard(si, func(t *relation.Table) {
 			for _, v := range rebuilding {
-				for i := 0; i < t.Len(); i++ {
-					v.applyTuple(t.At(i))
-				}
-			}
-			if len(keys) == 0 || len(rebuilding) == len(ts.views) {
-				return
+				v.scanShard(si, t)
 			}
 			for key := range keys {
 				i := t.ByKey(key)
 				for _, v := range ts.views {
-					if !v.built {
-						continue // rebuilt above from the full shard scan
+					if v.built { // else rebuilt above from the full shard scan
+						v.updateKey(si, t, key, i)
 					}
-					v.updateKey(t, key, i)
 				}
 			}
 		})
 	}
 	for _, v := range rebuilding {
-		v.finishRebuild()
+		v.built = true
 	}
 
 	// 2. Re-fold answers of dirty groups.
@@ -601,11 +595,8 @@ func (e *Engine) repairLocked(ts *tableState, st *relation.Store) {
 			if !violated || math.IsInf(target, 1) {
 				continue
 			}
-			if DebugViolations != nil {
-				DebugViolations(v.sig, g.gkey, target, g.answer.Width())
-			}
 			plan, err := refresh.ChooseFromInputs(
-				v.groupInputs(g), v.agg, v.trivial, margin*target, g.rows, e.cfg.Options)
+				g.inputs, v.agg, v.trivial, margin*target, g.rows, e.cfg.Options)
 			if err != nil {
 				roundErr = err
 				continue
@@ -678,7 +669,7 @@ func (e *Engine) repairLocked(ts *tableState, st *relation.Store) {
 			for _, key := range ks {
 				i := t.ByKey(key)
 				for _, v := range ts.views {
-					v.updateKey(t, key, i)
+					v.updateKey(si, t, key, i)
 				}
 			}
 		})
@@ -687,9 +678,3 @@ func (e *Engine) repairLocked(ts *tableState, st *relation.Store) {
 		v.recompute()
 	}
 }
-
-// DebugViolations, when set, receives (view signature, group key,
-// effective target R, current width) for every violated view/group the
-// scheduler plans for — a diagnostics hook used by benchmark tooling to
-// attribute refresh demand. Nil (the default) disables it.
-var DebugViolations func(sig string, gkey string, target, width float64)

@@ -2,6 +2,9 @@ package continuous
 
 import (
 	"fmt"
+	"maps"
+	"math"
+	"slices"
 	"sort"
 
 	"trapp/internal/aggregate"
@@ -14,12 +17,12 @@ import (
 // view is the shared incremental state for one standing-query shape: all
 // subscriptions whose queries differ only in their precision constraint
 // attach to the same view, so a table with a thousand dashboards showing
-// the same aggregate is maintained once. A view keeps, per object key,
-// the object's current contribution to the aggregate (its classified,
-// possibly shrunk bound on the aggregation column) and, per group, the
-// folded bounded answer. Events update contributions only for the
-// changed keys; answers are re-folded only for groups containing a
-// changed contribution.
+// the same aggregate is maintained once. Each group keeps its
+// contributors (the T+ and T? rows' inputs) as one canonically ordered
+// slice, and its folded answer. A tick rebuilds the slices by appending
+// each shard's scan in shard order; a push classifies the one changed
+// tuple and overwrites, inserts or removes its input by binary search.
+// Only groups whose inputs changed are re-folded.
 type view struct {
 	sig        string
 	table      string
@@ -27,14 +30,19 @@ type view struct {
 	trivial    bool // no WHERE predicate
 	classifier aggregate.Classifier
 
-	groupBy  []string
 	groupIdx []int // exact grouping columns, schema order
 
 	subs []*Subscription
 
-	built   bool
-	contrib map[int64]*contrib
-	groups  map[string]*group
+	built  bool
+	groups map[string]*group
+	// rowGroup maps every row's key to its group, T− rows included, so a
+	// deleted key's group can be found. Grouped views only.
+	rowGroup map[int64]*group
+	// shardRows holds each shard's row count as read under its lock; a
+	// scalar view's row count is their sum. Scalar views only: they keep
+	// no state for T− rows.
+	shardRows []int
 
 	// attributedCost / attributedRefreshes accumulate, across scheduler
 	// rounds, the cost and count of the refreshes this view's plans
@@ -44,20 +52,17 @@ type view struct {
 	attributedRefreshes int64
 }
 
-// contrib is one object's tracked contribution to a view.
-type contrib struct {
-	gkey        string
-	in          aggregate.Input
-	contributes bool // false for T− objects (tracked only for group row counts)
-}
-
 // group is one group's maintained answer; scalar views use the single
 // group with key "".
 type group struct {
-	gkey   string
-	vals   []float64
-	rows   int // rows mapped to this group, including T−
-	inputs map[int64]aggregate.Input
+	vals []float64
+	rows int // rows mapped to this group, including T−
+	// inputs are the T+ and T? inputs in the canonical order
+	// (relation.CanonicalLess), Index equal to position: what the query
+	// processor's scan collects, so EvalInputs and ChooseFromInputs read
+	// it as is and answers and plans match the processor's bit for bit,
+	// down to a ±0.0 MIN/MAX tie. The choosers never reorder it.
+	inputs []aggregate.Input
 	dirty  bool
 	answer interval.Interval
 }
@@ -71,7 +76,6 @@ func newView(sig string, q query.Query, col int, groupIdx []int) *view {
 		agg:        q.Agg,
 		trivial:    predicate.IsTrivial(q.Where),
 		classifier: aggregate.NewClassifier(col, q.Where, true),
-		groupBy:    append([]string(nil), q.GroupBy...),
 		groupIdx:   groupIdx,
 	}
 }
@@ -79,152 +83,160 @@ func newView(sig string, q query.Query, col int, groupIdx []int) *view {
 // scalar reports whether the view has no GROUP BY.
 func (v *view) scalar() bool { return len(v.groupIdx) == 0 }
 
-// groupOf maps a tuple to its group key. Grouping columns are exact, so
+// holds reports whether the tuple's grouping values are g's, bit for bit
+// (group keys tell ±0.0 apart). Grouping columns are exact, so
 // membership is certain (their bounds are points).
-func (v *view) groupOf(tu *relation.Tuple) (string, []float64) {
-	if v.scalar() {
-		return "", nil
-	}
-	vals := make([]float64, len(v.groupIdx))
+func (v *view) holds(g *group, tu *relation.Tuple) bool {
 	for i, ci := range v.groupIdx {
-		vals[i] = tu.Bounds[ci].Lo
+		if math.Float64bits(tu.Bounds[ci].Lo) != math.Float64bits(g.vals[i]) {
+			return false
+		}
 	}
-	return fmt.Sprint(vals), vals
+	return true
 }
 
-// reset clears the contribution state ahead of a rebuild. The engine
-// then feeds every tuple through applyTuple, shard by shard, and calls
-// finishRebuild. Used on first build and on clock ticks, when every
-// bound has widened.
-func (v *view) reset(capacity int) {
-	v.contrib = make(map[int64]*contrib, capacity)
-	v.groups = make(map[string]*group)
+// reset empties the view ahead of a rebuild over a store of the given
+// shard count, keeping the scalar group's capacity; the engine then
+// scans every shard into it and marks it built. Used on first build and
+// on clock ticks, when every bound has widened.
+func (v *view) reset(shards int) {
 	if v.scalar() {
-		v.groups[""] = &group{gkey: "", inputs: make(map[int64]aggregate.Input)}
+		g := v.groups[""]
+		if g == nil {
+			g = &group{}
+			v.groups = map[string]*group{"": g}
+		}
+		g.inputs, g.rows, g.dirty = g.inputs[:0], 0, true
+		if len(v.shardRows) != shards {
+			v.shardRows = make([]int, shards) // the scan overwrites every entry
+		}
+	} else {
+		v.groups, v.rowGroup = make(map[string]*group), make(map[int64]*group)
 	}
 	v.built = false
 }
 
-// finishRebuild marks every group dirty (a rebuild recomputes all
-// answers) and the view built.
-func (v *view) finishRebuild() {
-	for _, g := range v.groups {
-		g.dirty = true
+// scanShard appends shard si's rows during a rebuild. Shards come in
+// ascending order and a shard's rows are canonical, so appending keeps
+// every group's inputs canonical without a sort. The caller holds the
+// shard's read lock.
+func (v *view) scanShard(si int, t *relation.Table) {
+	if v.scalar() {
+		g := v.groups[""]
+		n := len(g.inputs)
+		g.inputs = v.classifier.Scan(t, g.inputs)
+		for i := n; i < len(g.inputs); i++ {
+			g.inputs[i].Index = i
+		}
+		v.shardRows[si] = t.Len()
+		g.rows += t.Len()
+		return
 	}
-	v.built = true
+	for i := 0; i < t.Len(); i++ {
+		tu := t.At(i)
+		g := v.join(tu)
+		if in, ok := v.classifier.Classify(tu); ok {
+			in.Index = len(g.inputs)
+			g.inputs = append(g.inputs, in)
+		}
+	}
 }
 
-// updateKey refreshes one object's contribution from row i of its shard
+// join counts a tuple's row in its group, creating the group when new.
+// Grouped views only.
+func (v *view) join(tu *relation.Tuple) *group {
+	vals := make([]float64, len(v.groupIdx))
+	for i, ci := range v.groupIdx {
+		vals[i] = tu.Bounds[ci].Lo
+	}
+	gkey := fmt.Sprint(vals)
+	g := v.groups[gkey]
+	if g == nil {
+		g = &group{vals: vals}
+		v.groups[gkey] = g
+	}
+	v.rowGroup[tu.Key] = g
+	g.rows++
+	g.dirty = true
+	return g
+}
+
+// updateKey refreshes one object's contribution from row i of shard si's
 // table, where i is t.ByKey(key): negative when the object is gone, and
 // its contribution is removed. The caller holds the shard's read lock
 // and looks the key up once for all views.
-func (v *view) updateKey(t *relation.Table, key int64, i int) {
-	if i < 0 {
-		v.removeKey(key)
-		return
-	}
-	v.applyTuple(t.At(i))
-}
-
-// applyTuple installs or updates the tuple's contribution, marking its
-// group dirty only when the contribution actually changed.
-func (v *view) applyTuple(tu *relation.Tuple) {
-	gkey, vals := v.groupOf(tu)
-	g := v.groups[gkey]
-	if g == nil {
-		g = &group{gkey: gkey, vals: vals, inputs: make(map[int64]aggregate.Input)}
-		v.groups[gkey] = g
-	}
-	c := v.contrib[tu.Key]
-	if c == nil {
-		c = &contrib{gkey: gkey}
-		v.contrib[tu.Key] = c
-		g.rows++
+func (v *view) updateKey(si int, t *relation.Table, key int64, i int) {
+	g := v.groups[""]
+	if v.scalar() {
+		if n := t.Len(); n != v.shardRows[si] {
+			g.rows += n - v.shardRows[si]
+			v.shardRows[si], g.dirty = n, true
+		}
+	} else if g = v.rowGroup[key]; g != nil && (i < 0 || !v.holds(g, t.At(i))) {
+		delete(v.rowGroup, key) // gone, or moved to another group
+		g.put(aggregate.Input{Key: key}, false)
+		g.rows--
 		g.dirty = true
+		g = nil
 	}
-	in, ok := v.classifier.Classify(tu)
-	if !ok {
-		if c.contributes {
-			delete(g.inputs, tu.Key)
-			g.dirty = true
+	if i >= 0 {
+		if g == nil {
+			g = v.join(t.At(i))
 		}
-		c.contributes = false
+		g.put(v.classifier.Classify(t.At(i)))
+	} else if g != nil {
+		g.put(aggregate.Input{Key: key}, false)
+	}
+}
+
+// put installs, updates or (contributes false) removes the input of
+// in.Key, found by binary search in canonical order, and marks the group
+// dirty only when its inputs actually changed.
+func (g *group) put(in aggregate.Input, contributes bool) {
+	j := sort.Search(len(g.inputs), func(k int) bool { return !relation.CanonicalLess(g.inputs[k].Key, in.Key) })
+	found := j < len(g.inputs) && g.inputs[j].Key == in.Key
+	switch {
+	case found && contributes:
+		if old := g.inputs[j]; old.Class == in.Class && old.Cost == in.Cost &&
+			math.Float64bits(old.Bound.Lo) == math.Float64bits(in.Bound.Lo) &&
+			math.Float64bits(old.Bound.Hi) == math.Float64bits(in.Bound.Hi) {
+			return // unchanged bit for bit (a ±0.0 sign change is a change)
+		}
+		in.Index = j
+		g.inputs[j] = in
+	case found:
+		g.inputs = slices.Delete(g.inputs, j, j+1)
+	case contributes:
+		g.inputs = slices.Insert(g.inputs, j, in)
+	default:
 		return
 	}
-	if c.contributes && c.in == in {
-		return // unchanged contribution: nothing to recompute
+	for k := j; k < len(g.inputs); k++ {
+		g.inputs[k].Index = k
 	}
-	g.inputs[tu.Key] = in
-	c.in, c.contributes = in, true
 	g.dirty = true
 }
 
-// removeKey drops an object's contribution (a propagated deletion).
-func (v *view) removeKey(key int64) {
-	c := v.contrib[key]
-	if c == nil {
-		return
-	}
-	delete(v.contrib, key)
-	g := v.groups[c.gkey]
-	if g == nil {
-		return
-	}
-	g.rows--
-	delete(g.inputs, key)
-	g.dirty = true
-	if g.rows <= 0 && !v.scalar() {
-		delete(v.groups, c.gkey)
-	}
-}
-
-// groupInputs materializes a group's contributions as an input slice in
-// the canonical order (relation.CanonicalLess) — the order the query
-// processor's scans produce and State.Feed requires — for EvalInputs and
-// ChooseFromInputs, so the maintained answers and plans are
-// bit-identical to what the query processor would compute over the same
-// cache state, down to the sign of a ±0.0 MIN/MAX tie.
-func (v *view) groupInputs(g *group) []aggregate.Input {
-	out := make([]aggregate.Input, 0, len(g.inputs))
-	for _, in := range g.inputs {
-		out = append(out, in)
-	}
-	sort.Slice(out, func(a, b int) bool { return relation.CanonicalLess(out[a].Key, out[b].Key) })
-	for i := range out {
-		out[i].Index = i
-	}
-	return out
-}
-
-// recompute re-folds the answers of dirty groups. Notification
-// suppression compares whole per-subscription updates (sameUpdate), so
-// no change flag is tracked here.
+// recompute re-folds the answers of dirty groups and drops the groups
+// that lost their last row. Notification suppression compares whole
+// per-subscription updates (sameUpdate), so no change flag is tracked
+// here.
 func (v *view) recompute() {
-	for _, g := range v.groups {
-		if !g.dirty {
-			continue
+	for gkey, g := range v.groups {
+		if g.rows == 0 && !v.scalar() {
+			delete(v.groups, gkey)
+		} else if g.dirty {
+			g.dirty = false
+			g.answer = aggregate.EvalInputs(g.inputs, v.agg, v.trivial, g.rows)
 		}
-		g.dirty = false
-		g.answer = aggregate.EvalInputs(v.groupInputs(g), v.agg, v.trivial, g.rows)
 	}
 }
 
 // sortedGroups returns the view's groups ordered by group key values,
 // matching the row order of ExecuteGroupBy.
 func (v *view) sortedGroups() []*group {
-	out := make([]*group, 0, len(v.groups))
-	for _, g := range v.groups {
-		out = append(out, g)
-	}
-	sort.Slice(out, func(a, b int) bool {
-		va, vb := out[a].vals, out[b].vals
-		for i := range va {
-			if va[i] != vb[i] {
-				return va[i] < vb[i]
-			}
-		}
-		return false
-	})
+	out := slices.Collect(maps.Values(v.groups))
+	slices.SortFunc(out, func(a, b *group) int { return slices.Compare(a.vals, b.vals) })
 	return out
 }
 

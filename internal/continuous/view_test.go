@@ -43,11 +43,11 @@ func TestViewFoldsInCanonicalOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		v := newView("sig", q, 0, nil)
-		v.reset(len(tuples))
-		for i := range tuples {
-			v.applyTuple(&tuples[i])
+		v.reset(st.NumShards())
+		for _, tu := range tuples {
+			si := st.ShardOf(tu.Key)
+			st.ViewShard(si, func(t *relation.Table) { v.updateKey(si, t, tu.Key, t.ByKey(tu.Key)) })
 		}
-		v.finishRebuild()
 		v.recompute()
 		got, want := v.groups[""].answer, res.Answer
 		if math.Float64bits(got.Lo) != math.Float64bits(want.Lo) || math.Float64bits(got.Hi) != math.Float64bits(want.Hi) {

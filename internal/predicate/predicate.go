@@ -21,7 +21,8 @@
 package predicate
 
 import (
-	"fmt"
+	"strconv"
+	"strings"
 
 	"trapp/internal/interval"
 	"trapp/internal/relation"
@@ -149,14 +150,18 @@ func (o Operand) exact(vals []float64) float64 {
 }
 
 // String renders the operand.
-func (o Operand) String() string {
+func (o Operand) String() string { return string(o.appendTo(nil)) }
+
+// appendTo appends the operand's rendering: a constant in %g's shortest
+// form, a column by name or, when anonymous, as colN.
+func (o Operand) appendTo(b []byte) []byte {
 	if o.Col < 0 {
-		return fmt.Sprintf("%g", o.Const)
+		return strconv.AppendFloat(b, o.Const, 'g', -1, 64)
 	}
 	if o.Name != "" {
-		return o.Name
+		return append(b, o.Name...)
 	}
-	return fmt.Sprintf("col%d", o.Col)
+	return strconv.AppendInt(append(b, "col"...), int64(o.Col), 10)
 }
 
 // Cmp is a binary comparison between two operands.
@@ -193,9 +198,7 @@ func (c *Cmp) Columns(dst []int) []int {
 }
 
 // String renders "left op right".
-func (c *Cmp) String() string {
-	return fmt.Sprintf("%s %s %s", c.Left, c.Op, c.Right)
-}
+func (c *Cmp) String() string { return render(c) }
 
 // And is a conjunction.
 type And struct{ L, R Expr }
@@ -219,7 +222,7 @@ func (a *And) EvalExact(vals []float64) bool {
 func (a *And) Columns(dst []int) []int { return a.R.Columns(a.L.Columns(dst)) }
 
 // String renders "(L AND R)".
-func (a *And) String() string { return fmt.Sprintf("(%s AND %s)", a.L, a.R) }
+func (a *And) String() string { return render(a) }
 
 // Or is a disjunction.
 type Or struct{ L, R Expr }
@@ -243,7 +246,7 @@ func (o *Or) EvalExact(vals []float64) bool {
 func (o *Or) Columns(dst []int) []int { return o.R.Columns(o.L.Columns(dst)) }
 
 // String renders "(L OR R)".
-func (o *Or) String() string { return fmt.Sprintf("(%s OR %s)", o.L, o.R) }
+func (o *Or) String() string { return render(o) }
 
 // Not is a negation.
 type Not struct{ E Expr }
@@ -264,7 +267,7 @@ func (n *Not) EvalExact(vals []float64) bool { return !n.E.EvalExact(vals) }
 func (n *Not) Columns(dst []int) []int { return n.E.Columns(dst) }
 
 // String renders "NOT (E)".
-func (n *Not) String() string { return fmt.Sprintf("NOT (%s)", n.E) }
+func (n *Not) String() string { return render(n) }
 
 // TruePred matches every tuple; it represents an absent WHERE clause.
 type TruePred struct{}
@@ -280,6 +283,50 @@ func (TruePred) Columns(dst []int) []int { return dst }
 
 // String renders "TRUE".
 func (TruePred) String() string { return "TRUE" }
+
+// render walks the expression tree once into one builder, so a
+// predicate renders in time and space linear in its size however deeply
+// it nests (the plan cache and standing views key on the rendering).
+func render(e Expr) string {
+	var r renderer
+	r.expr(e)
+	return r.String()
+}
+
+// renderer is render's builder, with scratch space for one operand.
+type renderer struct {
+	strings.Builder
+	num [32]byte
+}
+
+func (r *renderer) expr(e Expr) {
+	switch e := e.(type) {
+	case *Cmp:
+		r.Write(e.Left.appendTo(r.num[:0]))
+		r.WriteByte(' ')
+		r.WriteString(e.Op.String())
+		r.WriteByte(' ')
+		r.Write(e.Right.appendTo(r.num[:0]))
+	case *And:
+		r.binary(e.L, " AND ", e.R)
+	case *Or:
+		r.binary(e.L, " OR ", e.R)
+	case *Not:
+		r.WriteString("NOT (")
+		r.expr(e.E)
+		r.WriteByte(')')
+	default:
+		r.WriteString(e.String())
+	}
+}
+
+func (r *renderer) binary(l Expr, op string, rhs Expr) {
+	r.WriteByte('(')
+	r.expr(l)
+	r.WriteString(op)
+	r.expr(rhs)
+	r.WriteByte(')')
+}
 
 // IsTrivial reports whether the predicate is the constant TRUE, meaning
 // the no-predicate algorithms of section 5 apply.

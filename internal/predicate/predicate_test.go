@@ -2,6 +2,7 @@ package predicate
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -173,6 +174,44 @@ func TestColumns(t *testing.T) {
 	}
 	if !seen[s.MustLookup(workload.ColBandwidth)] || !seen[s.MustLookup(workload.ColLatency)] {
 		t.Errorf("Columns = %v", cols)
+	}
+}
+
+// TestStringAllocatesLinearly pins String's allocation to the
+// predicate's size: rendering a NOT chain or a left-deep AND chain eight
+// times as long may allocate at most about eight times the bytes (nested
+// formatting allocated quadratically, 64 times).
+func TestStringAllocatesLinearly(t *testing.T) {
+	cmp := NewCmp(Column(0, "v"), Lt, Const(1.5))
+	chains := map[string]func(n int) Expr{
+		"NOT": func(n int) Expr {
+			var e Expr = cmp
+			for i := 0; i < n; i++ {
+				e = NewNot(e)
+			}
+			return e
+		},
+		"AND": func(n int) Expr {
+			var e Expr = cmp
+			for i := 0; i < n; i++ {
+				e = NewAnd(e, cmp)
+			}
+			return e
+		},
+	}
+	allocated := func(e Expr) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_ = e.String()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	for name, chain := range chains {
+		small, large := allocated(chain(1000)), allocated(chain(8000))
+		if large > 10*small {
+			t.Errorf("%s chain: %d bytes at 1000 nodes, %d at 8000 (ratio %.1f, want ≤ 10)",
+				name, small, large, float64(large)/float64(small))
+		}
 	}
 }
 

@@ -161,8 +161,7 @@ func applyRecord(st *Store, payload []byte) error {
 	key := tu.Key
 	switch kind {
 	case recInsert:
-		st.Delete(key) // upsert: replay over a snapshot that already has it
-		if err := st.Insert(tu); err != nil {
+		if err := st.upsert(tu); err != nil {
 			return fmt.Errorf("relation: replay insert key %d: %w", key, err)
 		}
 	case recDelete:

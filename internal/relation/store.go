@@ -225,6 +225,27 @@ func (s *Store) Insert(tu Tuple) error {
 	return nil
 }
 
+// upsert is Insert for WAL replay over a snapshot that may already hold
+// the key: a present row is overwritten in place (header and bounds, its
+// promise cleared, as a fresh insert leaves it) instead of being deleted
+// and re-inserted, which would shift the shard's rows twice.
+func (s *Store) upsert(tu Tuple) error {
+	sh := &s.shards[s.ShardOf(tu.Key)]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if err := sh.tab.validate(&tu); err != nil {
+		return err
+	}
+	if i, ok := sh.tab.find(tu.Key); ok {
+		sh.tab.put(i, &tu)
+	} else {
+		sh.tab.insertAt(i, &tu)
+		s.length.Add(1)
+	}
+	s.version.Add(1)
+	return nil
+}
+
 // MustInsert inserts the tuple and panics on error; for fixtures.
 func (s *Store) MustInsert(tu Tuple) {
 	if err := s.Insert(tu); err != nil {

@@ -261,6 +261,12 @@ func (t *Table) insertAt(i int, tu *Tuple) {
 	for j := n; j > i; j-- {
 		t.tuples[j].setHeader(&t.tuples[j-1])
 	}
+	t.put(i, tu)
+}
+
+// put stores the validated tuple in row i — header and bounds — with no
+// promise.
+func (t *Table) put(i int, tu *Tuple) {
 	t.tuples[i].setHeader(tu)
 	copy(t.tuples[i].Bounds, tu.Bounds)
 	clear(t.Promise(i))

@@ -2,12 +2,14 @@ package relation
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
+	"trapp/internal/boundfn"
 	"trapp/internal/codec"
 	"trapp/internal/interval"
 )
@@ -632,5 +634,73 @@ func TestWALAutoCheckpoint(t *testing.T) {
 	}
 	if w.LogBytes() >= 512+200 {
 		t.Fatalf("byte counter not reset: %d", w.LogBytes())
+	}
+}
+
+// TestReplayUpsertInPlace replays insert records for present and absent
+// keys over a store whose rows carry promises. The in-place upsert must
+// leave exactly the state a delete followed by an insert leaves: the same
+// rows in the same order, bit-identical bounds, cost and owner, no
+// promise on the overwritten rows, and the same ValueDigest.
+func TestReplayUpsertInPlace(t *testing.T) {
+	build := func() *Store {
+		st := NewStore(walSchema(), 4)
+		for k := int64(1); k <= 40; k++ {
+			st.MustInsert(walTuple(k, interval.Interval{Lo: float64(k), Hi: float64(k) + 2}, float64(k%5), float64(k%3)))
+		}
+		for si := 0; si < st.NumShards(); si++ {
+			st.UpdateShard(si, func(t *Table) bool {
+				for i := 0; i < t.Len(); i++ {
+					t.SetPromise(i, []boundfn.Bound{{Value: float64(i), Width: 1}}, int64(i+1))
+				}
+				return false
+			})
+		}
+		return st
+	}
+	records := []Tuple{
+		walTuple(7, interval.Interval{Lo: -3, Hi: 9}, 4, 1),
+		walTuple(13, interval.Point(math.Copysign(0, -1)), 0, 2),
+		walTuple(99, interval.Interval{Lo: 1, Hi: 5}, 2, 2),
+		walTuple(7, interval.Interval{Lo: 0.5, Hi: 0.75}, 3, 0),
+	}
+	records[0].Cost, records[0].SourceID = 11.5, "moved"
+
+	got, want := build(), build()
+	for _, tu := range records {
+		if err := applyRecord(got, encodeInsert(nil, &tu)); err != nil {
+			t.Fatal(err)
+		}
+		want.Delete(tu.Key)
+		want.MustInsert(tu.Clone())
+	}
+	if got.Len() != want.Len() || got.ValueDigest() != want.ValueDigest() {
+		t.Fatalf("len %d digest %x, want len %d digest %x", got.Len(), got.ValueDigest(), want.Len(), want.ValueDigest())
+	}
+	bits := func(iv interval.Interval) [2]uint64 {
+		return [2]uint64{math.Float64bits(iv.Lo), math.Float64bits(iv.Hi)}
+	}
+	for si := 0; si < got.NumShards(); si++ {
+		got.ViewShard(si, func(g *Table) {
+			want.ViewShard(si, func(w *Table) {
+				if g.Len() != w.Len() {
+					t.Fatalf("shard %d: %d rows, want %d", si, g.Len(), w.Len())
+				}
+				for i := 0; i < g.Len(); i++ {
+					gt, wt := g.At(i), w.At(i)
+					if gt.Key != wt.Key || math.Float64bits(gt.Cost) != math.Float64bits(wt.Cost) || gt.SourceID != wt.SourceID {
+						t.Fatalf("shard %d row %d: %+v, want %+v", si, i, *gt, *wt)
+					}
+					for c := range gt.Bounds {
+						if bits(gt.Bounds[c]) != bits(wt.Bounds[c]) {
+							t.Fatalf("key %d column %d bound %v, want %v", gt.Key, c, gt.Bounds[c], wt.Bounds[c])
+						}
+					}
+					if g.Seq(i) != w.Seq(i) || g.Promise(i)[0] != w.Promise(i)[0] {
+						t.Fatalf("key %d promise %+v seq %d, want %+v seq %d", gt.Key, g.Promise(i)[0], g.Seq(i), w.Promise(i)[0], w.Seq(i))
+					}
+				}
+			})
+		})
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"net"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -284,5 +285,31 @@ func TestApproxSolverSameOverBothWires(t *testing.T) {
 	}
 	if !reflect.DeepEqual(viaHTTP, viaFrame) {
 		t.Errorf("http %+v\nframe %+v", viaHTTP, viaFrame)
+	}
+}
+
+// TestNestedPredicateRejected sends a WHERE clause of NOTs that fills
+// almost the whole 1 MiB request cap over both wires: the parser's node
+// cap must reject it as a positioned parse error, before any rendering
+// or plan-cache keying sees it.
+func TestNestedPredicateRejected(t *testing.T) {
+	sys := buildSystem(t, 1, 2)
+	srv := New(sys, Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	conn, br := dialTestFramed(t, srv)
+
+	const prefix, tail = "SELECT SUM(value) FROM vals WHERE ", "value > 1"
+	nots := (MaxFrameLen - 4096 - len(prefix) - len(tail)) / len("NOT ")
+	req := QueryRequest{SQL: prefix + strings.Repeat("NOT ", nots) + tail}
+	status, viaHTTP := postQuery(t, ts.URL, req)
+	viaFrame := framedExchange(t, conn, br, 1, req)
+	for wire, qr := range map[string]QueryResponse{"http": viaHTTP, "framed": viaFrame} {
+		if qr.Error == nil || qr.Error.Code != CodeParse || qr.Error.Pos == nil {
+			t.Errorf("%s: error %+v, want a positioned %s", wire, qr.Error, CodeParse)
+		}
+	}
+	if status != 400 {
+		t.Errorf("http status %d, want 400", status)
 	}
 }

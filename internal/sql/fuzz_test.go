@@ -26,6 +26,7 @@ package sql
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"trapp/internal/query"
@@ -95,6 +96,8 @@ var corpus = []string{
 	"SELECT SUM(v) FROM t WHERE v > 1 AND w < 2",
 	"SELECT SUM(v) FROM t WHERE v > 1 OR NOT (w < 2 AND g = 1)",
 	"SELECT SUM(v) FROM t WHERE ((v > 1))",
+	// Deep nesting, and constants in each of %g's shortest forms.
+	"SELECT SUM(v) FROM t WHERE NOT NOT (v < 1e-7 OR NOT (w >= 1e21 AND (g = 123456789 OR NOT h <> -0.5)))",
 	// GROUP BY, single and multi.
 	"SELECT AVG(v) FROM t GROUP BY g",
 	"SELECT AVG(v) WITHIN 2 FROM t WHERE w > 0 GROUP BY g, h",
@@ -127,6 +130,8 @@ var corpus = []string{
 	"SELECT SUM(v) FROM t WHERE v < 1.2.3",
 	"SELECT SUM(v) FROM t WHERE v < 10e",
 	"(SELECT SUM(v) FROM t)",
+	// A predicate one node past the parser's cap.
+	"SELECT SUM(v) FROM t WHERE " + strings.Repeat("NOT ", maxPredicateNodes) + "v < 1",
 }
 
 // checkParseInvariants validates one ParseAll outcome against the

@@ -134,6 +134,31 @@ type parser struct {
 	cat    Catalog
 	table  string
 	schema *relation.Schema
+	// nodes and groups count the WHERE clause's comparisons, ANDs, ORs
+	// and NOTs, and its parenthesized groups, against maxPredicateNodes.
+	nodes, groups int
+}
+
+// maxPredicateNodes caps a WHERE clause: it may hold at most this many
+// comparisons, ANDs, ORs and NOTs, and at most this many parenthesized
+// groups. Untrusted input then cannot make the descent recurse, or the
+// predicate's rendering (the plan cache's and the standing views' key)
+// grow, without bound. An accepted predicate's rendering parses under
+// the same cap: it has the same nodes and one group per AND, OR and NOT.
+const maxPredicateNodes = 1024
+
+// charge counts the node the parser is about to descend into — a
+// parenthesized group at '(' — failing at the current token once the
+// count passes the cap.
+func (p *parser) charge() error {
+	n, what := &p.nodes, "nodes"
+	if p.at(tokLParen) {
+		n, what = &p.groups, "parenthesized groups"
+	}
+	if *n++; *n > maxPredicateNodes {
+		return errAt(p.cur().pos, "predicate has more than %d %s", maxPredicateNodes, what)
+	}
+	return nil
 }
 
 func (p *parser) cur() token          { return p.toks[p.i] }
@@ -325,6 +350,9 @@ func (p *parser) parseOr() (predicate.Expr, error) {
 		return nil, err
 	}
 	for p.cur().isKeyword("OR") {
+		if err := p.charge(); err != nil {
+			return nil, err
+		}
 		p.advance()
 		right, err := p.parseAnd()
 		if err != nil {
@@ -342,6 +370,9 @@ func (p *parser) parseAnd() (predicate.Expr, error) {
 		return nil, err
 	}
 	for p.cur().isKeyword("AND") {
+		if err := p.charge(); err != nil {
+			return nil, err
+		}
 		p.advance()
 		right, err := p.parseUnary()
 		if err != nil {
@@ -354,6 +385,9 @@ func (p *parser) parseAnd() (predicate.Expr, error) {
 
 // parseUnary := NOT parseUnary | '(' parseOr ')' | comparison
 func (p *parser) parseUnary() (predicate.Expr, error) {
+	if err := p.charge(); err != nil {
+		return nil, err
+	}
 	if p.cur().isKeyword("NOT") {
 		p.advance()
 		e, err := p.parseUnary()

@@ -2,7 +2,10 @@ package sql
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"trapp/internal/aggregate"
@@ -237,6 +240,92 @@ func TestLexerErrors(t *testing.T) {
 	for _, src := range []string{"@", "1.e", "1e", "!x"} {
 		if _, err := lex(src); err == nil {
 			t.Errorf("lex(%q) succeeded", src)
+		}
+	}
+}
+
+// sprintfRender is the predicate rendering as nested fmt.Sprintf calls
+// produced it, kept as the reference the single-pass rendering must
+// match byte for byte.
+func sprintfRender(e predicate.Expr) string {
+	operand := func(o predicate.Operand) string {
+		if o.Col < 0 {
+			return fmt.Sprintf("%g", o.Const)
+		}
+		if o.Name != "" {
+			return o.Name
+		}
+		return fmt.Sprintf("col%d", o.Col)
+	}
+	switch e := e.(type) {
+	case *predicate.Cmp:
+		return fmt.Sprintf("%s %s %s", operand(e.Left), e.Op, operand(e.Right))
+	case *predicate.And:
+		return fmt.Sprintf("(%s AND %s)", sprintfRender(e.L), sprintfRender(e.R))
+	case *predicate.Or:
+		return fmt.Sprintf("(%s OR %s)", sprintfRender(e.L), sprintfRender(e.R))
+	case *predicate.Not:
+		return fmt.Sprintf("NOT (%s)", sprintfRender(e.E))
+	}
+	return e.String()
+}
+
+func TestPredicateRenderingMatchesSprintf(t *testing.T) {
+	checked := 0
+	for _, src := range append(append([]string{}, corpus...), scaleCorpus...) {
+		q, err := Parse(src, fuzzCatalog)
+		if err != nil || q.Where == nil {
+			continue
+		}
+		if got, want := q.Where.String(), sprintfRender(q.Where); got != want {
+			t.Errorf("%q renders %q, want %q", src, got, want)
+		}
+		checked++
+	}
+	// Anonymous columns and constants the grammar cannot spell.
+	e := predicate.NewOr(
+		predicate.NewCmp(predicate.Column(7, ""), predicate.Ge, predicate.Const(math.Inf(-1))),
+		predicate.NewNot(predicate.NewCmp(predicate.Const(math.Copysign(0, -1)), predicate.Ne, predicate.Const(math.NaN()))))
+	if got, want := e.String(), sprintfRender(e); got != want {
+		t.Errorf("renders %q, want %q", got, want)
+	}
+	if checked < 10 {
+		t.Fatalf("only %d corpus predicates rendered", checked)
+	}
+}
+
+func TestPredicateNodeCap(t *testing.T) {
+	const prefix = "SELECT SUM(v) FROM t WHERE "
+	cases := []struct {
+		name  string
+		where string
+		ok    bool
+		at    string // the token the error must point at
+	}{
+		{"NOT chain at the cap", strings.Repeat("NOT ", maxPredicateNodes-1) + "v < 1", true, ""},
+		{"NOT chain past the cap", strings.Repeat("NOT ", maxPredicateNodes) + "v < 1", false, "v"},
+		{"AND chain past the cap", "v < 1" + strings.Repeat(" AND v < 1", maxPredicateNodes/2), false, "v < 1"},
+		{"groups at the cap", strings.Repeat("(", maxPredicateNodes) + "v < 1" + strings.Repeat(")", maxPredicateNodes), true, ""},
+		{"groups past the cap", strings.Repeat("(", maxPredicateNodes+1) + "v < 1" + strings.Repeat(")", maxPredicateNodes+1), false, "("},
+	}
+	for _, tc := range cases {
+		src := prefix + tc.where
+		q, err := Parse(src, fuzzCatalog)
+		if tc.ok {
+			if err != nil {
+				t.Errorf("%s: %v", tc.name, err)
+				continue
+			}
+			checkRoundTrip(t, src, q)
+			continue
+		}
+		var se *Error
+		if !errors.As(err, &se) {
+			t.Errorf("%s: error %v is not a *sql.Error", tc.name, err)
+			continue
+		}
+		if !strings.HasPrefix(src[se.Pos:], tc.at) || !strings.Contains(se.Msg, "predicate has more than") {
+			t.Errorf("%s: error %q at %d (%.10q), want one at %q", tc.name, se.Msg, se.Pos, src[se.Pos:], tc.at)
 		}
 	}
 }
